@@ -19,7 +19,7 @@ from typing import Dict, Optional, Type
 
 import numpy as np
 
-from repro.common.distance import chunked_sq_distances
+from repro.common.distance import nearest_centroids
 from repro.common.exceptions import ConfigurationError
 from repro.core.annular import AnnularKMeans
 from repro.core.base import DEFAULT_MAX_ITER, KMeansAlgorithm, compute_sse
@@ -275,9 +275,8 @@ class KMeans:
         if self.result_ is None:
             raise ConfigurationError("predict called before fit")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        # Serving-path convenience; uncounted by design (kernel without counters).
-        sq = chunked_sq_distances(X, self.result_.centroids)
-        return np.argmin(sq, axis=1)
+        # Serving-path convenience; uncounted by design (op without counters).
+        return nearest_centroids(X, self.result_.centroids)
 
 
 __all__ = [

@@ -15,7 +15,9 @@ backends (``docs/backends.md``):
     call per point per D² update, the ground truth for counter semantics.
 ``vectorized``
     One :func:`~repro.common.distance.paired_sq_distances` call per D²
-    update.  That kernel is bit-identical per row to ``sq_euclidean``, so
+    update, over only the rows the triangle inequality cannot rule out
+    (:class:`_PrunedClosestSqUpdate`; a skipped row provably keeps its
+    value).  That kernel is bit-identical per row to ``sq_euclidean``, so
     the ``closest_sq`` array — and therefore the sampling probability
     vector handed to the RNG — carries the exact same 64-bit floats as the
     scalar path.  Both backends make the *same RNG calls in the same
@@ -31,7 +33,7 @@ paper's cost model, never BLAS calls.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -87,7 +89,7 @@ def init_kmeans_plus_plus(
     first = int(rng.integers(0, n))
     centroids[0] = X[first]
     update = (
-        _update_closest_sq_vectorized
+        _PrunedClosestSqUpdate(n)
         if backend == "vectorized"
         else _update_closest_sq_reference
     )
@@ -121,23 +123,69 @@ def _update_closest_sq_reference(
             closest_sq[i] = new_sq
 
 
-def _update_closest_sq_vectorized(
-    X: np.ndarray,
-    centroid: np.ndarray,
-    closest_sq: np.ndarray,
-    counters: Optional[OpCounters],
-) -> None:
-    """Batched D² update, bit-identical per row to the reference loop.
+#: relative slack of the pruning test; it absorbs the rounding of the three
+#: computed squared distances the lemma compares (each errs by ~(d+2)·eps)
+_PRUNE_SLACK = 1e-6
+#: absolute slack of the pruning test, far above the absolute error of
+#: gradual underflow (~d·2^-1075) and far below any normal-range distance
+_PRUNE_FLOOR = 2.0 ** -1000
 
-    ``paired_sq_distances`` reduces each row with the same dot kernel as
-    ``sq_euclidean``, and ``np.minimum`` applies the same strict-< keep
-    rule, so ``closest_sq`` stays bitwise equal to the scalar path's —
-    which is what makes the subsequent RNG draw pick the same index.
+
+class _PrunedClosestSqUpdate:
+    """Batched D² update that skips rows the new seed provably cannot win.
+
+    Pruning lemma (Elkan's; Raff applies it to k-means++): if row ``x`` is
+    closest to seed ``o`` and ``|c_o − c_new| ≥ 2|x − c_o|``, the triangle
+    inequality gives ``|x − c_new| ≥ |c_o − c_new| − |x − c_o| ≥ |x − c_o|``,
+    so the reference's strict-``<`` update would keep ``closest_sq[x]``.
+    The test runs on computed squares,
+    ``|c_o − c_new|² ≥ 4(1+1e-6)·closest_sq + 2^-1000``; the slack
+    outweighs the rounding of all three squared distances (each within
+    ~(d+2)·eps relative, plus the underflow error), so the computed
+    ``|x − c_new|²`` is never below the computed ``closest_sq`` for a
+    skipped row.  A row whose ``4·closest_sq`` overflows gets a NaN limit,
+    which no comparison passes: it is never skipped.
+
+    Skipped rows keep their bits; every other row is updated through the
+    row-subset-invariant ``paired_sq_distances`` with the reference's
+    strict-``<`` rule, so ``closest_sq`` stays bitwise equal to the scalar
+    path's — which is what makes the next RNG draw pick the same index.
+    Seed-to-seed distances are numerics of the pruning, not the paper's
+    cost model, so they are uncounted; the charge stays ``n`` distances
+    and ``n`` point accesses per update, as for the reference.
     """
-    if counters is not None:
-        counters.add_point_accesses(len(X))
-    new_sq = paired_sq_distances(X, centroid, counters)
-    np.minimum(closest_sq, new_sq, out=closest_sq)
+
+    def __init__(self, n: int) -> None:
+        self.seeds: List[np.ndarray] = []
+        #: index into ``seeds`` of the seed each row's ``closest_sq`` is from
+        self.owner = np.zeros(n, dtype=np.intp)
+        self.limit = np.full(n, np.nan)
+
+    def __call__(
+        self,
+        X: np.ndarray,
+        centroid: np.ndarray,
+        closest_sq: np.ndarray,
+        counters: Optional[OpCounters],
+    ) -> None:
+        if counters is not None:
+            counters.add_point_accesses(len(X))
+            counters.add_distances(len(X))
+        if self.seeds:
+            seed_sq = paired_sq_distances(np.asarray(self.seeds), centroid)
+            rows = np.flatnonzero(~(seed_sq[self.owner] >= self.limit))
+        else:
+            rows = np.arange(len(X))
+        new_sq = paired_sq_distances(X[rows], centroid)
+        better = new_sq < closest_sq[rows]
+        rows, new_sq = rows[better], new_sq[better]
+        closest_sq[rows] = new_sq
+        self.owner[rows] = len(self.seeds)
+        with np.errstate(over="ignore"):
+            limit = 4.0 * (1.0 + _PRUNE_SLACK) * new_sq + _PRUNE_FLOOR
+        limit[limit == np.inf] = np.nan
+        self.limit[rows] = limit
+        self.seeds.append(centroid)
 
 
 _INIT_METHODS = {

@@ -16,12 +16,13 @@ The classes here are drop-in replacements selected with
 ``backend="vectorized"`` (see :func:`repro.core.make_algorithm` and
 ``docs/backends.md``).  Each subclasses its reference implementation and
 replaces only the per-iteration assignment pass — array-held bounds and
-masked batch updates for the trio, a speculative expansion scan with exact
-near-tie fallback for Lloyd, and a frontier-batched breadth-first traversal
-for index k-means; setup, initialization, refinement and drift correction
-are inherited unchanged (refinement itself is the shared scatter-add of
-:mod:`repro.core.refinement`, and k-means++ seeding batches its D² updates
-through the same bit-identical kernels, see :mod:`repro.core.initialization`).
+masked batch updates for the trio, the certified blocked GEMM scan with
+exact near-tie fallback for Lloyd, and a frontier-batched breadth-first
+traversal for index k-means; setup, initialization, refinement and drift
+correction are inherited unchanged (refinement itself is the shared
+scatter-add of :mod:`repro.core.refinement`, and k-means++ seeding batches
+its D² updates through the same bit-identical kernels, see
+:mod:`repro.core.initialization`).
 
 Exactness contract
 ------------------
@@ -67,8 +68,8 @@ from repro.backend import backend_manager as bm
 from repro.common.distance import (
     block_distances,
     chunked_sq_distances,
+    nearest_centroids,
     paired_distances,
-    pairwise_sq_distances,
     sq_norms,
 )
 from repro.core.base import KMeansAlgorithm
@@ -112,34 +113,17 @@ def lloyd_assign_rows(
     x_sq_rows: np.ndarray,
     c_sq: np.ndarray,
     counters,
-    *,
-    margin_factor: float = 16.0,
 ) -> np.ndarray:
     """Lloyd assignment for one row slice; returns the slice's labels.
 
-    Speculative expansion scan + exact near-tie fallback (see
-    :class:`VectorizedLloydKMeans`).  ``x_sq_rows`` are the slice's cached
-    row norms and ``c_sq``/``c_sq.max()`` are global, so the margin test is
-    row-subset invariant and the fallback's :func:`chunked_sq_distances`
-    entries are too — the slice result equals the full-scan rows bitwise.
+    The certified nearest-centroid op (:func:`nearest_centroids`) with the
+    slice's cached row norms and the global centroid norms.  Its labels
+    equal the exact kernel's argmin row by row, so the slice result equals
+    the full-scan rows bitwise.  Charges the paper's Lloyd cost: ``n*k``
+    distances, each touching its point.
     """
-    n, d = X_rows.shape
-    k = len(centroids)
-    # The paper's Lloyd cost: n*k distances, each touching its point.
-    counters.add_distances(n * k)
-    counters.add_point_accesses(n * k)
-    # Uncounted kernel calls — the n*k charge above covers this scan.
-    fast = pairwise_sq_distances(X_rows, centroids, a_sq=x_sq_rows, b_sq=c_sq)
-    labels = bm.argmin(fast, axis=1).astype(np.intp)
-    if k > 1:
-        two = bm.partition(fast, 1, axis=1)
-        eps = np.finfo(np.float64).eps
-        margin = margin_factor * (d + 4) * eps * (x_sq_rows + float(c_sq.max()))
-        suspects = np.flatnonzero(two[:, 1] - two[:, 0] <= 2.0 * margin)
-        if len(suspects):
-            exact = chunked_sq_distances(X_rows[suspects], centroids)
-            labels[suspects] = bm.argmin(exact, axis=1)
-    return labels
+    counters.add_point_accesses(len(X_rows) * len(centroids))
+    return nearest_centroids(X_rows, centroids, counters, x_sq=x_sq_rows, c_sq=c_sq)
 
 
 def elkan_seed_rows(
@@ -588,28 +572,17 @@ class VectorizedYinyangKMeans(YinyangKMeans):
 
 
 class VectorizedLloydKMeans(LloydKMeans):
-    """Lloyd's algorithm with a speculative expansion scan + exact fallback.
+    """Lloyd's algorithm on the certified nearest-centroid op.
 
     The reference full scan uses :func:`chunked_sq_distances` — direct
-    differencing, bit-identical to the pointwise helpers but ~4x slower
-    than the GEMM-backed expansion trick.  This class computes the whole
-    ``(n, k)`` matrix with :func:`pairwise_sq_distances` (cached row norms,
-    one GEMM) and takes its argmin, then *proves* each winner correct: a
-    row can only disagree with the exact scan if its two smallest expansion
-    values are within twice the expansion's rounding-error bound, and only
-    those suspect rows are recomputed with the exact kernel.
-
-    Soundness of the margin test: for every entry,
-    ``|expansion - exact| <= margin_i`` where ``margin_i`` scales with the
-    row/centroid squared norms (cancellation is the only error source; see
-    ``_expansion_margin``).  If the expansion's best-vs-runner-up gap
-    exceeds ``2 * margin_i``, the exact values preserve strict order, so
-    the exact argmin is unique and equals the expansion argmin — no
-    tie-breaking is involved.  Exact ties or near-ties always fall inside
-    the margin and take the exact path, inheriting ``np.argmin``'s
-    first-index rule on the same bits the reference sees
-    (:func:`chunked_sq_distances` is row-subset invariant).  On generic
-    data the suspect set is empty or tiny, so the scan runs at GEMM speed.
+    differencing, bit-identical to the pointwise helpers but far from GEMM
+    speed.  This class runs :func:`nearest_centroids` instead: a
+    cache-blocked GEMM scan that proves each row's winner against a
+    rounding-error margin and recomputes only the near-tie suspects with
+    the exact kernel (the derivation is in its docstring).  Genuine ties
+    always take the exact path and inherit ``np.argmin``'s first-index
+    rule on the same bits the reference sees, so labels are bit-identical
+    while almost every row runs at GEMM speed.
 
     Counter totals are unchanged: ``n * k`` distances and ``n * k`` point
     accesses per iteration, charged up front like the reference — the
@@ -619,35 +592,15 @@ class VectorizedLloydKMeans(LloydKMeans):
 
     backend = "vectorized"
 
-    #: safety factor over the worst-case relative rounding error of the
-    #: expansion identity |a-b|^2 = |a|^2 + |b|^2 - 2 a.b (a standard
-    #: forward-error analysis gives ~3(d+3) eps (|a|^2 + |b|^2); 16(d+4)
-    #: leaves a generous cushion without inflating the suspect set).
-    _MARGIN_FACTOR = 16.0
-
     def _setup(self) -> None:
         super()._setup()
         self._x_sq: np.ndarray | None = None
 
-    def _expansion_margin(self, c_sq: np.ndarray) -> np.ndarray:
-        """Per-row bound on ``|expansion - exact|`` for the current scan."""
-        eps = np.finfo(np.float64).eps
-        d = self.X.shape[1]
-        return (
-            self._MARGIN_FACTOR * (d + 4) * eps * (self._x_sq + float(c_sq.max()))
-        )
-
     def _assign(self, iteration: int) -> None:
         if self._x_sq is None:
             self._x_sq = sq_norms(self.X)
-        c_sq = sq_norms(self._centroids)
         self._labels = lloyd_assign_rows(
-            self.X,
-            self._centroids,
-            self._x_sq,
-            c_sq,
-            self.counters,
-            margin_factor=self._MARGIN_FACTOR,
+            self.X, self._centroids, self._x_sq, sq_norms(self._centroids), self.counters
         )
 
 

@@ -253,7 +253,6 @@ def lloyd_shard_kernel(payload: Dict[str, Any], counters: OpCounters) -> Dict[st
         payload["x_sq"],
         payload["c_sq"],
         counters,
-        margin_factor=payload["margin_factor"],
     )
     return {"labels": labels}
 
@@ -1067,12 +1066,7 @@ class ShardedLloydKMeans(_ShardedAssignMixin, VectorizedLloydKMeans):
         return self.shard_kernel
 
     def _command_context(self, kernels):
-        return {
-            "lloyd": {
-                "c_sq": sq_norms(self._centroids),
-                "margin_factor": self._MARGIN_FACTOR,
-            }
-        }
+        return {"lloyd": {"c_sq": sq_norms(self._centroids)}}
 
     def _state_arrays(self):
         if self._x_sq is None:

@@ -3,13 +3,15 @@
 The :class:`Predictor` answers one-to-many assignment queries against a
 registry entry's centroids.  Its contract mirrors training assignment:
 
-* distances go through the *counted* exact kernel
-  (:func:`repro.common.distance.chunked_sq_distances` — bit-identical to
-  the scalar helpers, so serving reproduces the fit's tie-breaking), and
-  the argmin through the array-backend manager ``bm`` with its explicit
-  first-index tie-break;
+* labels come from the *counted* certified nearest-centroid op
+  (:func:`repro.common.distance.nearest_centroids`): a blocked GEMM scan
+  whose certificate proves each label equal to the argmin of the exact
+  kernel (:func:`~repro.common.distance.chunked_sq_distances`,
+  bit-identical to the scalar helpers), with near-ties recomputed by that
+  kernel and resolved by ``bm.argmin``'s explicit first-index tie-break —
+  the fit's own tie-breaking;
 * under the default ``numpy`` array backend every served label is
-  therefore **bit-identical** to the label the fit itself would assign
+  therefore **equal** to the label the fit itself would assign
   against its final centroids — and for a *converged* fit the final
   centroids are a fixed point of assignment, so served labels equal the
   stored fit labels exactly (the round-trip identity the serving-smoke CI
@@ -35,8 +37,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
-from repro.common.distance import chunked_sq_distances
+from repro.common.distance import nearest_centroids, sq_norms
 from repro.common.exceptions import ValidationError
 from repro.instrumentation.counters import OpCounters
 from repro.serve.registry import MODEL_KIND, ModelRegistry, RegistryEntry
@@ -44,21 +45,11 @@ from repro.serve.registry import MODEL_KIND, ModelRegistry, RegistryEntry
 #: R008 contract: managed array math in this module must route through bm
 BACKEND_ROUTED = True
 
-#: default chunk for the serving kernel; requests are small, so one chunk
-#: normally covers the whole batch
-DEFAULT_CHUNK = 2048
-
 
 class Predictor:
     """Warm-cache nearest-centroid server over one registry entry."""
 
-    def __init__(
-        self,
-        registry: ModelRegistry,
-        key: Optional[str] = None,
-        *,
-        chunk: int = DEFAULT_CHUNK,
-    ) -> None:
+    def __init__(self, registry: ModelRegistry, key: Optional[str] = None) -> None:
         self.registry = registry
         entry: RegistryEntry
         if key is None:
@@ -70,9 +61,6 @@ class Predictor:
                 f"registry entry {entry.key} is a {entry.kind!r}, not a model"
             )
         self.entry = entry
-        self.chunk = int(chunk)
-        if self.chunk <= 0:
-            raise ValidationError(f"chunk must be > 0, got {chunk}")
         # Warm cache: the mmap'd payload is materialized into one
         # contiguous float64 block so every request hits RAM, never the
         # page cache, and the kernel sees the layout it was benchmarked on.
@@ -84,6 +72,7 @@ class Predictor:
                 f"centroids payload of entry {entry.key} has "
                 f"{self._centroids.ndim} dimensions, expected 2"
             )
+        self._c_sq = sq_norms(self._centroids)
         #: serving-side counters, same cost model as training (one charge
         #: per point-centroid pair); read/reset by the bench and stats
         self.counters = OpCounters()
@@ -129,22 +118,21 @@ class Predictor:
     ) -> np.ndarray:
         """Assign each row of ``X`` to its nearest centroid.
 
-        One vectorized one-to-many pass: the exact chunked kernel charges
-        ``len(X) * k`` distances to the predictor's counters (or the
-        caller's), and ``bm.argmin`` resolves ties to the first index —
-        the same tie-break as every training assignment path.
+        One certified nearest-centroid pass: it charges ``len(X) * k``
+        distances to the predictor's counters (or the caller's), and ties
+        resolve to the first index — the same tie-break as every training
+        assignment path.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValidationError(
                 f"query points have shape {X.shape}, expected (m, {self.d})"
             )
-        sq = chunked_sq_distances(
+        labels = nearest_centroids(
             X, self._centroids,
             self.counters if counters is None else counters,
-            chunk=self.chunk,
+            c_sq=self._c_sq,
         )
-        labels = bm.argmin(sq, axis=1)
         self._requests += 1
         self._points += X.shape[0]
         return labels
@@ -154,4 +142,4 @@ class Predictor:
         return int(self.predict(np.atleast_2d(x))[0])
 
 
-__all__ = ["BACKEND_ROUTED", "DEFAULT_CHUNK", "Predictor"]
+__all__ = ["BACKEND_ROUTED", "Predictor"]

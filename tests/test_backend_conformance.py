@@ -218,21 +218,75 @@ class TestSeedingParity:
         assert np.array_equal(reference, vectorized)
         assert ref_counters.snapshot() == vec_counters.snapshot()
 
+    @staticmethod
+    def _assert_parity(X, k, seed):
+        """Identical picks, and both backends charge n per D² update."""
+        from repro.instrumentation.counters import OpCounters
+
+        ref_counters, vec_counters = OpCounters(), OpCounters()
+        reference = init_kmeans_plus_plus(
+            X, k, seed=seed, counters=ref_counters, backend="reference"
+        )
+        vectorized = init_kmeans_plus_plus(
+            X, k, seed=seed, counters=vec_counters, backend="vectorized"
+        )
+        assert np.array_equal(reference, vectorized)
+        for counters in (ref_counters, vec_counters):
+            assert counters.distance_computations == k * len(X)
+            assert counters.point_accesses == k * len(X)
+        assert ref_counters.snapshot() == vec_counters.snapshot()
+        return reference
+
     def test_seeding_duplicate_rows(self):
-        # Degenerate D² mass (total can hit the uniform-fallback branch).
+        # Degenerate D² mass (total can hit the uniform-fallback branch);
+        # rows at distance 0 from their seed are pruned at every later step.
         rng = np.random.default_rng(3)
         X = np.repeat(rng.normal(size=(10, 2)), 6, axis=0)
         for seed in range(4):
-            reference = init_kmeans_plus_plus(X, 5, seed=seed, backend="reference")
-            vectorized = init_kmeans_plus_plus(X, 5, seed=seed, backend="vectorized")
-            assert np.array_equal(reference, vectorized)
+            self._assert_parity(X, 5, seed)
 
     def test_seeding_single_point_mass(self):
         # All points identical: every step takes the uniform-fallback branch.
-        X = np.ones((30, 3))
-        reference = init_kmeans_plus_plus(X, 3, seed=0, backend="reference")
-        vectorized = init_kmeans_plus_plus(X, 3, seed=0, backend="vectorized")
-        assert np.array_equal(reference, vectorized)
+        for seed in range(3):
+            self._assert_parity(np.ones((30, 3)), 3, seed)
+
+    def test_seeding_near_overflow_disables_pruning(self):
+        # Norms near 1e154: squared distances near 1e308 stay finite (so the
+        # D² total does too), but 4·closest_sq overflows; those rows must
+        # never be skipped.
+        from repro.common.distance import paired_sq_distances
+
+        X = np.array([[0.0, 0.0], [0.7, 0.1], [1.0, -0.1], [0.35, 0.05]]) * 1e154
+        overflowed = 0
+        for seed in range(8):
+            picks = self._assert_parity(X, 3, seed)
+            closest_sq = paired_sq_distances(X, picks[0])
+            assert np.isfinite(closest_sq.sum())
+            with np.errstate(over="ignore"):
+                overflowed += int(np.isinf(4.0 * closest_sq).any())
+        assert overflowed
+
+    def test_seeding_pruning_skips_rows(self, monkeypatch):
+        # The mechanism, not just the outcome: on clustered data the pruned
+        # update evaluates well under n distances per step.
+        import repro.core.initialization as initialization
+
+        evaluated = []
+        original = initialization.paired_sq_distances
+
+        def spy(A, B, counters=None):
+            evaluated.append(len(np.atleast_2d(A)))
+            return original(A, B, counters)
+
+        monkeypatch.setattr(initialization, "paired_sq_distances", spy)
+        X = _DATASETS["blobs"]
+        init_kmeans_plus_plus(X, 9, seed=0, backend="vectorized")
+        # Update j > 0 first measures the j chosen seeds to the new one,
+        # then the rows it cannot skip; update 0 computes every row.
+        data_rows, seed_rows = evaluated[0::2], evaluated[1::2]
+        assert seed_rows == list(range(1, 9))
+        assert data_rows[0] == len(X)
+        assert sum(data_rows) < 0.6 * 9 * len(X)
 
     def test_fit_threads_seeding_backend(self):
         # fit() without initial_centroids seeds on the algorithm's backend;
