@@ -13,29 +13,55 @@ Four layers are provided:
 * bulk kernels (:func:`pairwise_sq_distances`, :func:`chunked_sq_distances`,
   :func:`distances_to_centroids`) used by bulk phases, charging the number
   of row-pairs evaluated;
-* the certified nearest-centroid op (:func:`nearest_centroids`) behind
-  vectorized Lloyd, ``KMeans.predict`` and the serving ``Predictor``: a
-  cache-blocked GEMM scan whose labels provably equal the exact kernel's
-  argmin.
+* the certified GEMM layer: speculative scores (:func:`centroid_scores`)
+  with a rounding-error certificate (:func:`certificate_margin`,
+  :func:`certified_argmin`), and the two ops built on it —
+  :func:`nearest_centroids` behind vectorized Lloyd, ``KMeans.predict``
+  and the serving ``Predictor``, and :func:`nearest_and_group_minima`
+  behind vectorized Yinyang's iteration 0 — whose results provably equal
+  the exact kernel's.
 
 All layers count identically: a "distance computation" is one full
 ``d``-dimensional evaluation, regardless of how the arithmetic is batched.
 That is the counter-semantics contract of ``docs/backends.md``: counters
 measure the paper's cost model, never the number of BLAS calls.
 
-Bit-identity
-------------
-The scalar helpers reduce ``diff @ diff`` with NumPy's 1-D dot.  The
-row-wise batch kernels reduce each row through a batched matmul of shape
-``(m, 1, d) @ (m, d, 1)``, which dispatches to the same per-row dot kernel
-and therefore produces the *same 64-bit float* as the scalar path for every
-row.  This is what lets the vectorized backend reproduce the reference
-backend's labels, tie-breaking, and convergence trajectory exactly —
-``tests/test_backend_conformance.py`` and the hypothesis parity properties
-enforce it.  The expansion-based bulk kernels
-(:func:`pairwise_sq_distances`, :func:`centroid_pairwise_distances`) trade
-that identity for speed and are only used where both backends share the
-same call site.
+Bit-identity: two exact families
+--------------------------------
+Exact (difference-then-square) distances come in two families whose
+values may differ in the last bits, because they sum the ``d`` squares in
+different orders:
+
+* the **dot family** — the scalar helpers reduce ``diff @ diff`` with
+  NumPy's 1-D dot, and the row-wise batch kernels reduce each row through
+  a batched matmul of shape ``(m, 1, d) @ (m, d, 1)``, which dispatches to
+  the same per-row dot kernel and so produces the *same 64-bit float* as
+  the scalar path for every row;
+* the **einsum family** — :func:`chunked_sq_distances` and
+  :func:`gathered_sq_distances` reduce with ``einsum("ijk,ijk->ij")``,
+  whose pairwise summation differs from the dot kernel's (at 200k x 16,
+  k=64, about a third of the entries differ from :func:`sq_euclidean` in
+  the last bits).  Within the family every entry is bitwise independent
+  of the chunk size and of which row and column subset shares a call.
+
+Each stored bound and label comes from exactly one family on both
+backends.  The full scans — iteration 0 of Elkan, Hamerly and Yinyang,
+Lloyd's labels, the leaf scans of index k-means — come from the einsum
+family: the reference computes them with :func:`chunked_sq_distances`,
+the vectorized backend with the same kernel, or with
+:func:`gathered_sq_distances` on just the entries a bound keeps.  Every
+later distance — bound tightening, candidate scans, rescans — comes
+from the dot family: the reference calls the scalar helpers and the
+vectorized backend the row-wise kernels (:func:`paired_distances`,
+:func:`block_distances`).  This is what lets the vectorized backend
+reproduce the reference backend's labels, bounds, tie-breaking, and
+convergence trajectory exactly — ``tests/test_backend_conformance.py``
+and the hypothesis parity properties enforce it.  The expansion-based
+bulk kernels (:func:`pairwise_sq_distances`,
+:func:`centroid_pairwise_distances`) trade exactness for speed and are
+only used where both backends share the same call site; the GEMM scores
+of :func:`centroid_scores` never reach a bound or a label without a
+certificate (:func:`certified_argmin`).
 
 Array backends
 --------------
@@ -57,7 +83,7 @@ pruning decisions never depend on the accelerator.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -269,9 +295,12 @@ def chunked_sq_distances(
 ) -> np.ndarray:
     """All-pairs squared distances via direct differencing, chunked.
 
-    Slower than :func:`pairwise_sq_distances` but numerically identical to
-    the per-point helpers (no cancellation), which keeps tie-breaking
-    consistent between vectorized full scans and pointwise pruning loops.
+    Slower than :func:`pairwise_sq_distances` but exact (no cancellation).
+    It is the einsum family of the module docstring, *not* the dot family
+    of the per-point helpers: entries may differ from :func:`sq_euclidean`
+    in the last bits.  Every entry is bitwise independent of ``chunk`` and
+    equals the matching :func:`gathered_sq_distances` entry, so a full scan
+    and a gathered subset of it agree exactly.
 
     Counter parity: charges exactly one distance per row-pair, identical to
     :func:`pairwise_sq_distances`, regardless of ``chunk`` — the charge is
@@ -291,6 +320,84 @@ def chunked_sq_distances(
     return out
 
 
+def gathered_sq_distances(
+    A: np.ndarray,
+    B: np.ndarray,
+    cols: np.ndarray,
+    counters: Optional[OpCounters] = None,
+) -> np.ndarray:
+    """``out[i, p] = |A[i] − B[cols[i, p]]|²`` in the einsum family.
+
+    Each entry is bit-identical to ``chunked_sq_distances(A, B)[i,
+    cols[i, p]]`` — same differences, same ``einsum`` reduction over ``d``
+    — without evaluating the other columns.  Charges ``cols.size``.
+    """
+    A = np.atleast_2d(A)
+    if counters is not None:
+        counters.distance_computations += cols.size
+    # Subtracting into the gathered buffer skips a fresh (m, p, d)
+    # allocation; the differences are the same ``A[i] − B[j]`` floats.
+    diff = np.take(B, cols, axis=0)
+    np.subtract(A[:, None, :], diff, out=diff)
+    return bm.einsum("ijk,ijk->ij", diff, diff)
+
+
+def centroid_scores(X: np.ndarray, C: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
+    """Speculative GEMM scores ``s_j = |c_j|² − 2 x·c_j``, shape ``(m, k)``.
+
+    ``|x − c_j|²`` minus the row constant ``|x|²``, up to rounding.  Never
+    a distance in its own right — callers certify what they read from it
+    (:func:`certified_argmin`) and charge the distances their algorithm
+    decided to evaluate — so uncounted.  ``c_sq`` is ``sq_norms(C)``.
+    """
+    scores = bm.matmul(X, -2.0 * C.T)
+    scores += c_sq
+    return scores
+
+
+def certificate_margin(x_sq: np.ndarray, c_sq_max: float, d: int) -> np.ndarray:
+    """Per-row certificate threshold ``2M`` for :func:`centroid_scores`.
+
+    ``M = MARGIN_FACTOR·(d+4)·(eps·S + tiny)`` with ``S = |x|² +
+    max|c|²``; the error analysis is in :func:`nearest_centroids`.
+    ``c_sq_max`` may bound any superset of the scored centroids.
+    """
+    return (2.0 * MARGIN_FACTOR * (d + 4)) * (_EPS * (x_sq + c_sq_max) + _TINY)
+
+
+def certified_argmin(
+    scores: np.ndarray,
+    two_margin: np.ndarray,
+    lone: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Speculative row argmin of ``scores`` and whether it is certified.
+
+    Returns ``(winner, certified)``.  A certified row's winner is the
+    strict, unique minimum of the exact distances of both families over
+    the row's candidates (the argument in :func:`nearest_centroids`), so
+    no tie-breaking is involved.  ``scores`` is overwritten: each row's
+    winner becomes ``+inf``, so a second call yields the runner-up and its
+    certificate.  Excluded candidates are ``+inf`` entries; ``lone`` flags
+    rows with exactly one candidate, certified when its score is finite.
+    NaN and overflow never certify, nor does a row without a finite score,
+    whose gap is ``inf − inf``: callers that expect such rows silence
+    NumPy's invalid-value warning around the call.
+    """
+    rows = np.arange(len(scores))
+    winner = bm.argmin(scores, axis=1)
+    best = scores[rows, winner]
+    scores[rows, winner] = np.inf
+    # argmin + gather is the row min, NaN included, at half the cost of
+    # ``min(axis=1)`` on short rows.
+    gap = scores[rows, bm.argmin(scores, axis=1)] - best
+    # NaN fails the first test, an overflowed runner-up the second; a lone
+    # row's gap is +inf exactly when its only score is finite.
+    bounded = gap < np.inf
+    if lone is not None:
+        bounded |= lone
+    return winner, (gap > two_margin) & bounded
+
+
 def nearest_centroids(
     X: np.ndarray,
     C: np.ndarray,
@@ -307,13 +414,15 @@ def nearest_centroids(
     (:func:`sq_norms`).
 
     For each block of :data:`NEAREST_BLOCK_ROWS` rows one GEMM yields the
-    scores ``s_j = |c_j|² − 2 x·c_j`` (``|x|²`` is constant along a row, so
-    it is left out); the argmin of the scores is the speculative label,
-    and the runner-up is the min after masking the winner with ``inf``.  A
-    row is *certified* when its runner-up gap exceeds twice the margin
-    ``M = MARGIN_FACTOR·(d+4)·(eps·S + tiny)``, ``S = |x|² + max|c|²``.
-    The uncertified rows — near-ties, genuine ties, non-finite values —
-    are recomputed with the exact kernel after all blocks.
+    scores ``s_j = |c_j|² − 2 x·c_j`` (:func:`centroid_scores`; ``|x|²``
+    is constant along a row, so it is left out); the argmin of the scores
+    is the speculative label, and the runner-up is the min after masking
+    the winner with ``inf``.  A row is *certified* when its runner-up gap
+    exceeds twice the margin ``M = MARGIN_FACTOR·(d+4)·(eps·S + tiny)``,
+    ``S = |x|² + max|c|²`` (:func:`certificate_margin`,
+    :func:`certified_argmin`).  The uncertified rows — near-ties, genuine
+    ties, non-finite values — are recomputed with the exact kernel after
+    all blocks.
 
     Why the margin covers the ``|x|²``-free form.  Let ``u = eps/2`` and
     ``γ_m = m·u / (1 − m·u)``, so a length-``m`` dot product in any
@@ -326,16 +435,17 @@ def nearest_centroids(
     * the final add errs by ≤ ``u`` times its result, itself
       ≤ ``(1+γ_d)(|c_j|² + 2|x||c_j|) ≤ 2(1+γ_d) S``;
 
-    so ``|s_j − f_j| ≤ E_s ≈ (d+1)·eps·S``.  The exact kernel differences
-    then sums ``d`` squares, so its entry ``e_j`` errs from the true
-    ``D_j = |x − c_j|² ≤ 2S`` by ≤ ``γ_{d+2} D_j ≤ E_e ≈ (d+2)·eps·S``.
-    Because ``D_j − D_w = f_j − f_w``, a gap ``s_j − s_w > 2M`` for every
-    ``j ≠ w`` gives ``e_j − e_w ≥ (s_j − s_w) − 2E_s − 2E_e > 2(M − E_s −
-    E_e) ≥ 0``: the exact row has the strict, unique minimum ``w``, with no
-    tie-breaking involved.  ``M ≥ E_s + E_e ≈ (2d+3)·eps·S`` is all that
-    is needed; the ``tiny`` term (the smallest subnormal) absorbs the
-    absolute error of gradual underflow, and overflow makes the gap or the
-    margin non-finite, which never certifies.
+    so ``|s_j − f_j| ≤ E_s ≈ (d+1)·eps·S``.  An exact kernel differences
+    then sums ``d`` squares, in whatever order its family uses, so its
+    entry ``e_j`` errs from the true ``D_j = |x − c_j|² ≤ 2S`` by
+    ≤ ``γ_{d+2} D_j ≤ E_e ≈ (d+2)·eps·S``.  Because ``D_j − D_w = f_j −
+    f_w``, a gap ``s_j − s_w > 2M`` for every ``j ≠ w`` gives ``e_j − e_w
+    ≥ (s_j − s_w) − 2E_s − 2E_e > 2(M − E_s − E_e) ≥ 0``: the exact row
+    has the strict, unique minimum ``w``, with no tie-breaking involved.
+    ``M ≥ E_s + E_e ≈ (2d+3)·eps·S`` is all that is needed; the ``tiny``
+    term (the smallest subnormal) absorbs the absolute error of gradual
+    underflow, and overflow makes the gap or the margin non-finite, which
+    never certifies.
 
     Labels therefore do not depend on the block size or on which rows
     share a call: any row subset gets the same labels bit for bit.
@@ -351,22 +461,13 @@ def nearest_centroids(
         return labels
     x_sq = sq_norms(X) if x_sq is None else x_sq
     c_sq = sq_norms(C) if c_sq is None else c_sq
-    neg2_ct = -2.0 * C.T
-    two_margin = (2.0 * MARGIN_FACTOR * (d + 4)) * (
-        _EPS * (x_sq + float(c_sq.max())) + _TINY
-    )
+    two_margin = certificate_margin(x_sq, float(c_sq.max()), d)
     suspects = []
     for lo in range(0, m, NEAREST_BLOCK_ROWS):
         hi = min(lo + NEAREST_BLOCK_ROWS, m)
-        rows = np.arange(hi - lo)
-        scores = bm.matmul(X[lo:hi], neg2_ct)
-        scores += c_sq
-        winner = bm.argmin(scores, axis=1)
-        best = scores[rows, winner]
-        scores[rows, winner] = np.inf
-        gap = scores.min(axis=1) - best
-        # NaN fails the first test, an overflowed runner-up the second.
-        certified = (gap > two_margin[lo:hi]) & (gap < np.inf)
+        winner, certified = certified_argmin(
+            centroid_scores(X[lo:hi], C, c_sq), two_margin[lo:hi]
+        )
         labels[lo:hi] = winner
         if not certified.all():
             suspects.append(lo + np.flatnonzero(~certified))
@@ -375,6 +476,87 @@ def nearest_centroids(
         exact = chunked_sq_distances(X[suspects], C)
         labels[suspects] = bm.argmin(exact, axis=1)
     return labels
+
+
+def nearest_and_group_minima(
+    X: np.ndarray,
+    C: np.ndarray,
+    members: Sequence[np.ndarray],
+    counters: Optional[OpCounters] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest centroid plus per-group runner-up minima, certified.
+
+    ``members`` partitions the rows of ``C`` into ``t`` groups.  With
+    ``E = chunked_sq_distances(X, C)`` returns ``(labels, own_sq,
+    group_sq)``, bitwise equal to
+
+    * ``labels = np.argmin(E, axis=1)`` (first index on ties),
+    * ``own_sq[i] = E[i, labels[i]]``,
+    * ``group_sq[i, g]`` = the min of ``E[i, j]`` over the members ``j`` of
+      group ``g`` other than ``labels[i]`` (``inf`` when there is none),
+
+    charging ``len(X) * len(C)`` distances.  Per block of
+    :data:`NEAREST_BLOCK_ROWS` rows one GEMM gives the scores; the
+    certified argmin names the label, and with the label masked, a second
+    certified argmin per group names the group's minimum.  Only those
+    ``t + 1`` entries per row are evaluated exactly, with
+    :func:`gathered_sq_distances`, so they are the very bits ``E`` holds.
+    A group with one candidate left needs no certificate.  Rows where any
+    certificate fails are recomputed whole with the exact kernel after
+    all blocks, as in :func:`nearest_centroids`.
+    """
+    X = np.atleast_2d(X)
+    C = np.atleast_2d(C)
+    m, d = X.shape
+    k = C.shape[0]
+    t = len(members)
+    if counters is not None:
+        counters.distance_computations += m * k
+    labels = np.empty(m, dtype=np.intp)
+    own_sq = np.empty(m)
+    group_sq = np.empty((m, t))
+    if m == 0:
+        return labels, own_sq, group_sq
+    group_of = np.empty(k, dtype=np.intp)
+    for g, mem in enumerate(members):
+        group_of[mem] = g
+    c_sq = sq_norms(C)
+    two_margin = certificate_margin(sq_norms(X), float(c_sq.max()), d)
+    sizes = np.array([len(mem) for mem in members])
+    suspects = []
+    for lo in range(0, m, NEAREST_BLOCK_ROWS):
+        hi = min(lo + NEAREST_BLOCK_ROWS, m)
+        margin = two_margin[lo:hi]
+        scores = centroid_scores(X[lo:hi], C, c_sq)
+        # With k == 1 the label is every row's lone candidate.
+        winner, certified = certified_argmin(scores, margin, lone=np.full(hi - lo, k == 1))
+        # Candidates left per (row, group) once the label is masked.
+        left = sizes[None, :] - (group_of[winner][:, None] == np.arange(t))
+        cols = np.empty((hi - lo, t + 1), dtype=np.intp)
+        cols[:, 0] = winner
+        for g, mem in enumerate(members):
+            # A group whose only member is the label has no candidate left.
+            with np.errstate(invalid="ignore"):
+                gwin, gcert = certified_argmin(scores[:, mem], margin, lone=left[:, g] == 1)
+            empty = left[:, g] == 0
+            certified &= gcert | empty
+            cols[:, g + 1] = np.where(empty, winner, mem[gwin])
+        exact = gathered_sq_distances(X[lo:hi], C, cols)
+        labels[lo:hi] = winner
+        own_sq[lo:hi] = exact[:, 0]
+        group_sq[lo:hi] = np.where(left == 0, np.inf, exact[:, 1:])
+        if not certified.all():
+            suspects.append(lo + np.flatnonzero(~certified))
+    if suspects:
+        suspects = np.concatenate(suspects)
+        exact = chunked_sq_distances(X[suspects], C)
+        rows = np.arange(len(suspects))
+        labels[suspects] = bm.argmin(exact, axis=1)
+        own_sq[suspects] = exact[rows, labels[suspects]]
+        exact[rows, labels[suspects]] = np.inf
+        for g, mem in enumerate(members):
+            group_sq[suspects, g] = exact[:, mem].min(axis=1)
+    return labels, own_sq, group_sq
 
 
 def norms(X: np.ndarray) -> np.ndarray:

@@ -16,12 +16,14 @@ The classes here are drop-in replacements selected with
 ``backend="vectorized"`` (see :func:`repro.core.make_algorithm` and
 ``docs/backends.md``).  Each subclasses its reference implementation and
 replaces only the per-iteration assignment pass — array-held bounds and
-masked batch updates for the trio, the certified blocked GEMM scan with
-exact near-tie fallback for Lloyd, and a frontier-batched breadth-first
-traversal for index k-means; setup, initialization, refinement and drift
-correction are inherited unchanged (refinement itself is the shared
-scatter-add of :mod:`repro.core.refinement`, and k-means++ seeding batches
-its D² updates through the same bit-identical kernels, see
+masked batch updates for the trio (Yinyang's seeding and group scans also
+pick their exact entries from certified GEMM scores), the certified
+blocked GEMM scan with exact near-tie fallback for Lloyd, and a
+frontier-batched breadth-first traversal for index k-means; setup,
+initialization, refinement and drift correction are inherited unchanged
+(refinement itself is the shared scatter-add of
+:mod:`repro.core.refinement`, and k-means++ seeding batches its D²
+updates through the same bit-identical kernels, see
 :mod:`repro.core.initialization`).
 
 Exactness contract
@@ -35,12 +37,19 @@ The vectorized backend is not "close to" the reference — it is *equal*:
 Both follow from two invariants, enforced by
 ``tests/test_backend_conformance.py`` and ``tests/test_golden_traces.py``:
 
-1. every distance is computed by a batch kernel of
-   :mod:`repro.common.distance` that is bit-identical per row to the scalar
-   helper the reference calls (:func:`~repro.common.distance.paired_distances`
-   for ``euclidean``, :func:`~repro.common.distance.block_distances` for
-   ``one_to_many_distances``), so every pruning test sees the same 64-bit
-   float and takes the same branch;
+1. every stored distance comes from the same exact family as the
+   reference's (the two families are described in
+   :mod:`repro.common.distance`): full scans from the einsum family
+   (:func:`~repro.common.distance.chunked_sq_distances`, or
+   :func:`~repro.common.distance.gathered_sq_distances` on the entries a
+   bound keeps), every other distance from a dot-family batch kernel that
+   is bit-identical per row to the scalar helper the reference calls
+   (:func:`~repro.common.distance.paired_distances` for ``euclidean``,
+   :func:`~repro.common.distance.block_distances` for
+   ``one_to_many_distances``).  GEMM scores only choose which entries to
+   evaluate, and only under a rounding-error certificate
+   (:func:`~repro.common.distance.certified_argmin`), so every pruning
+   test sees the same 64-bit float and takes the same branch;
 2. the per-point scan order is preserved by swapping loop nesting, never by
    changing the decision procedure: the reference iterates points outer /
    candidates inner, the vectorized code iterates candidates outer / points
@@ -60,6 +69,7 @@ backends do the same algorithmic work.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Tuple, Type
 
 import numpy as np
@@ -67,7 +77,11 @@ import numpy as np
 from repro.backend import backend_manager as bm
 from repro.common.distance import (
     block_distances,
+    centroid_scores,
+    certificate_margin,
+    certified_argmin,
     chunked_sq_distances,
+    nearest_and_group_minima,
     nearest_centroids,
     paired_distances,
     sq_norms,
@@ -77,7 +91,7 @@ from repro.core.elkan import ElkanKMeans
 from repro.core.hamerly import HamerlyKMeans
 from repro.core.index_kmeans import IndexKMeans
 from repro.core.lloyd import LloydKMeans
-from repro.core.pruning import centroid_separations
+from repro.core.pruning import GroupView, centroid_separations, group_centroids_kmeans
 from repro.core.refinement import accumulate_cluster_sums
 from repro.core.yinyang import YinyangKMeans
 
@@ -411,19 +425,59 @@ class VectorizedHamerlyKMeans(HamerlyKMeans):
         return s
 
 
-class VectorizedYinyangKMeans(YinyangKMeans):
-    """Yinyang with batched group pruning (group-major scan order).
+def exact_group_cells(
+    X_rows: np.ndarray, C_group: np.ndarray, survive: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Yinyang (point, group) cells evaluated exactly, survivor by survivor.
 
-    The reference scans each survivor's groups in ascending group order,
-    maintaining a running best and assembling refreshed group bounds from
-    the scan evidence.  Here the group loop is outermost: per group, the
-    entry test, the local per-centroid filter and the survivor distances
+    ``survive[i, j]`` marks the members ``C_group[j]`` that point
+    ``X_rows[i]`` must evaluate.  Returns per point the minimum survivor
+    distance, its first-index argmin over the members and the
+    second-smallest survivor distance (``inf`` with one survivor) — the
+    reference's candidate loop, in its dot-family bits.  Uncharged: the
+    caller charges every survivor.  The fallback of the certified scan in
+    :class:`VectorizedYinyangKMeans`.
+    """
+    srow, scol = np.nonzero(survive)
+    dists = np.full(survive.shape, np.inf)
+    dists[srow, scol] = paired_distances(X_rows[srow], C_group[scol])
+    second = (
+        bm.partition(dists, 1, axis=1)[:, 1]
+        if len(C_group) > 1
+        else np.full(len(X_rows), np.inf)
+    )
+    return dists.min(axis=1), bm.argmin(dists, axis=1), second
+
+
+class VectorizedYinyangKMeans(YinyangKMeans):
+    """Yinyang on certified GEMM scores, with group-major scan order.
+
+    Iteration 0 runs :func:`nearest_and_group_minima`: one blocked GEMM
+    names each point's label and, per group, its nearest other member;
+    only those ``t + 1`` entries per point — the ones that become ``ub``
+    and ``glb`` — are evaluated exactly, in the einsum family of the
+    reference's full scan, so the bounds are the reference's bits.
+
+    In later iterations the reference scans each survivor's groups in
+    ascending group order, maintaining a running best and assembling
+    refreshed group bounds from the scan evidence.  Here the group loop is
+    outermost: per group, the entry test and the local per-centroid filter
     run as masked blocks over all scanning points at once, with per-point
     running state (``best``, ``best_d``) carried between groups in arrays.
-    The bound-assembly evidence — minimum skipped local bound and the two
-    smallest computed distances per (point, group) — is accumulated in
-    arrays and resolved after the scan, excluding the final winner exactly
-    as the reference's per-centroid assembly does.
+    One GEMM scores each entering point against the group's local-filter
+    survivors; the certified argmin names the group minimum, and only that
+    entry — plus the group runner-up of a point whose best moved there —
+    is evaluated exactly, with the dot-family kernel the reference's
+    candidate loop uses.  Cells whose certificate fails take the exact
+    survivor block (:func:`exact_group_cells`).  The bound-assembly
+    evidence — minimum skipped local bound and the computed group minimum
+    per (point, group) — is accumulated in arrays and resolved after the
+    scan, excluding the final winner exactly as the reference's
+    per-centroid assembly does.
+
+    Counters are charged per survivor, as the reference charges its
+    candidate loop; the exact evaluations re-evaluate distances already
+    charged (the :class:`VectorizedLloydKMeans` convention).
     """
 
     backend = "vectorized"
@@ -431,31 +485,43 @@ class VectorizedYinyangKMeans(YinyangKMeans):
     def _setup(self) -> None:
         super()._setup()
         self._scan_bufs = None
+        self._x_sq: np.ndarray | None = None
 
-    def _scan_scratch(
-        self, m: int, t: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _scan_scratch(self, m: int, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Reusable ``(n, t)`` scan-evidence buffers, sliced to ``m`` rows.
 
         Allocated on first use (the grouping — hence ``t`` — only exists
         after iteration 0) and reinitialized per call; slicing a persistent
-        buffer produces the same values as the former per-iteration
-        ``np.full``/``np.zeros`` allocations.
+        buffer produces the same values as per-iteration allocations.
         """
         if self._scan_bufs is None or self._scan_bufs[0].shape[1] != t:
             n = len(self.X)
-            self._scan_bufs = (
-                np.empty((n, t)),
-                np.empty((n, t)),
-                np.empty((n, t)),
-                np.empty((n, t), dtype=bool),
-            )
-        skip_min, comp_min1, comp_min2, scanned = (buf[:m] for buf in self._scan_bufs)
+            self._scan_bufs = (np.empty((n, t)), np.empty((n, t)), np.empty((n, t), dtype=bool))
+        skip_min, comp_min, scanned = (buf[:m] for buf in self._scan_bufs)
         skip_min.fill(np.inf)
-        comp_min1.fill(np.inf)
-        comp_min2.fill(np.inf)
+        comp_min.fill(np.inf)
         scanned.fill(False)
-        return skip_min, comp_min1, comp_min2, scanned
+        return skip_min, comp_min, scanned
+
+    def _initial_scan(self) -> None:
+        """Grouping + certified seeding of ``ub`` and ``glb``.
+
+        Same grouping, labels, bounds and charges as the reference's full
+        scan (``n*k`` distances and point accesses, ``n*(t+1)`` bound
+        writes).  ``sqrt`` is monotone, so the square root of the minimum
+        squared distance is the minimum of the square roots.
+        """
+        self.groups = GroupView(
+            group_centroids_kmeans(self._centroids, self._t, seed=self._group_seed)
+        )
+        n = len(self.X)
+        self._labels, own_sq, group_sq = nearest_and_group_minima(
+            self.X, self._centroids, self.groups.members, self.counters
+        )
+        self.counters.add_point_accesses(n * self.k)
+        self._ub = np.sqrt(own_sq)
+        self._glb = np.sqrt(group_sq)
+        self.counters.add_bound_updates(n * (self.groups.t + 1))
 
     def _assign(self, iteration: int) -> None:
         if iteration == 0:
@@ -467,14 +533,18 @@ class VectorizedYinyangKMeans(YinyangKMeans):
         ub = self._ub
         t = self.groups.t
         # Global test ((t+1) * n bound reads), identical to the reference.
-        gmins = glb.min(axis=1)
+        # A column-wise running minimum: ``min(axis=1)`` over t columns
+        # costs about four times as much, for the same values.
+        gmins = functools.reduce(np.minimum, glb.T)
         counters.add_bound_accesses((t + 1) * len(self.X))
         active = np.flatnonzero(ub > gmins)
         if len(active) == 0:
             return
         counters.add_point_accesses(len(active))
         d_a = paired_distances(
-            self.X[active], self._centroids[self._labels[active]], counters
+            np.take(self.X, active, axis=0),
+            self._centroids[self._labels[active]],
+            counters,
         )
         ub[active] = d_a
         counters.add_bound_updates(len(active))
@@ -500,58 +570,89 @@ class VectorizedYinyangKMeans(YinyangKMeans):
         best = old_a.copy()
         best_d = da.copy()
         # Scan evidence, resolved after the group loop: minimum skipped
-        # local-filter bound and the two smallest computed distances per
-        # (point, group).  Held in per-fit scratch buffers.
-        skip_min, comp_min1, comp_min2, scanned = self._scan_scratch(m, t)
+        # local-filter bound and the computed group minimum per (point,
+        # group), plus the runner-up in the group of each point's best.
+        skip_min, comp_min, scanned = self._scan_scratch(m, t)
+        runner_up = np.full(m, np.inf)
+        if self._x_sq is None:
+            self._x_sq = sq_norms(self.X)
+        c_sq = sq_norms(self._centroids)
+        two_margin = certificate_margin(self._x_sq[scan], float(c_sq.max()), self.X.shape[1])
+        # Bounds are written only after the loop, so one gather serves it.
+        glb_scan = np.take(self._glb, scan, axis=0)
         for g in range(t):
             counters.add_bound_accesses(m)
-            enter = self._glb[scan, g] < best_d
+            enter = glb_scan[:, g] < best_d
             scanned[:, g] = enter
             rows = np.flatnonzero(enter)
             if len(rows) == 0:
                 continue
             members = self.groups.members[g]
-            others = members[None, :] != old_a[rows, None]
+            # Member-major (s, rows) masks: the per-row reductions below
+            # then run along axis 0, elementwise over rows.
+            others = members[:, None] != old_a[rows]
             counters.add_bound_accesses(int(others.sum()))
             # Per-centroid local filter against the pre-drift group bound.
-            old_bound = self._glb[scan[rows], g] + group_decay[g]
-            per_j = old_bound[:, None] - self._last_drifts[members][None, :]
-            survive = (per_j < best_d[rows, None]) & others
+            old_bound = glb_scan[rows, g] + group_decay[g]
+            per_j = old_bound - self._last_drifts[members][:, None]
+            survive = (per_j < best_d[rows]) & others
             skipped = others & ~survive
             if skipped.any():
-                skip_min[rows, g] = np.where(skipped, per_j, np.inf).min(axis=1)
-            srow, scol = np.nonzero(survive)
-            if len(srow) == 0:
+                skip_min[rows, g] = np.where(skipped, per_j, np.inf).min(axis=0)
+            n_surv = survive.sum(axis=0)
+            total = int(n_surv.sum())
+            if total == 0:
                 continue
-            # One batched distance evaluation for all survivors of this
-            # group, bit-identical per entry to the reference's
-            # one_to_many_distances call.
-            p_idx = scan[rows[srow]]
-            counters.add_point_accesses(len(p_idx))
-            d = paired_distances(self.X[p_idx], self._centroids[members[scol]], counters)
-            dists = np.full((len(rows), len(members)), np.inf)
-            dists[srow, scol] = d
-            gmin = dists.min(axis=1)
-            garg = bm.argmin(dists, axis=1)
-            # Two smallest computed distances feed the bound assembly.
-            comp_min1[rows, g] = gmin
-            if len(members) > 1:
-                comp_min2[rows, g] = bm.partition(dists, 1, axis=1)[:, 1]
-            # Running-best update: argmin's first-index tie-break over
-            # ascending member order equals the reference's sequential
-            # strict-< scan within the group.
+            # The reference evaluates every survivor, and so is charged.
+            counters.add_point_accesses(total)
+            counters.add_distances(total)
+            live = np.flatnonzero(n_surv)
+            rows, survive, n_surv = rows[live], survive[:, live].T, n_surv[live]
+            X_rows = np.take(self.X, scan[rows], axis=0)
+            C_g = self._centroids[members]
+            # Certified group minimum among the survivors; non-survivors
+            # score +inf, so they never win.
+            scores = np.where(survive, centroid_scores(X_rows, C_g, c_sq[members]), np.inf)
+            garg, sure = certified_argmin(scores, two_margin[rows], lone=n_surv == 1)
+            gmin = np.empty(len(rows))
+            runner = np.full(len(rows), np.inf)
+            ok = np.flatnonzero(sure)
+            gmin[ok] = paired_distances(X_rows[ok], C_g[garg[ok]])
+            fb = np.flatnonzero(~sure)
+            if len(fb):
+                gmin[fb], garg[fb], runner[fb] = exact_group_cells(
+                    X_rows[fb], C_g, survive[fb]
+                )
+            comp_min[rows, g] = gmin
+            # Running-best update: the certified minimum is strict (and
+            # stays strict through ``sqrt``, docs/backends.md), and the
+            # fallback's first-index argmin over ascending member order
+            # equals the reference's sequential strict-< scan.
             improved = gmin < best_d[rows]
+            # The runner-up matters only where the best moves into this
+            # group: it becomes the group's bound if the best stays here.
+            # ``scores`` already has the winner masked.
+            two = np.flatnonzero(improved & sure & (n_surv > 1))
+            if len(two):
+                second, sure2 = certified_argmin(
+                    scores[two], two_margin[rows[two]], lone=n_surv[two] == 2
+                )
+                runner[two] = paired_distances(X_rows[two], C_g[second])
+                late = two[~sure2]
+                if len(late):
+                    runner[late] = exact_group_cells(X_rows[late], C_g, survive[late])[2]
             upd = rows[improved]
             best[upd] = members[garg[improved]]
             best_d[upd] = gmin[improved]
+            runner_up[upd] = runner[improved]
         # Assemble refreshed bounds from the scan evidence.  The final
         # winner's distance is excluded from its own group's bound; it is
         # always that group's smallest computed distance, so the exclusion
-        # is the second-smallest there and the smallest everywhere else.
+        # is the runner-up there and the minimum everywhere else.
         moved = best != old_a
-        excl = comp_min1
+        excl = comp_min
         g_best = self.groups.group_of[best]
-        excl[moved, g_best[moved]] = comp_min2[moved, g_best[moved]]
+        excl[moved, g_best[moved]] = runner_up[moved]
         value = np.minimum(skip_min, excl)
         write = scanned & np.isfinite(value)
         wrow, wcol = np.nonzero(write)
@@ -575,11 +676,12 @@ class VectorizedLloydKMeans(LloydKMeans):
     """Lloyd's algorithm on the certified nearest-centroid op.
 
     The reference full scan uses :func:`chunked_sq_distances` — direct
-    differencing, bit-identical to the pointwise helpers but far from GEMM
-    speed.  This class runs :func:`nearest_centroids` instead: a
-    cache-blocked GEMM scan that proves each row's winner against a
-    rounding-error margin and recomputes only the near-tie suspects with
-    the exact kernel (the derivation is in its docstring).  Genuine ties
+    differencing in the einsum family (exact, though not the pointwise
+    helpers' dot-family bits), far from GEMM speed.  This class runs
+    :func:`nearest_centroids` instead: a cache-blocked GEMM scan that
+    proves each row's winner against a rounding-error margin and
+    recomputes only the near-tie suspects with the exact kernel (the
+    derivation is in its docstring).  Genuine ties
     always take the exact path and inherit ``np.argmin``'s first-index
     rule on the same bits the reference sees, so labels are bit-identical
     while almost every row runs at GEMM speed.

@@ -52,8 +52,9 @@ class YinyangKMeans(KMeansAlgorithm):
     def _initial_scan(self) -> None:
         """First-iteration grouping + full scan seeding ``ub`` and ``glb``.
 
-        Shared with the vectorized backend (both backends take this exact
-        path, so iteration 0 is trivially identical between them).
+        The vectorized backend overrides this with a certified GEMM scan
+        that evaluates exactly only the ``n*(t+1)`` entries stored here, in
+        the same einsum-family bits (``VectorizedYinyangKMeans``).
         """
         self.groups = GroupView(
             group_centroids_kmeans(self._centroids, self._t, seed=self._group_seed)

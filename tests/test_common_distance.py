@@ -10,6 +10,7 @@ from repro.common.distance import (
     chunked_sq_distances,
     distances_to_centroids,
     euclidean,
+    gathered_sq_distances,
     norms,
     one_to_many_distances,
     paired_distances,
@@ -126,6 +127,32 @@ class TestChunkedCounterParity:
         baseline = chunked_sq_distances(A, B, chunk=512)
         for chunk in (1, 13, 50):
             assert (chunked_sq_distances(A, B, chunk=chunk) == baseline).all()
+
+    @pytest.mark.parametrize("d", [1, 3, 16, 37])
+    def test_gathered_pairs_are_subset_invariant_bitwise(self, rng, d):
+        # The einsum family: a gathered pair equals the full scan's entry
+        # bit for bit, whatever rows and columns share the call and however
+        # the scan is chunked.  The certified Yinyang seeding relies on it.
+        A = rng.normal(size=(60, d)) * 10.0 ** rng.integers(-3, 4, size=(60, 1)) + 7.0
+        B = rng.normal(size=(9, d)) + 7.0
+        full = {chunk: chunked_sq_distances(A, B, chunk=chunk) for chunk in (1, 7, 512)}
+        for n_rows, n_pairs in [(1, 1), (1, 9), (13, 1), (60, 4), (37, 20)]:
+            rows = rng.choice(len(A), size=n_rows, replace=n_rows > len(A))
+            cols = rng.integers(0, len(B), size=(n_rows, n_pairs))
+            gathered = gathered_sq_distances(A[rows], B, cols)
+            assert gathered.shape == (n_rows, n_pairs)
+            for baseline in full.values():
+                assert (gathered == baseline[rows[:, None], cols]).all()
+
+    def test_gathered_counts_pairs(self, rng):
+        counters = OpCounters()
+        gathered_sq_distances(
+            rng.normal(size=(5, 2)), rng.normal(size=(3, 2)),
+            np.zeros((5, 4), dtype=np.intp), counters,
+        )
+        assert counters.as_dict() == {
+            **OpCounters().as_dict(), "distance_computations": 20,
+        }
 
     def test_only_distance_counter_is_touched(self, rng):
         counters = OpCounters()

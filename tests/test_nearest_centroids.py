@@ -1,11 +1,14 @@
-"""The certified nearest-centroid op equals the exact kernel's argmin.
+"""The certified GEMM ops equal the exact kernel's argmin and minima.
 
 ``nearest_centroids`` answers from a blocked GEMM scan and recomputes only
 the rows its rounding-error certificate cannot vouch for.  Whatever path a
 row takes, its label must be ``np.argmin(chunked_sq_distances(X, C))`` —
 first index on ties — and the charge must be exactly ``m·k`` distances.
-The planted cases below force the exact fallback (ties, duplicate
-centroids, cancellation, non-finite values) and assert that it ran.
+``nearest_and_group_minima`` (vectorized Yinyang's iteration 0) adds the
+per-group minima with the label excluded, which must equal the exact
+kernel's entries bit for bit.  The planted cases below force the exact
+fallback (ties, duplicate centroids, cancellation, non-finite values) and
+assert that it ran.
 """
 
 import numpy as np
@@ -16,7 +19,10 @@ from hypothesis import strategies as st
 import repro.common.distance as distance
 from repro.common.distance import (
     NEAREST_BLOCK_ROWS,
+    centroid_scores,
+    certified_argmin,
     chunked_sq_distances,
+    nearest_and_group_minima,
     nearest_centroids,
     sq_norms,
 )
@@ -179,3 +185,110 @@ def test_lloyd_assign_rows_charges_the_lloyd_cost():
     assert np.array_equal(labels, exact_labels(X, C))
     assert counters.distance_computations == 200
     assert counters.point_accesses == 200
+
+
+class TestCertifiedArgmin:
+    def test_masks_the_winner_for_a_runner_up_call(self):
+        scores = np.array([[3.0, 1.0, 2.0], [5.0, 5.0, 0.0]])
+        margin = np.full(2, 0.5)
+        winner, certified = certified_argmin(scores, margin)
+        assert winner.tolist() == [1, 2]
+        assert certified.tolist() == [True, True]
+        runner, certified = certified_argmin(scores, margin)
+        assert runner.tolist() == [2, 0]
+        # Row 1's runner-up ties with the third candidate.
+        assert certified.tolist() == [True, False]
+
+    def test_lone_rows(self):
+        inf = np.inf
+        scores = np.array([[inf, 4.0, inf], [inf, inf, inf], [inf, np.nan, inf], [1.0, 2.0, inf]])
+        lone = np.array([True, True, True, False])
+        with np.errstate(invalid="ignore"):
+            winner, certified = certified_argmin(scores, np.zeros(4), lone)
+        assert winner[0] == 1
+        # A lone row certifies only with a finite score.
+        assert certified.tolist() == [True, False, False, True]
+
+
+def exact_group_minima(X, C, members):
+    E = chunked_sq_distances(X, C)
+    rows = np.arange(len(X))
+    labels = np.argmin(E, axis=1)
+    own = E[rows, labels]
+    E[rows, labels] = np.inf
+    groups = np.stack([E[:, mem].min(axis=1) for mem in members], axis=1)
+    return labels, own, groups
+
+
+def assert_group_minima_exact(X, C, members):
+    __tracebackhide__ = True
+    counters = OpCounters()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = nearest_and_group_minima(X, C, members, counters)
+        want = exact_group_minima(X, C, members)
+    for name, a, b in zip(("labels", "own_sq", "group_sq"), got, want):
+        assert a.tobytes() == b.tobytes(), f"{name} differs from the exact kernel"
+    assert got[0].dtype == np.intp
+    assert counters.distance_computations == len(X) * len(C)
+
+
+def random_groups(rng, k):
+    t = int(rng.integers(1, k + 1))
+    group_of = np.concatenate([np.arange(t), rng.integers(0, t, size=k - t)])
+    rng.shuffle(group_of)
+    return [np.flatnonzero(group_of == g) for g in range(t)]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=problems(), group_seed=st.integers(0, 2**32 - 1))
+def test_group_minima_equal_exact_entries(problem, group_seed):
+    X, C = problem
+    assert_group_minima_exact(X, C, random_groups(np.random.default_rng(group_seed), len(C)))
+
+
+class TestGroupMinimaPlanted:
+    def test_group_near_tie_behind_a_clear_label(self, fallback):
+        # The label is certain, but the two members of the other group are
+        # closer to each other than the scores' rounding error at this
+        # offset: the speculative group argmin is often wrong, so only the
+        # group certificate keeps the bound exact.
+        rng = np.random.default_rng(8)
+        offset = 1e8
+        C = offset + np.array([[0.0, 0.0], [1e4, 1.0], [1e4, -1.0]])
+        X = offset + np.column_stack(
+            [rng.uniform(-1.0, 1.0, 200), rng.uniform(-0.2, 0.2, 200)]
+        )
+        members = [np.array([0]), np.array([1, 2])]
+        speculative = np.argmin(centroid_scores(X, C, sq_norms(C))[:, 1:], axis=1)
+        assert not np.array_equal(speculative, np.argmin(chunked_sq_distances(X, C)[:, 1:], axis=1))
+        assert_group_minima_exact(X, C, members)
+        assert sum(fallback) > 0
+
+    def test_singleton_groups_and_empty_exclusions(self, fallback):
+        rng = np.random.default_rng(9)
+        C = rng.normal(size=(4, 3)) * 5.0
+        X = C[rng.integers(0, 4, size=100)] + rng.normal(size=(100, 3)) * 0.1
+        assert_group_minima_exact(X, C, [np.array([j]) for j in range(4)])
+        assert fallback == []
+
+    def test_duplicate_centroids_fall_back(self, fallback):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(40, 2))
+        C = rng.normal(size=(3, 2))
+        C = np.vstack([C, C[:1]])
+        assert_group_minima_exact(X, C, [np.array([0, 1]), np.array([2, 3])])
+        assert sum(fallback) > 0
+
+    def test_single_centroid(self):
+        X = np.random.default_rng(11).normal(size=(9, 3))
+        assert_group_minima_exact(X, np.ones((1, 3)), [np.array([0])])
+
+    def test_zero_rows(self):
+        assert_group_minima_exact(np.empty((0, 3)), np.eye(3), [np.array([0, 2]), np.array([1])])
+
+    def test_block_boundary(self):
+        rng = np.random.default_rng(12)
+        m = NEAREST_BLOCK_ROWS + 3
+        X = rng.integers(-2, 3, size=(m, 2)).astype(float)
+        C = rng.integers(-2, 3, size=(5, 2)).astype(float)
+        assert_group_minima_exact(X, C, [np.array([0, 3]), np.array([1, 2, 4])])
