@@ -79,11 +79,13 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
                              "record")
     parser.add_argument("--shard-runner", default="auto",
                         choices=["auto", "process", "inline"],
-                        help="how shard commands execute: 'process' uses the "
-                             "persistent worker pool over the shared-memory "
-                             "data plane, 'inline' runs them sequentially "
-                             "in-process, 'auto' (default) picks 'process' "
-                             "unless forking is unavailable "
+                        help="how shard commands execute: 'inline' runs them "
+                             "on threads in-process, one per shard up to the "
+                             "core count; 'process' uses the persistent worker "
+                             "pool over the shared-memory data plane, which "
+                             "can kill a hung shard; 'auto' (default) picks "
+                             "'inline' unless a shard timeout or a kill/hang "
+                             "fault needs a process and spawning is allowed "
                              "(see docs/sharding.md)")
 
 

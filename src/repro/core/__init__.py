@@ -151,13 +151,15 @@ def make_algorithm(
 
     ``shards > 1`` selects the fault-tolerant sharded execution engine
     (``repro.exec.sharded``): the assignment phase fans out across
-    supervised worker processes with deterministic rank-order merging —
+    concurrent shards with deterministic rank-order merging —
     bit-identical to the single-process vectorized backend.  Requires
     ``backend="vectorized"`` (the shard kernels *are* the vectorized
     kernels) and an algorithm with a sharded implementation;
     ``shard_policy`` picks the failure policy (``strict`` / ``recompute``
-    / ``degrade``), ``shard_runner`` picks the execution data plane
-    (``auto`` / ``process`` / ``inline``; docs/sharding.md), and further
+    / ``degrade``), ``shard_runner`` picks where shards run (``inline``
+    threads, ``process`` workers, or ``auto``, which takes ``inline``
+    unless a shard timeout or kill/hang fault needs a process;
+    docs/sharding.md), and further
     engine knobs (``execution``, ``fault_plan``, ``checkpoint``) pass
     through ``kwargs``.
 

@@ -3,15 +3,31 @@
 The paper's Table 3 premise — assignment dominates k-means cost — makes the
 assignment pass the one phase worth parallelizing.  This engine splits the
 point set into contiguous *shards* and runs the row-subset assignment
-kernels of :mod:`repro.core.vectorized` across worker processes, merging
-per-shard results in fixed shard-rank order so the fitted model is
+kernels of :mod:`repro.core.vectorized` concurrently, merging per-shard
+results in fixed shard-rank order so the fitted model is
 **bit-identical** to the single-process vectorized backend regardless of
-worker completion order.
+shard completion order.
 
-Control plane vs data plane
----------------------------
-The engine is split into two planes so per-iteration IPC is O(k·d), not
-O(n·d):
+Runners
+-------
+Two runners execute the same shard command path
+(:func:`execute_shard_command`):
+
+* ``inline`` (what ``auto`` resolves to by default): one thread per shard,
+  capped at ``os.cpu_count()``, against the supervisor's own arrays.  The
+  kernels spend their time in NumPy calls that release the GIL, and the
+  point matrix is shared by reference, so per-iteration communication is
+  the O(k·d) centroid broadcast with no IPC at all.  A thread cannot be
+  killed, so ``kill``/``hang`` faults are refused here.
+* ``process``: a persistent worker pool over a shared-memory data plane
+  (below).  ``auto`` picks it only when a shard must be killable — an
+  ``ExecutionPolicy.timeout`` is set, or the fault plan holds a
+  ``kill``/``hang`` rule — and the supervisor may spawn children.
+
+Control plane vs data plane (process runner)
+--------------------------------------------
+The process runner is split into two planes so per-iteration IPC is
+O(k·d), not O(n·d):
 
 * **Data plane** (:mod:`repro.exec.shm`): the point matrix and the
   per-shard persistent state (labels, upper/lower bounds, the epoch
@@ -26,12 +42,6 @@ O(n·d):
   the O(1) result envelopes.  Exact traffic is accounted by the pool's
   :class:`~repro.instrumentation.TransportCounters` and surfaced through
   the fit result's ``extras["ipc"]``.
-
-The PR 7 engine this replaces re-spawned a process per shard per
-iteration and pickled each point shard every round; the BENCH entries it
-produced ran *slower* than single-process.  The inline runner (used when
-the supervisor is itself a daemon pool worker) keeps the exact same
-command path minus the processes.
 
 Determinism contract
 --------------------
@@ -55,11 +65,12 @@ Three disciplines carry the bit-identity guarantee:
 
 Failure handling
 ----------------
-Shard commands inherit the full robustness runtime: per-command
-wall-clock deadlines (a hung long-lived worker is killed and respawned),
+Shard commands inherit the robustness runtime under both runners:
 :class:`~repro.common.exceptions.TransientError` retries with
-deterministic CRC32 backoff, and crash containment with setup replay on
-respawn.  What happens when a shard fails *terminally* is the
+deterministic CRC32 backoff and the batch's ``max_total_time`` deadline.
+The process runner adds per-command wall-clock deadlines (a hung
+long-lived worker is killed and respawned) and crash containment with
+setup replay on respawn.  What happens when a shard fails *terminally* is the
 :class:`ShardFailurePolicy`:
 
 ``strict``
@@ -103,6 +114,8 @@ decision table.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -143,6 +156,11 @@ from repro.eval.runtime import ExecutionPolicy, FailedRun, RunKey
 SHARD_POLICY_MODES = ("strict", "recompute", "degrade")
 
 SHARD_RUNNERS = ("auto", "process", "inline")
+
+#: fault kinds only a worker process can contain: ``kill`` exits the
+#: process it fires in and ``hang`` never returns, so in-process they
+#: would take down or wedge the supervisor itself
+PROCESS_ONLY_FAULTS = ("hang", "kill")
 
 #: epoch values <= this mark a shard slice as torn (kernel started, never
 #: finished); see the epoch-protocol section of the module docstring
@@ -235,8 +253,8 @@ class DegradedIteration:
 # ----------------------------------------------------------------------
 # Worker side.
 #
-# Everything below runs inside the persistent pool workers (or inline in
-# the supervisor under the inline runner).  The functions are module-level
+# Everything below runs inside the persistent pool workers (or on the
+# inline runner's shard threads in the supervisor).  The functions are module-level
 # and registered in SHARD_KERNELS / POOL_HANDLERS so they are picklable
 # under every start method and discoverable as pool-dispatch roots by the
 # R007 parallel-safety rule.  Kernels operate *in place* on views of the
@@ -427,6 +445,87 @@ POOL_HANDLERS = {
 }
 
 
+def _settle_shard_command(
+    arrays: Dict[str, np.ndarray],
+    command: Dict[str, Any],
+    key: RunKey,
+    policy: ExecutionPolicy,
+    deadline: Optional[float],
+) -> Any:
+    """Run one shard command in-process to a settled outcome.
+
+    The pool's settle semantics without the process: transient failures
+    retry with the same deterministic backoff until ``policy.retries`` or
+    the shared ``deadline`` runs out, and any other exception degrades to
+    a classified :class:`FailedRun`.
+    """
+    started = time.monotonic()
+    attempt = 1
+    while True:
+        if deadline is not None and time.monotonic() >= deadline:
+            return FailedRun(
+                key=key,
+                error_type="RunTimeoutError",
+                message=(
+                    f"batch exceeded the {policy.max_total_time:.3g}s "
+                    "max_total_time budget"
+                ),
+                attempts=attempt,
+                elapsed=time.monotonic() - started,
+            )
+        try:
+            counters = OpCounters()
+            attempt_command = dict(command)
+            attempt_command["attempt"] = attempt
+            out = execute_shard_command(arrays, attempt_command, counters)
+            out["counters"] = counters
+            return out
+        except TransientError as exc:
+            if attempt <= policy.retries:
+                delay = policy.backoff_delay(str(key), attempt)
+                if deadline is None or time.monotonic() + delay < deadline:
+                    time.sleep(delay)
+                    attempt += 1
+                    continue
+            return FailedRun(
+                key=key,
+                error_type="TransientError",
+                message=str(exc),
+                attempts=attempt,
+                elapsed=time.monotonic() - started,
+            )
+        except Exception as exc:  # mirror the pool's classification
+            return FailedRun(
+                key=key,
+                error_type=type(exc).__name__,
+                message=str(exc),
+                attempts=attempt,
+                elapsed=time.monotonic() - started,
+            )
+
+
+def _settle_shard_stride(
+    arrays: Dict[str, np.ndarray],
+    commands: Sequence[Dict[str, Any]],
+    keys: Sequence[RunKey],
+    results: List[Any],
+    first: int,
+    step: int,
+    policy: ExecutionPolicy,
+    deadline: Optional[float],
+) -> None:
+    """Settle commands ``first, first + step, ...`` into their result slots.
+
+    The thread target of the inline runner.  Each slot is written by
+    exactly one thread, and each command's kernel writes only its own
+    shard's rows of the shared state, so threads share nothing mutable.
+    """
+    for slot in range(first, len(commands), step):
+        results[slot] = _settle_shard_command(
+            arrays, commands[slot], keys[slot], policy, deadline
+        )
+
+
 def _run_inline(
     arrays: Dict[str, np.ndarray],
     commands: Sequence[Dict[str, Any]],
@@ -434,76 +533,46 @@ def _run_inline(
     *,
     policy: ExecutionPolicy,
 ) -> List[Any]:
-    """In-process fallback runner with the pool's settle semantics.
+    """In-process runner: shard commands run concurrently on threads.
 
-    Used when the supervisor itself is a daemon pool worker (e.g. a
-    sharded fit inside ``parallel_compare``) and may not spawn children.
     Runs the *same* command path as the pool workers against the
-    supervisor's own arrays.  Transient failures retry with the same
-    deterministic backoff; any other exception degrades to a classified
-    :class:`FailedRun` in place.  No timeout isolation: ``hang`` faults
-    would hang (the *outer* pool's deadline contains them), so chaos
-    tests pin ``runner="process"``.
+    supervisor's own arrays, one thread per shard, capped at
+    ``os.cpu_count()`` (the calling thread takes the first stride).  The
+    kernels spend their time in NumPy calls that release the GIL, and X
+    is shared by reference: no shared memory, no pickling, no spawn.
+    Per command, transient failures retry with the same deterministic
+    backoff under the batch's shared ``max_total_time`` deadline, and any
+    other exception degrades to a classified :class:`FailedRun`.  Results
+    come back in command (shard-rank) order, and every thread is joined
+    before this returns or raises.
+
+    No timeout isolation: a thread cannot be killed, so ``kill`` and
+    ``hang`` faults are refused at construction and a set
+    ``ExecutionPolicy.timeout`` makes ``auto`` pick the process runner.
     """
-    results: List[Any] = []
-    start = time.monotonic()
     deadline = (
-        None if policy.max_total_time is None else start + policy.max_total_time
+        None
+        if policy.max_total_time is None
+        else time.monotonic() + policy.max_total_time
     )
-    for command, key in zip(commands, keys):
-        first = time.monotonic()
-        attempt = 1
-        while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                results.append(
-                    FailedRun(
-                        key=key,
-                        error_type="RunTimeoutError",
-                        message=(
-                            f"batch exceeded the {policy.max_total_time:.3g}s "
-                            "max_total_time budget"
-                        ),
-                        attempts=attempt,
-                        elapsed=time.monotonic() - first,
-                    )
-                )
-                break
-            try:
-                counters = OpCounters()
-                attempt_command = dict(command)
-                attempt_command["attempt"] = attempt
-                out = execute_shard_command(arrays, attempt_command, counters)
-                out["counters"] = counters
-                results.append(out)
-                break
-            except TransientError as exc:
-                if attempt <= policy.retries:
-                    delay = policy.backoff_delay(str(key), attempt)
-                    if deadline is None or time.monotonic() + delay < deadline:
-                        time.sleep(delay)
-                        attempt += 1
-                        continue
-                results.append(
-                    FailedRun(
-                        key=key,
-                        error_type="TransientError",
-                        message=str(exc),
-                        attempts=attempt,
-                        elapsed=time.monotonic() - first,
-                    )
-                )
-                break
-            except Exception as exc:  # mirror the pool's classification
-                results.append(
-                    FailedRun(
-                        key=key,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        attempts=attempt,
-                        elapsed=time.monotonic() - first,
-                    )
-                )
-                break
+    results: List[Any] = [None] * len(commands)
+    width = max(1, min(len(commands), os.cpu_count() or 1))
+    threads: List[threading.Thread] = []
+    try:
+        for first in range(1, width):
+            thread = threading.Thread(
+                target=_settle_shard_stride,
+                args=(arrays, commands, keys, results, first, width, policy, deadline),
+                name=f"repro-shard-{first}",
+            )
+            thread.start()
+            threads.append(thread)
+        _settle_shard_stride(
+            arrays, commands, keys, results, 0, width, policy, deadline
+        )
+    finally:
+        for thread in threads:
+            thread.join()
     return results
 
 
@@ -512,8 +581,17 @@ def _run_inline(
 # ----------------------------------------------------------------------
 
 
+def _process_only_faults(fault_plan) -> List[str]:
+    """Sorted kinds of the plan's rules that need a worker process."""
+    if fault_plan is None:
+        return []
+    return sorted(
+        {fault.kind for fault in fault_plan.faults}.intersection(PROCESS_ONLY_FAULTS)
+    )
+
+
 class _ShardedAssignMixin:
-    """Replaces the assignment pass with persistent-pool shard fan-out.
+    """Replaces the assignment pass with a shard fan-out.
 
     Mixed in *before* a vectorized algorithm class, it overrides ``fit``
     (data-plane/pool lifecycle around the inherited loop), ``_assign``
@@ -549,6 +627,13 @@ class _ShardedAssignMixin:
         if runner not in SHARD_RUNNERS:
             raise ConfigurationError(
                 f"unknown shard runner {runner!r}; known: {SHARD_RUNNERS}"
+            )
+        isolating = _process_only_faults(fault_plan)
+        if runner == "inline" and isolating:
+            raise ConfigurationError(
+                f"shard_runner='inline' cannot contain {'/'.join(isolating)} "
+                "faults: they would kill or hang the supervisor itself; use "
+                "shard_runner='process' or 'auto'"
             )
         self.shards = int(shards)
         self.shard_policy = ShardFailurePolicy.parse(shard_policy)
@@ -735,12 +820,23 @@ class _ShardedAssignMixin:
     # ------------------------------------------------------------------
 
     def _resolve_runner(self) -> str:
+        """Pick the runner for this fit: ``inline`` unless isolation is needed.
+
+        ``auto`` resolves to ``process`` only when the fit needs something
+        only a worker process gives — a killable shard, because
+        ``ExecutionPolicy.timeout`` is set or the fault plan holds a
+        ``kill``/``hang`` rule — and the supervisor may spawn children (a
+        daemon pool worker such as a ``parallel_compare`` cell may not;
+        the outer pool's deadline contains it there).  Everything else
+        runs on threads in-process.
+        """
         runner = self.shard_runner
         daemonic = multiprocessing.current_process().daemon
         if runner == "auto":
-            # A daemon pool worker (harness parallel_compare) may not
-            # spawn children; run shards sequentially in-process there.
-            runner = "inline" if daemonic else "process"
+            isolate = self.shard_execution.timeout is not None or bool(
+                _process_only_faults(self.shard_fault_plan)
+            )
+            runner = "process" if isolate and not daemonic else "inline"
         elif runner == "process" and daemonic:
             # Explicit request that cannot be honored: multiprocessing
             # would die with a bare AssertionError at Process.start().

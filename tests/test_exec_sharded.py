@@ -13,6 +13,11 @@ rank-order merge discipline against float non-associativity.
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,7 +127,7 @@ class TestDegradedIteration:
 class TestBitIdentity:
     """Sharded == single-process vectorized, bitwise, for every algorithm."""
 
-    @pytest.mark.parametrize("shards", (2, 5))
+    @pytest.mark.parametrize("shards", (2, 3, 4, 5))
     @pytest.mark.parametrize("name", sorted(SHARDED_ALGORITHMS))
     def test_inline_runner_matches_vectorized(self, name, shards, task):
         X, k, C0, max_iter = task
@@ -156,7 +161,7 @@ class TestBitIdentity:
 class TestGoldenReplay:
     """The sharded engine must replay the committed golden trajectories."""
 
-    @pytest.mark.parametrize("name", ("lloyd", "elkan"))
+    @pytest.mark.parametrize("name", ("lloyd", "elkan", "hamerly"))
     def test_sharded_replays_golden_trace(self, name):
         golden = json.loads(golden_path(name, 0).read_text())
         X, k, C0, max_iter = golden_task(0)
@@ -276,6 +281,179 @@ class TestChaosMatrix:
         assert np.all(result.labels[:40] >= 0)
         assert np.all(result.labels[80:] >= 0)
         assert len(result.extras["degraded_iterations"]) == result.n_iter
+
+
+class TestInlineRunner:
+    """The threaded in-process runner: concurrency, joins, and policies.
+
+    Test names carry ``inline`` and, where one applies, the policy name,
+    so the CI ``chaos-shard`` matrix's ``-k <policy>`` cells pick them up.
+    """
+
+    def _fit(self, chaos_task, *, policy, fault, retries=0):
+        X, k, C0 = chaos_task
+        algorithm = SHARDED_ALGORITHMS["lloyd"](
+            shards=3,
+            shard_policy=policy,
+            runner="inline",
+            fault_plan=FaultPlan.parse(fault) if fault else None,
+            execution=ExecutionPolicy(retries=retries, backoff_base=0.01),
+        )
+        return algorithm.fit(X, k, initial_centroids=C0, max_iter=6)
+
+    @pytest.fixture(scope="class")
+    def baseline(self, chaos_task):
+        X, k, C0 = chaos_task
+        return VECTORIZED_ALGORITHMS["lloyd"]().fit(
+            X, k, initial_centroids=C0, max_iter=6
+        )
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="concurrent shards need >= 2 cores"
+    )
+    def test_inline_shards_run_concurrently(self, chaos_task, monkeypatch):
+        # Each shard command waits at a two-party barrier before running
+        # the real kernel: a sequential runner would leave the first
+        # shard waiting alone until the barrier times out (a
+        # BrokenBarrierError, so strict fails the fit), never hang.
+        X, k, C0 = chaos_task
+        barrier = threading.Barrier(2, timeout=10.0)
+        real = SHARD_KERNELS["lloyd"]
+
+        def spy(payload, counters):
+            barrier.wait()
+            return real(payload, counters)
+
+        monkeypatch.setitem(SHARD_KERNELS, "lloyd", spy)
+        got = SHARDED_ALGORITHMS["lloyd"](shards=2, runner="inline").fit(
+            X, k, initial_centroids=C0, max_iter=4
+        )
+        want = VECTORIZED_ALGORITHMS["lloyd"]().fit(
+            X, k, initial_centroids=C0, max_iter=4
+        )
+        assert_results_identical(got, want, context="inline/barrier")
+
+    def test_inline_joins_every_shard_before_strict_raises(
+        self, chaos_task, monkeypatch
+    ):
+        # Shard 0 fails at once while the others are still in their
+        # kernels: the fit may only raise after every shard has finished,
+        # so no thread writes state once the fit is over.
+        X, k, C0 = chaos_task
+        real = SHARD_KERNELS["lloyd"]
+        finished = []
+
+        def spy(payload, counters):
+            if np.shares_memory(payload["X"], X[:40]):
+                raise RuntimeError("shard 0 fails first")
+            time.sleep(0.2)
+            out = real(payload, counters)
+            finished.append(len(payload["X"]))
+            return out
+
+        monkeypatch.setitem(SHARD_KERNELS, "lloyd", spy)
+        algorithm = SHARDED_ALGORITHMS["lloyd"](shards=3, runner="inline")
+        with pytest.raises(ShardFailedError) as excinfo:
+            algorithm.fit(X, k, initial_centroids=C0, max_iter=4)
+        assert excinfo.value.shard == 0
+        assert excinfo.value.error_type == "RuntimeError"
+        assert finished == [40, 40]
+        assert not any(
+            t.name.startswith("repro-shard") for t in threading.enumerate()
+        )
+
+    def test_inline_many_shards_under_fast_switching(self, task):
+        # More shards than cores with a tiny switch interval: a lost
+        # result slot or a torn row range shows as a diverging model or
+        # counter total.
+        X, k, C0, max_iter = task
+        want = VECTORIZED_ALGORITHMS["hamerly"]().fit(
+            X, k, initial_centroids=C0, max_iter=max_iter
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = SHARDED_ALGORITHMS["hamerly"](shards=8, runner="inline").fit(
+                X, k, initial_centroids=C0, max_iter=max_iter
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert_results_identical(got, want, context="inline/switching")
+
+    @pytest.mark.parametrize("policy", ("strict", "recompute", "degrade"))
+    def test_inline_transient_is_retried_under_every_policy(
+        self, policy, chaos_task, baseline
+    ):
+        got = self._fit(
+            chaos_task, policy=policy,
+            fault="transient:lloyd:1:shard=1:iter=1", retries=2,
+        )
+        assert_results_identical(got, baseline, context=f"inline/{policy}")
+        assert "degraded_iterations" not in got.extras
+
+    def test_inline_raise_under_strict_is_classified(self, chaos_task):
+        with pytest.raises(ShardFailedError) as excinfo:
+            self._fit(chaos_task, policy="strict", fault="raise:lloyd:shard=1:iter=1")
+        assert excinfo.value.shard == 1
+        assert excinfo.value.iteration == 1
+        assert excinfo.value.error_type == "InjectedFaultError"
+
+    def test_inline_recompute_recovers_bit_identically(self, chaos_task, baseline):
+        got = self._fit(
+            chaos_task, policy="recompute", fault="raise:lloyd:shard=1:iter=1"
+        )
+        assert_results_identical(got, baseline, context="inline/recompute")
+        assert "degraded_iterations" not in got.extras
+
+    def test_inline_degrade_records_degraded_iteration(self, chaos_task):
+        got = self._fit(
+            chaos_task, policy="degrade", fault="raise:lloyd:shard=1:iter=1"
+        )
+        (degraded,) = got.extras["degraded_iterations"]
+        assert DegradedIteration.from_dict(degraded) == DegradedIteration(
+            iteration=1,
+            shards=(1,),
+            point_ranges=((40, 80),),
+            error_types=("InjectedFaultError",),
+        )
+        assert not np.any(got.labels < 0)
+
+    @pytest.mark.parametrize("kind", ("kill", "hang"))
+    def test_inline_refuses_process_only_faults(self, kind):
+        with pytest.raises(ConfigurationError, match=kind):
+            SHARDED_ALGORITHMS["lloyd"](
+                shards=2, runner="inline",
+                fault_plan=FaultPlan.parse(f"{kind}:lloyd:shard=1:iter=1"),
+            )
+
+    @pytest.mark.parametrize(
+        "timeout, fault, daemon, expected",
+        [
+            (None, None, False, "inline"),
+            (None, "transient:lloyd,raise:lloyd,delay:lloyd", False, "inline"),
+            (2.0, None, False, "process"),
+            (None, "kill:lloyd:shard=1", False, "process"),
+            (None, "hang:lloyd", False, "process"),
+            (2.0, "kill:lloyd", True, "inline"),
+        ],
+    )
+    def test_auto_runner_resolution(
+        self, timeout, fault, daemon, expected, monkeypatch
+    ):
+        import repro.exec.sharded as sharded_mod
+
+        monkeypatch.setattr(
+            sharded_mod.multiprocessing,
+            "current_process",
+            lambda: SimpleNamespace(daemon=daemon),
+        )
+        algorithm = SHARDED_ALGORITHMS["lloyd"](
+            shards=2,
+            runner="auto",
+            fault_plan=FaultPlan.parse(fault) if fault else None,
+            execution=ExecutionPolicy(timeout=timeout),
+        )
+        assert algorithm._resolve_runner() == expected
 
 
 @st.composite
@@ -409,8 +587,8 @@ class TestHarnessIntegration:
         want = run_algorithm(
             "elkan", X, k, repeats=1, max_iter=5, seed=0, backend="vectorized"
         )
-        # Pool workers are daemonic: the engine must auto-fall back to the
-        # inline runner and still produce identical results.
+        # Pool workers are daemonic and may not spawn: auto must run the
+        # shards on the inline runner and still produce identical results.
         (got,) = parallel_compare(
             ["elkan"], X, k, repeats=1, max_iter=5, seed=0,
             backend="vectorized", shards=3,
