@@ -347,8 +347,10 @@ def centroid_scores(X: np.ndarray, C: np.ndarray, c_sq: np.ndarray) -> np.ndarra
 
     ``|x − c_j|²`` minus the row constant ``|x|²``, up to rounding.  Never
     a distance in its own right — callers certify what they read from it
-    (:func:`certified_argmin`) and charge the distances their algorithm
-    decided to evaluate — so uncounted.  ``c_sq`` is ``sq_norms(C)``.
+    (:func:`certified_argmin`, :func:`certificate_margin`) and charge the
+    distances their algorithm decided to evaluate — so uncounted.
+    ``c_sq`` is ``sq_norms(C)``.  A single ``(d,)`` centroid with a scalar
+    ``c_sq`` gives shape ``(m,)``, one matrix-vector product.
     """
     scores = bm.matmul(X, -2.0 * C.T)
     scores += c_sq
@@ -359,8 +361,33 @@ def certificate_margin(x_sq: np.ndarray, c_sq_max: float, d: int) -> np.ndarray:
     """Per-row certificate threshold ``2M`` for :func:`centroid_scores`.
 
     ``M = MARGIN_FACTOR·(d+4)·(eps·S + tiny)`` with ``S = |x|² +
-    max|c|²``; the error analysis is in :func:`nearest_centroids`.
-    ``c_sq_max`` may bound any superset of the scored centroids.
+    max|c|²``; the error analysis of the two-sided use, a runner-up gap,
+    is in :func:`nearest_centroids`.  ``c_sq_max`` may bound any superset
+    of the scored centroids.  Up to the ``tiny`` term the margin is linear
+    in ``x_sq`` and ``c_sq_max``, so ``certificate_margin(x_sq, 0, d) +
+    certificate_margin(0, c_sq, d)`` is at least the whole and may be
+    subtracted in those two parts.
+
+    One-sided use, ``|x|²`` included (the k-means++ D² update).  For one
+    centroid ``c``, the full score ``s = |x|² + s_c`` adds a computed
+    ``|x|²`` to the :func:`centroid_scores` value and subtracts the margin
+    in parts.  Against the true ``D = |x − c|²``, with ``u``, ``γ_m`` and
+    ``S`` as in :func:`nearest_centroids`:
+
+    * the three terms err by ``γ_d |x|²``, ``γ_d |c|²`` and
+      ``γ_d (|x|² + |c|²)`` (the dot), together ≤ ``d·eps·S``;
+    * the additions and subtractions (at most four, each on a value of
+      size at most ``2S``) err by ≤ ``4u·2S = 4·eps·S``;
+
+    so the computed ``s − 2M`` is within ``E_s ≈ (d+4)·eps·S`` of
+    ``D − 2M``.  The exact kernel's ``e`` errs from ``D`` by ≤ ``E_e ≈
+    (d+2)·eps·S``.  So a computed ``s − 2M ≥ closest_sq`` gives ``e ≥ D − E_e ≥
+    closest_sq + 2M − E_s − E_e ≥ closest_sq``: the strict-``<`` D²
+    update keeps ``closest_sq``.  ``2M ≥ E_s + E_e ≈ (2d+6)·eps·S`` is all
+    that is needed, so ``16(d+4)`` leaves a 16x cushion.  The ``tiny``
+    term covers gradual underflow, at most half the smallest subnormal per
+    operation.  Any overflow leaves ``s − 2M`` at ``±inf`` or NaN: NaN and
+    ``+inf`` must not be trusted, and ``−inf`` never reaches a distance.
     """
     return (2.0 * MARGIN_FACTOR * (d + 4)) * (_EPS * (x_sq + c_sq_max) + _TINY)
 

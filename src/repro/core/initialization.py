@@ -14,17 +14,18 @@ backends (``docs/backends.md``):
     The pointwise scalar loop — one :func:`~repro.common.distance.sq_euclidean`
     call per point per D² update, the ground truth for counter semantics.
 ``vectorized``
-    One :func:`~repro.common.distance.paired_sq_distances` call per D²
-    update, over only the rows the triangle inequality cannot rule out
-    (:class:`_PrunedClosestSqUpdate`; a skipped row provably keeps its
-    value).  That kernel is bit-identical per row to ``sq_euclidean``, so
-    the ``closest_sq`` array — and therefore the sampling probability
-    vector handed to the RNG — carries the exact same 64-bit floats as the
-    scalar path.  Both backends make the *same RNG calls in the same
-    order* (one ``integers`` for the first pick, one ``choice``/``integers``
-    per subsequent pick), so under the same seed they select identical
-    centroid rows: the seeding-parity contract enforced by
-    ``tests/test_backend_conformance.py``.
+    One matrix-vector score per D² update picks the rows whose new distance
+    could undercut their ``closest_sq`` (:func:`_update_closest_sq_certified`;
+    a skipped row provably keeps its value), and one
+    :func:`~repro.common.distance.paired_sq_distances` call evaluates just
+    those rows exactly.  That kernel is bit-identical per row to
+    ``sq_euclidean``, so the ``closest_sq`` array — and therefore the
+    sampling probability vector handed to the RNG — carries the exact same
+    64-bit floats as the scalar path.  Both backends make the *same RNG
+    calls in the same order* (one ``integers`` for the first pick, one
+    ``choice``/``integers`` per subsequent pick), so under the same seed
+    they select identical centroid rows: the seeding-parity contract
+    enforced by ``tests/test_backend_conformance.py``.
 
 Counter totals are backend-independent (``n`` distances + ``n`` point
 accesses per D² update), per the backend doctrine that counters measure the
@@ -33,11 +34,18 @@ paper's cost model, never BLAS calls.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.common.distance import paired_sq_distances, sq_euclidean
+from repro.common.distance import (
+    centroid_scores,
+    certificate_margin,
+    paired_sq_distances,
+    sq_euclidean,
+    sq_norms,
+)
 from repro.common.exceptions import ConfigurationError
 from repro.common.rng import SeedLike, ensure_rng
 from repro.common.validation import check_data_matrix, check_k
@@ -76,9 +84,10 @@ def init_kmeans_plus_plus(
     """k-means++ seeding: each next centroid sampled ∝ squared distance.
 
     This is the exact (non-greedy) k-means++ of Arthur & Vassilvitskii.
-    ``backend="vectorized"`` batches each D² update into one row-paired
-    kernel call; picks, centroids and counter totals are identical to the
-    reference under the same seed (see module docstring).
+    ``backend="vectorized"`` scores each D² update with one matrix-vector
+    product and evaluates exactly only the rows the score cannot clear;
+    picks, centroids and counter totals are identical to the reference
+    under the same seed (see module docstring).
     """
     _check_backend(backend)
     X = check_data_matrix(X)
@@ -88,11 +97,7 @@ def init_kmeans_plus_plus(
     centroids = np.empty((k, X.shape[1]))
     first = int(rng.integers(0, n))
     centroids[0] = X[first]
-    update = (
-        _PrunedClosestSqUpdate(n)
-        if backend == "vectorized"
-        else _update_closest_sq_reference
-    )
+    update = _closest_sq_update(X, backend)
     closest_sq = np.full(n, np.inf)
     update(X, centroids[0], closest_sq, counters)
     for j in range(1, k):
@@ -106,6 +111,16 @@ def init_kmeans_plus_plus(
         centroids[j] = X[pick]
         update(X, centroids[j], closest_sq, counters)
     return centroids
+
+
+def _closest_sq_update(X: np.ndarray, backend: str) -> Callable[..., None]:
+    """The D² update of ``backend``: ``update(X, centroid, closest_sq, counters)``."""
+    if backend == "reference":
+        return _update_closest_sq_reference
+    x_sq = sq_norms(X)
+    with np.errstate(invalid="ignore"):  # an overflowed |x|² gives NaN
+        x_lower = x_sq - certificate_margin(x_sq, 0.0, X.shape[1])
+    return partial(_update_closest_sq_certified, x_lower=x_lower)
 
 
 def _update_closest_sq_reference(
@@ -123,69 +138,49 @@ def _update_closest_sq_reference(
             closest_sq[i] = new_sq
 
 
-#: relative slack of the pruning test; it absorbs the rounding of the three
-#: computed squared distances the lemma compares (each errs by ~(d+2)·eps)
-_PRUNE_SLACK = 1e-6
-#: absolute slack of the pruning test, far above the absolute error of
-#: gradual underflow (~d·2^-1075) and far below any normal-range distance
-_PRUNE_FLOOR = 2.0 ** -1000
+def _update_closest_sq_certified(
+    X: np.ndarray,
+    centroid: np.ndarray,
+    closest_sq: np.ndarray,
+    counters: Optional[OpCounters],
+    *,
+    x_lower: np.ndarray,
+) -> None:
+    """Batched D² update: exact distances only for rows a score cannot clear.
 
-
-class _PrunedClosestSqUpdate:
-    """Batched D² update that skips rows the new seed provably cannot win.
-
-    Pruning lemma (Elkan's; Raff applies it to k-means++): if row ``x`` is
-    closest to seed ``o`` and ``|c_o − c_new| ≥ 2|x − c_o|``, the triangle
-    inequality gives ``|x − c_new| ≥ |c_o − c_new| − |x − c_o| ≥ |x − c_o|``,
-    so the reference's strict-``<`` update would keep ``closest_sq[x]``.
-    The test runs on computed squares,
-    ``|c_o − c_new|² ≥ 4(1+1e-6)·closest_sq + 2^-1000``; the slack
-    outweighs the rounding of all three squared distances (each within
-    ~(d+2)·eps relative, plus the underflow error), so the computed
-    ``|x − c_new|²`` is never below the computed ``closest_sq`` for a
-    skipped row.  A row whose ``4·closest_sq`` overflows gets a NaN limit,
-    which no comparison passes: it is never skipped.
+    One matrix-vector product gives every row the lower bound ``s − 2M``
+    on its new exact distance: ``s = |x|² + |c|² − 2x·c`` is the score,
+    and ``2M`` the :func:`~repro.common.distance.certificate_margin` of
+    ``S = |x|² + |c|²``, which covers the rounding of ``s`` and of the
+    exact kernel together (the one-sided lemma there).  ``x_lower`` is
+    ``|x|²`` minus its share of the margin, computed once per seeding;
+    the centroid's share is subtracted here.  A row is skipped when its
+    bound reaches ``closest_sq``: its exact ``|x − c|²`` is then not below
+    ``closest_sq``, and the reference's strict-``<`` rule keeps the old
+    value.  A non-finite bound never skips: an overflowed ``|x|²`` or
+    ``|c|²`` makes it NaN, and ``+inf`` is excluded explicitly, so the
+    first update, against ``closest_sq = inf``, skips nothing.
 
     Skipped rows keep their bits; every other row is updated through the
     row-subset-invariant ``paired_sq_distances`` with the reference's
     strict-``<`` rule, so ``closest_sq`` stays bitwise equal to the scalar
     path's — which is what makes the next RNG draw pick the same index.
-    Seed-to-seed distances are numerics of the pruning, not the paper's
-    cost model, so they are uncounted; the charge stays ``n`` distances
-    and ``n`` point accesses per update, as for the reference.
+    The scores are numerics of the skip, not the paper's cost model, so
+    they are uncounted; the charge stays ``n`` distances and ``n`` point
+    accesses per update, as for the reference.
     """
-
-    def __init__(self, n: int) -> None:
-        self.seeds: List[np.ndarray] = []
-        #: index into ``seeds`` of the seed each row's ``closest_sq`` is from
-        self.owner = np.zeros(n, dtype=np.intp)
-        self.limit = np.full(n, np.nan)
-
-    def __call__(
-        self,
-        X: np.ndarray,
-        centroid: np.ndarray,
-        closest_sq: np.ndarray,
-        counters: Optional[OpCounters],
-    ) -> None:
-        if counters is not None:
-            counters.add_point_accesses(len(X))
-            counters.add_distances(len(X))
-        if self.seeds:
-            seed_sq = paired_sq_distances(np.asarray(self.seeds), centroid)
-            rows = np.flatnonzero(~(seed_sq[self.owner] >= self.limit))
-        else:
-            rows = np.arange(len(X))
-        new_sq = paired_sq_distances(X[rows], centroid)
-        better = new_sq < closest_sq[rows]
-        rows, new_sq = rows[better], new_sq[better]
-        closest_sq[rows] = new_sq
-        self.owner[rows] = len(self.seeds)
-        with np.errstate(over="ignore"):
-            limit = 4.0 * (1.0 + _PRUNE_SLACK) * new_sq + _PRUNE_FLOOR
-        limit[limit == np.inf] = np.nan
-        self.limit[rows] = limit
-        self.seeds.append(centroid)
+    if counters is not None:
+        counters.add_point_accesses(len(X))
+        counters.add_distances(len(X))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_sq = float(sq_norms(centroid)[0])
+        lower = centroid_scores(X, centroid, c_sq)
+        lower += x_lower
+        lower -= certificate_margin(0.0, c_sq, X.shape[1])
+        rows = np.flatnonzero(~((lower >= closest_sq) & (lower < np.inf)))
+    new_sq = paired_sq_distances(X[rows], centroid)
+    better = new_sq < closest_sq[rows]
+    closest_sq[rows[better]] = new_sq[better]
 
 
 _INIT_METHODS = {

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.backend import (
     OPTIONAL_BACKENDS,
@@ -196,9 +198,10 @@ class TestAlgorithmKnobs:
 class TestSeedingParity:
     """k-means++ seeding: both backends draw identical picks (docs/backends.md).
 
-    The vectorized D² update is bit-identical per row to the scalar loop,
-    so the probability vector handed to the RNG — and therefore every
-    sampled centroid index — matches exactly under the same seed.
+    The vectorized D² update leaves every row with the scalar loop's bits
+    (a skipped row untouched, the rest through the bit-identical paired
+    kernel), so the probability vector handed to the RNG — and therefore
+    every sampled centroid index — matches exactly under the same seed.
     """
 
     @pytest.mark.parametrize("dataset", sorted(_DATASETS))
@@ -235,15 +238,37 @@ class TestSeedingParity:
             assert counters.distance_computations == k * len(X)
             assert counters.point_accesses == k * len(X)
         assert ref_counters.snapshot() == vec_counters.snapshot()
+        TestSeedingParity._assert_same_d2(X, reference)
         return reference
 
+    @staticmethod
+    def _assert_same_d2(X, centroids):
+        """Both backends' D² arrays are bitwise equal after every update."""
+        from repro.core.initialization import _closest_sq_update
+
+        updates = [_closest_sq_update(X, backend) for backend in BACKENDS]
+        closest = [np.full(len(X), np.inf) for _ in updates]
+        for step, centroid in enumerate(centroids):
+            for update, closest_sq in zip(updates, closest):
+                update(X, centroid, closest_sq, None)
+            reference, vectorized = (c.view(np.int64) for c in closest)
+            assert np.array_equal(reference, vectorized), (
+                f"update {step}: {np.count_nonzero(reference != vectorized)} "
+                "D² entries differ between backends"
+            )
+
     def test_seeding_duplicate_rows(self):
-        # Degenerate D² mass (total can hit the uniform-fallback branch);
-        # rows at distance 0 from their seed are pruned at every later step.
+        # Degenerate D² mass (total can hit the uniform-fallback branch).
+        # Every pick has exact copies, so the rows equal to a chosen seed
+        # sit at distance 0 and must keep that value at every later step.
         rng = np.random.default_rng(3)
-        X = np.repeat(rng.normal(size=(10, 2)), 6, axis=0)
-        for seed in range(4):
-            self._assert_parity(X, 5, seed)
+        cases = [
+            (np.repeat(rng.normal(size=(10, 2)), 6, axis=0), 5),
+            (np.repeat(make_blobs(40, 3, 4, seed=2)[0], 3, axis=0), 12),
+        ]
+        for X, k in cases:
+            for seed in range(4):
+                self._assert_parity(X, k, seed)
 
     def test_seeding_single_point_mass(self):
         # All points identical: every step takes the uniform-fallback branch.
@@ -252,8 +277,8 @@ class TestSeedingParity:
 
     def test_seeding_near_overflow_disables_pruning(self):
         # Norms near 1e154: squared distances near 1e308 stay finite (so the
-        # D² total does too), but 4·closest_sq overflows; those rows must
-        # never be skipped.
+        # D² total does too), but 4·closest_sq and the scores' 2x·c term
+        # can overflow; a non-finite score must never skip a row.
         from repro.common.distance import paired_sq_distances
 
         X = np.array([[0.0, 0.0], [0.7, 0.1], [1.0, -0.1], [0.35, 0.05]]) * 1e154
@@ -266,9 +291,64 @@ class TestSeedingParity:
                 overflowed += int(np.isinf(4.0 * closest_sq).any())
         assert overflowed
 
-    def test_seeding_pruning_skips_rows(self, monkeypatch):
-        # The mechanism, not just the outcome: on clustered data the pruned
-        # update evaluates well under n distances per step.
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_seeding_common_offset(self, offset, d):
+        # Unit-scale clusters far from the origin: |x|² ≈ d·offset², so the
+        # score cancels to noise and almost no row can be skipped; every
+        # near-tie must still reach the exact kernel.
+        rng = np.random.default_rng(5)
+        centers = rng.normal(size=(6, d)) * 4.0
+        X = offset + centers[rng.integers(0, 6, 300)] + rng.normal(size=(300, d))
+        for seed in range(4):
+            self._assert_parity(X, 8, seed)
+        # Centroids off the data, near the rows they compete for.
+        self._assert_same_d2(X, X[rng.integers(0, 300, 30)] + rng.normal(size=(30, d)))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-160, 1e-162])
+    def test_seeding_extreme_scales(self, scale):
+        # Squared distances near 1e300, near the bottom of the normal range
+        # (1e-300) and subnormal (1e-320; at 1e-162 a few dozen multiples
+        # of the smallest subnormal, where only the margin's absolute term
+        # covers the rounding).
+        X, _ = make_blobs(300, 4, 5, seed=13)
+        X = X * scale
+        for seed in range(4):
+            self._assert_parity(X, 7, seed)
+        rng = np.random.default_rng(1)
+        self._assert_same_d2(X, X[rng.integers(0, 300, 30)])
+
+    def test_seeding_overflowed_norms(self):
+        # |x|² overflows while the distances stay near 1e290: every score
+        # is NaN, and a NaN score must never skip.
+        rng = np.random.default_rng(4)
+        X = 1.5e154 + rng.normal(size=(60, 2)) * 1e145
+        with np.errstate(over="ignore"):
+            assert np.isinf((X**2).sum(axis=1)).all()
+        for seed in range(4):
+            self._assert_parity(X, 5, seed)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 60),
+        d=st.integers(1, 6),
+        k=st.integers(1, 8),
+        scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+        offset=st.sampled_from([0.0, 1.0, 1e6, 1e8]),
+        copies=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_seeding_parity_property(self, n, d, k, scale, offset, copies, seed):
+        # Squared distances stay finite, so the D² total is a valid weight.
+        assume(scale * offset <= 1e150)
+        rng = np.random.default_rng(seed)
+        X = np.repeat((rng.normal(size=(n, d)) + offset) * scale, copies, axis=0)
+        self._assert_parity(X, min(k, len(X)), seed)
+
+    @staticmethod
+    def _spy_exact_rows(monkeypatch):
+        """Row counts of the exact kernel's calls, one per vectorized update."""
         import repro.core.initialization as initialization
 
         evaluated = []
@@ -279,14 +359,33 @@ class TestSeedingParity:
             return original(A, B, counters)
 
         monkeypatch.setattr(initialization, "paired_sq_distances", spy)
+        return evaluated
+
+    def test_seeding_overflowed_score_is_exact(self, monkeypatch):
+        # Row 1's score overflows (2x·c > max float) while |x|² and |c|²
+        # stay finite; against closest_sq = inf an +inf score would pass
+        # the skip test, so only the non-finite guard sends it to the
+        # exact kernel.
+        from repro.core.initialization import _closest_sq_update
+
+        evaluated = self._spy_exact_rows(monkeypatch)
+        X = np.array([[1.0, 0.1], [-0.95, 0.0]]) * 1e154
+        closest_sq = np.full(2, np.inf)
+        with np.errstate(over="ignore"):  # row 1's exact distance overflows
+            _closest_sq_update(X, "vectorized")(X, X[0], closest_sq, None)
+        assert evaluated == [2]
+
+    def test_seeding_pruning_skips_rows(self, monkeypatch):
+        # The mechanism, not just the outcome: on clustered data the
+        # certified score sends well under n rows per step to the exact
+        # kernel (0.27·n on average here).
+        evaluated = self._spy_exact_rows(monkeypatch)
         X = _DATASETS["blobs"]
         init_kmeans_plus_plus(X, 9, seed=0, backend="vectorized")
-        # Update j > 0 first measures the j chosen seeds to the new one,
-        # then the rows it cannot skip; update 0 computes every row.
-        data_rows, seed_rows = evaluated[0::2], evaluated[1::2]
-        assert seed_rows == list(range(1, 9))
-        assert data_rows[0] == len(X)
-        assert sum(data_rows) < 0.6 * 9 * len(X)
+        # Update 0, against closest_sq = inf, computes every row.
+        assert len(evaluated) == 9
+        assert evaluated[0] == len(X)
+        assert sum(evaluated) < 0.6 * 9 * len(X)
 
     def test_fit_threads_seeding_backend(self):
         # fit() without initial_centroids seeds on the algorithm's backend;
