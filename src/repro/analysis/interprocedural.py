@@ -347,42 +347,11 @@ def _resolve_callable(
 # R008 — backend-purity.
 # ----------------------------------------------------------------------
 
-#: NumPy functions that belong to the managed array-math surface of the
-#: array-backend manager (repro.backend).  Inside a BACKEND_ROUTED module
-#: these must be called as ``bm.<op>`` so accelerator backends can supply
-#: the implementation; a direct ``np.<op>`` call silently pins the numpy
-#: path and bypasses the two-tier conformance contract.
-MANAGED_NUMPY_OPS = frozenset({
-    "argmax",
-    "argmin",
-    "argpartition",
-    "bincount",
-    "dot",
-    "einsum",
-    "inner",
-    "matmul",
-    "partition",
-    "tensordot",
-    "vdot",
-})
-
-#: ndarray *method* spellings of managed ops (``dists.argmin(axis=1)``):
-#: the receiver is usually a local array the resolver cannot type, so
-#: these attribute names are flagged by name inside routed modules unless
-#: the receiver resolves into ``repro.backend``
-MANAGED_ARRAY_METHODS = frozenset({"argmax", "argmin"})
-
-#: resolved-name prefix of the manager itself — calls through it are the
-#: sanctioned spelling
-_BACKEND_MANAGER_PREFIX = "repro.backend"
-
-
 @register
 class BackendPurityRule(ProjectRule):
     """Backend-routed modules must keep every distance evaluation inside
     the counted kernels of :mod:`repro.common.distance` — including the
-    ones hidden behind helper calls — and every managed array op behind
-    the array-backend manager.
+    ones hidden behind helper calls.
 
     A module opts in by declaring ``BACKEND_ROUTED = True`` at top level
     (the vectorized execution modules do).  Within such a module, any
@@ -390,17 +359,6 @@ class BackendPurityRule(ProjectRule):
     ``uncounted-distance`` is flagged: directly offending expressions are
     reported at their own line, inherited ones at the function definition
     with a witness chain to the raw arithmetic.
-
-    The array-math check (added with the pluggable array-backend layer)
-    additionally flags direct calls to managed NumPy ops
-    (:data:`MANAGED_NUMPY_OPS`, e.g. ``np.argmin`` / ``np.bincount`` /
-    ``np.matmul``) and their ndarray-method spellings
-    (:data:`MANAGED_ARRAY_METHODS`) inside routed modules: those must go
-    through ``repro.backend.backend_manager`` (``bm.<op>``) so the active
-    array backend — not the call site — decides the implementation.  The
-    kernel layer ``repro.common.distance`` and the adapters under
-    ``repro/backend/`` are exempt: they *are* the implementations the
-    manager routes to.
     """
 
     rule_id = "R008"
@@ -413,23 +371,12 @@ class BackendPurityRule(ProjectRule):
     def check_project(
         self, project: Project, graph: CallGraph, direct: DirectEffects
     ) -> Iterator[Finding]:
-        routed = sorted(
+        routed_set = {
             name for name, module in project.modules.items()
             if _declares_backend_routed(module.tree)
-        )
-        if not routed:
+        }
+        if not routed_set:
             return
-        for module_name in routed:
-            module = project.modules[module_name]
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                message = _managed_op_violation(module, node)
-                if message is not None:
-                    yield _module_finding(
-                        self, module, node.lineno, node.col_offset, message
-                    )
-        routed_set = set(routed)
         for qualname in sorted(project.functions):
             info = project.functions[qualname]
             if info.module not in routed_set:
@@ -461,32 +408,6 @@ class BackendPurityRule(ProjectRule):
                     f"({project.functions[witness].path}:{evidence.line}); "
                     "route it through repro.common.distance",
                 )
-
-
-def _managed_op_violation(module: ParsedModule, call: ast.Call) -> Optional[str]:
-    """Message when ``call`` is managed array math bypassing the manager."""
-    func = call.func
-    if not isinstance(func, ast.Attribute):
-        return None
-    resolved = resolve_name(module.aliases, func)
-    if resolved is not None:
-        if resolved.startswith(_BACKEND_MANAGER_PREFIX + "."):
-            return None
-        root, _, op = resolved.rpartition(".")
-        if root == "numpy" and op in MANAGED_NUMPY_OPS:
-            return (
-                f"backend-routed module: managed array op numpy.{op} must "
-                "go through the array-backend manager "
-                f"(repro.backend: bm.{op})"
-            )
-        return None
-    if func.attr in MANAGED_ARRAY_METHODS:
-        return (
-            f"backend-routed module: array method .{func.attr}() is a "
-            "managed op; call it through the array-backend manager "
-            f"(repro.backend: bm.{func.attr})"
-        )
-    return None
 
 
 def _declares_backend_routed(tree: ast.AST) -> bool:

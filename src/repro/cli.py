@@ -55,16 +55,6 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
                              "(see docs/backends.md)")
 
 
-def _add_array_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--array-backend", default="numpy",
-                        help="array backend for the managed kernel math: "
-                             "'numpy' (default, bit-identical) or a "
-                             "registered accelerator backend such as "
-                             "'torch'/'torch-cuda'/'cupy' (tolerance tier; "
-                             "requires --backend vectorized, see "
-                             "docs/array_backends.md)")
-
-
 def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=1,
                         help="split the assignment phase across this many "
@@ -87,32 +77,6 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
                              "'inline' unless a shard timeout or a kill/hang "
                              "fault needs a process and spawning is allowed "
                              "(see docs/sharding.md)")
-
-
-def _check_array_backend_argument(
-    args: argparse.Namespace, names
-) -> Optional[str]:
-    """Validate --array-backend against availability, backend and shards."""
-    if args.array_backend == "numpy":
-        return None
-    from repro.backend import backend_manager
-    from repro.common.exceptions import ConfigurationError
-    from repro.core import ACCELERATED_ALGORITHMS
-
-    try:
-        backend_manager.get(args.array_backend)
-    except ConfigurationError as exc:  # includes BackendUnavailableError
-        return str(exc)
-    if args.backend != "vectorized":
-        return "--array-backend requires --backend vectorized"
-    if getattr(args, "shards", 1) > 1:
-        return ("--shards requires --array-backend numpy (shard merge "
-                "bit-identity is the numpy backend's contract)")
-    unsupported = [n for n in names if n not in ACCELERATED_ALGORITHMS]
-    if unsupported:
-        return (f"no accelerator array-backend support for: {unsupported}; "
-                f"supported: {list(ACCELERATED_ALGORITHMS)}")
-    return None
 
 
 def _check_shard_arguments(args: argparse.Namespace, names) -> Optional[str]:
@@ -161,15 +125,14 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    error = (_check_shard_arguments(args, [args.algorithm])
-             or _check_array_backend_argument(args, [args.algorithm]))
+    error = _check_shard_arguments(args, [args.algorithm])
     if error:
         print(error, file=sys.stderr)
         return 2
     X = _load(args)
     algorithm = make_algorithm(
-        args.algorithm, backend=args.backend, array_backend=args.array_backend,
-        shards=args.shards, shard_policy=args.shard_policy if args.shards > 1 else None,
+        args.algorithm, backend=args.backend, shards=args.shards,
+        shard_policy=args.shard_policy if args.shards > 1 else None,
         shard_runner=args.shard_runner,
     )
     result = algorithm.fit(X, args.k, max_iter=args.max_iter, seed=args.seed)
@@ -179,8 +142,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
         key = ModelRegistry(args.save_model).save_model(
             result, dataset=args.dataset, backend=args.backend,
-            array_backend=args.array_backend, shards=args.shards,
-            seed=args.seed,
+            shards=args.shards, seed=args.seed,
         )
         summary["model_key"] = key
         summary["model_registry"] = args.save_model
@@ -218,8 +180,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         # backend like everything else, so vectorized comparisons measure
         # speedups against vectorized Lloyd, not the scalar reference.
         names.insert(0, "lloyd")
-    error = (_check_shard_arguments(args, names)
-             or _check_array_backend_argument(args, names))
+    error = _check_shard_arguments(args, names)
     if error:
         print(error, file=sys.stderr)
         return 2
@@ -227,7 +188,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         names, X, args.k,
         repeats=args.repeats, max_iter=args.max_iter,
         seed=args.seed, backend=args.backend,
-        array_backend=args.array_backend,
         shards=args.shards,
         shard_policy=args.shard_policy if args.shards > 1 else None,
         shard_runner=args.shard_runner,
@@ -314,8 +274,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("--resume requires --log (the checkpoint to resume from)",
               file=sys.stderr)
         return 2
-    error = (_check_shard_arguments(args, names)
-             or _check_array_backend_argument(args, names))
+    error = _check_shard_arguments(args, names)
     if error:
         print(error, file=sys.stderr)
         return 2
@@ -338,7 +297,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 max_workers=args.max_workers, timeout=args.timeout,
                 retries=args.retries, dataset=dataset, log=log,
                 resume=args.resume, fault_plan=plan, backend=args.backend,
-                array_backend=args.array_backend,
                 shards=args.shards,
                 shard_policy=args.shard_policy if args.shards > 1 else None,
                 shard_runner=args.shard_runner,
@@ -445,23 +403,20 @@ def _cmd_registry(args: argparse.Namespace) -> int:
 
     registry = ModelRegistry(args.root)
     if args.registry_command == "save":
-        error = (_check_shard_arguments(args, [args.algorithm])
-                 or _check_array_backend_argument(args, [args.algorithm]))
+        error = _check_shard_arguments(args, [args.algorithm])
         if error:
             print(error, file=sys.stderr)
             return 2
         X = _load(args)
         algorithm = make_algorithm(
-            args.algorithm, backend=args.backend,
-            array_backend=args.array_backend, shards=args.shards,
+            args.algorithm, backend=args.backend, shards=args.shards,
             shard_policy=args.shard_policy if args.shards > 1 else None,
             shard_runner=args.shard_runner,
         )
         result = algorithm.fit(X, args.k, max_iter=args.max_iter, seed=args.seed)
         key = registry.save_model(
             result, dataset=args.dataset, backend=args.backend,
-            array_backend=args.array_backend, shards=args.shards,
-            seed=args.seed,
+            shards=args.shards, seed=args.seed,
         )
         print(key)
         return 0
@@ -582,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_arguments(cluster)
     cluster.add_argument("--algorithm", default="unik", choices=sorted(ALGORITHMS))
     _add_backend_argument(cluster)
-    _add_array_backend_argument(cluster)
     _add_shard_arguments(cluster)
     cluster.add_argument("--k", type=int, default=10)
     cluster.add_argument("--max-iter", type=int, default=10)
@@ -596,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_arguments(compare)
     compare.add_argument("--algorithms", default="lloyd,yinyang,index,unik")
     _add_backend_argument(compare)
-    _add_array_backend_argument(compare)
     _add_shard_arguments(compare)
     compare.add_argument("--k", type=int, default=10)
     compare.add_argument("--max-iter", type=int, default=10)
@@ -628,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated registry dataset names")
     bench.add_argument("--algorithms", default="lloyd,hamerly,yinyang")
     _add_backend_argument(bench)
-    _add_array_backend_argument(bench)
     _add_shard_arguments(bench)
     bench.add_argument("--ks", default="4", help="comma-separated k values")
     bench.add_argument("--n", type=int, default=300,
@@ -668,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     reg_save.add_argument("--algorithm", default="lloyd",
                           choices=sorted(ALGORITHMS))
     _add_backend_argument(reg_save)
-    _add_array_backend_argument(reg_save)
     _add_shard_arguments(reg_save)
     reg_save.add_argument("--k", type=int, default=10)
     reg_save.add_argument("--max-iter", type=int, default=50)

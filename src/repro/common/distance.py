@@ -62,22 +62,6 @@ bulk kernels (:func:`pairwise_sq_distances`,
 only used where both backends share the same call site; the GEMM scores
 of :func:`centroid_scores` never reach a bound or a label without a
 certificate (:func:`certified_argmin`).
-
-Array backends
---------------
-The managed reductions of the bulk kernels — the expansion GEMM, the
-row-wise dot matmul, the chunked einsum — go through the array-backend
-manager (:mod:`repro.backend`): ``bm.<op>`` delegates to the active
-backend, NumPy in / NumPy out.  Under the default ``numpy`` backend every
-``bm`` call is the identical ``np`` call this module made before routing,
-so the bit-identity contract above is untouched; accelerator backends
-(Torch/CuPy) replace only these reductions and are held to the tolerance
-tier of docs/array_backends.md.  Control flow, clamping, differencing and
-the scalar helpers stay host-side NumPy, and
-:func:`centroid_pairwise_distances` is deliberately *not* routed: the
-``(k, k)`` centroid matrix is tiny, its buffered ``out=`` path needs
-NumPy semantics, and keeping bound thresholds in host float64 means
-pruning decisions never depend on the accelerator.
 """
 
 from __future__ import annotations
@@ -87,7 +71,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
 from repro.instrumentation.counters import OpCounters
 
 #: rows per block of :func:`nearest_centroids`: the ``(block, k)`` score
@@ -129,7 +112,7 @@ def sq_norms(X: np.ndarray) -> np.ndarray:
     precomputation, not a distance evaluation.
     """
     X = np.atleast_2d(X)
-    return bm.sq_norms(X)
+    return np.einsum("ij,ij->i", X, X)
 
 
 def pairwise_sq_distances(
@@ -148,9 +131,7 @@ def pairwise_sq_distances(
         counters.distance_computations += A.shape[0] * B.shape[0]
     aa = sq_norms(A)
     bb = sq_norms(B)
-    # The GEMM is the managed (offloadable) part; the rank-one expansion
-    # assembly and the cancellation clamp stay host-side.
-    sq = aa[:, None] + bb[None, :] - 2.0 * bm.matmul(A, B.T)
+    sq =aa[:, None] + bb[None, :] - 2.0 * np.matmul(A, B.T)
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -172,7 +153,7 @@ def _rowwise_sq_norms(diff: np.ndarray) -> np.ndarray:
     pairwise summation order differs from the dot kernel's.
     """
     diff = np.ascontiguousarray(diff)
-    return bm.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+    return np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
 
 
 def one_to_many_distances(
@@ -269,9 +250,6 @@ def centroid_pairwise_distances(
     k = centroids.shape[0]
     if counters is not None:
         counters.distance_computations += k * (k - 1) // 2
-    # Unrouted on purpose (see module docstring): the whole centroid-level
-    # computation stays host NumPy so bound thresholds never depend on the
-    # active array backend.
     aa = np.einsum("ij,ij->i", centroids, centroids)
     if scratch is None:
         sq = aa[:, None] + aa[None, :] - 2.0 * (centroids @ centroids.T)
@@ -316,7 +294,7 @@ def chunked_sq_distances(
     for start in range(0, A.shape[0], chunk):
         stop = min(start + chunk, A.shape[0])
         diff = A[start:stop, None, :] - B[None, :, :]
-        out[start:stop] = bm.einsum("ijk,ijk->ij", diff, diff)
+        out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
     return out
 
 
@@ -339,7 +317,7 @@ def gathered_sq_distances(
     # allocation; the differences are the same ``A[i] − B[j]`` floats.
     diff = np.take(B, cols, axis=0)
     np.subtract(A[:, None, :], diff, out=diff)
-    return bm.einsum("ijk,ijk->ij", diff, diff)
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def centroid_scores(X: np.ndarray, C: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
@@ -352,7 +330,7 @@ def centroid_scores(X: np.ndarray, C: np.ndarray, c_sq: np.ndarray) -> np.ndarra
     ``c_sq`` is ``sq_norms(C)``.  A single ``(d,)`` centroid with a scalar
     ``c_sq`` gives shape ``(m,)``, one matrix-vector product.
     """
-    scores = bm.matmul(X, -2.0 * C.T)
+    scores = np.matmul(X, -2.0 * C.T)
     scores += c_sq
     return scores
 
@@ -411,12 +389,12 @@ def certified_argmin(
     NumPy's invalid-value warning around the call.
     """
     rows = np.arange(len(scores))
-    winner = bm.argmin(scores, axis=1)
+    winner = np.argmin(scores, axis=1)
     best = scores[rows, winner]
     scores[rows, winner] = np.inf
     # argmin + gather is the row min, NaN included, at half the cost of
     # ``min(axis=1)`` on short rows.
-    gap = scores[rows, bm.argmin(scores, axis=1)] - best
+    gap = scores[rows, np.argmin(scores, axis=1)] - best
     # NaN fails the first test, an overflowed runner-up the second; a lone
     # row's gap is +inf exactly when its only score is finite.
     bounded = gap < np.inf
@@ -501,7 +479,7 @@ def nearest_centroids(
     if suspects:
         suspects = np.concatenate(suspects)
         exact = chunked_sq_distances(X[suspects], C)
-        labels[suspects] = bm.argmin(exact, axis=1)
+        labels[suspects] = np.argmin(exact, axis=1)
     return labels
 
 
@@ -578,7 +556,7 @@ def nearest_and_group_minima(
         suspects = np.concatenate(suspects)
         exact = chunked_sq_distances(X[suspects], C)
         rows = np.arange(len(suspects))
-        labels[suspects] = bm.argmin(exact, axis=1)
+        labels[suspects] = np.argmin(exact, axis=1)
         own_sq[suspects] = exact[rows, labels[suspects]]
         exact[rows, labels[suspects]] = np.inf
         for g, mem in enumerate(members):

@@ -63,19 +63,6 @@ class ShardFailedError(ReproError, RuntimeError):
         self.error_type = error_type
 
 
-class BackendUnavailableError(ConfigurationError):
-    """A registered-but-optional array backend cannot be used on this host
-    (Torch/CuPy not importable, or no CUDA device).  Carries the backend
-    name and the import-time reason so callers — and the conformance
-    suite's skip messages — can report *why* instead of silently passing.
-    """
-
-    def __init__(self, message: str, *, backend: str = "", reason: str = "") -> None:
-        super().__init__(message)
-        self.backend = backend
-        self.reason = reason
-
-
 class CheckpointError(ReproError, RuntimeError):
     """A shard-state checkpoint could not be validated against the running
     fit (mismatched fit key, non-contiguous iteration records, or a

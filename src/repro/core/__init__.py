@@ -95,49 +95,10 @@ EXACT_ALGORITHMS = tuple(
 #: the selectable execution backends
 BACKENDS = ("reference", "vectorized")
 
-#: algorithms whose vectorized implementations support accelerator array
-#: backends (torch / torch-cuda / cupy); the index traversal's replay
-#: bookkeeping is host-bound and stays numpy-only for now
-ACCELERATED_ALGORITHMS = ("lloyd", "elkan", "hamerly", "yinyang")
-
-
-def _check_array_backend(
-    array_backend: str, name: str, backend: str, shards: int, shard_policy
-) -> None:
-    """Validate the array-backend knob at construction time.
-
-    Unknown names and unavailable optional backends raise immediately
-    (classified ``ConfigurationError`` / ``BackendUnavailableError``), so
-    a fit never discovers mid-iteration that its backend cannot run.
-    """
-    from repro.backend import backend_manager
-
-    backend_manager.get(array_backend)
-    if array_backend == "numpy":
-        return
-    if int(shards) > 1 or shard_policy is not None:
-        raise ConfigurationError(
-            "sharded execution requires array_backend='numpy': shard workers "
-            "are separate processes whose merge contract is the numpy "
-            f"backend's bit-identity (got array_backend={array_backend!r})"
-        )
-    if backend != "vectorized":
-        raise ConfigurationError(
-            "accelerator array backends require backend='vectorized' (the "
-            "reference scalar loops have no managed batch math to offload); "
-            f"got backend={backend!r}"
-        )
-    if name not in ACCELERATED_ALGORITHMS:
-        supported = ", ".join(ACCELERATED_ALGORITHMS)
-        raise ConfigurationError(
-            f"algorithm {name!r} does not support accelerator array "
-            f"backends; supported: {supported}"
-        )
-
 
 def make_algorithm(
-    name: str, *, backend: str = "reference", array_backend: str = "numpy",
-    shards: int = 1, shard_policy=None, shard_runner: str = "auto", **kwargs
+    name: str, *, backend: str = "reference", shards: int = 1,
+    shard_policy=None, shard_runner: str = "auto", **kwargs
 ) -> KMeansAlgorithm:
     """Instantiate an algorithm by registry name.
 
@@ -162,13 +123,6 @@ def make_algorithm(
     docs/sharding.md), and further
     engine knobs (``execution``, ``fault_plan``, ``checkpoint``) pass
     through ``kwargs``.
-
-    ``array_backend`` selects the array backend for the managed math of
-    the hot kernels (``repro.backend``; docs/array_backends.md):
-    ``"numpy"`` (default, bit-identical) or an accelerator backend
-    (``"torch"`` / ``"torch-cuda"`` / ``"cupy"``; tolerance tier).
-    Accelerator backends require ``backend="vectorized"``, an algorithm in
-    :data:`ACCELERATED_ALGORITHMS`, and ``shards == 1``.
     """
     key = name.lower()
     if key not in ALGORITHMS:
@@ -176,7 +130,6 @@ def make_algorithm(
         raise ConfigurationError(
             f"unknown algorithm {name!r}; known algorithms: {known}"
         )
-    _check_array_backend(array_backend, key, backend, shards, shard_policy)
     if int(shards) > 1 or shard_policy is not None:
         if backend != "vectorized":
             raise ConfigurationError(
@@ -207,9 +160,7 @@ def make_algorithm(
         raise ConfigurationError(
             f"unknown backend {backend!r}; known backends: {', '.join(BACKENDS)}"
         )
-    algorithm = cls(**kwargs)
-    algorithm.array_backend = array_backend
-    return algorithm
+    return cls(**kwargs)
 
 
 class KMeans:
@@ -229,7 +180,6 @@ class KMeans:
         *,
         algorithm: str = "unik",
         backend: str = "reference",
-        array_backend: str = "numpy",
         shards: int = 1,
         shard_policy=None,
         init: str = "k-means++",
@@ -241,7 +191,6 @@ class KMeans:
         self.k = int(k)
         self.algorithm_name = algorithm
         self.backend = backend
-        self.array_backend = array_backend
         self.shards = int(shards)
         self.shard_policy = shard_policy
         self.init = init
@@ -256,7 +205,6 @@ class KMeans:
         algorithm = make_algorithm(
             self.algorithm_name,
             backend=self.backend,
-            array_backend=self.array_backend,
             shards=self.shards,
             shard_policy=self.shard_policy,
             **self.algorithm_kwargs,
@@ -282,7 +230,6 @@ class KMeans:
 
 
 __all__ = [
-    "ACCELERATED_ALGORITHMS",
     "ALGORITHMS",
     "BACKENDS",
     "EXACT_ALGORITHMS",

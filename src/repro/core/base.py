@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.backend import backend_manager
 from repro.common.distance import chunked_sq_distances, euclidean, one_to_many_distances
 from repro.common.exceptions import ConfigurationError
 from repro.common.rng import SeedLike, ensure_rng
@@ -68,11 +67,6 @@ class KMeansAlgorithm(abc.ABC):
     #: counter- and trajectory-identical; see repro.core.vectorized and
     #: docs/backends.md)
     backend: str = "reference"
-    #: array backend for the managed math of the hot kernels: "numpy"
-    #: (default; bit-identical ground truth) or a registered accelerator
-    #: backend ("torch", "torch-cuda", "cupy"; tolerance tier — see
-    #: repro.backend and docs/array_backends.md).  Set by make_algorithm.
-    array_backend: str = "numpy"
     #: refinement mode: "rescan", "delta" or "none" (see module docstring)
     refinement: str = "delta"
 
@@ -138,14 +132,7 @@ class KMeansAlgorithm(abc.ABC):
         self.counters = OpCounters()
         timer = PhaseTimer()
 
-        # The iteration phases (setup / assign / refine) run under the
-        # selected array backend; the init phase deliberately does NOT —
-        # seeding stays on the default numpy backend so the RNG pick
-        # sequence, and therefore the starting centroids, are identical for
-        # every array backend (docs/array_backends.md, "seeding parity").
-        array_ctx = backend_manager.use(self.array_backend)
-
-        with timer.phase("setup"), array_ctx:
+        with timer.phase("setup"):
             self._setup()
 
         with timer.phase("init"):
@@ -176,9 +163,9 @@ class KMeansAlgorithm(abc.ABC):
             timer.start_iteration()
             before = self.counters.snapshot()
             previous_labels = self._labels.copy()
-            with timer.phase("assignment"), array_ctx:
+            with timer.phase("assignment"):
                 self._assign(t)
-            with timer.phase("refinement"), array_ctx:
+            with timer.phase("refinement"):
                 new_centroids = self._refine(t, previous_labels)
             drifts = centroid_drifts(new_centroids, self._centroids)
             self._centroids = new_centroids
@@ -225,11 +212,7 @@ class KMeansAlgorithm(abc.ABC):
             setup_time=timer.total("setup"),
             init_time=timer.total("init"),
             iteration_stats=iteration_stats,
-            extras={
-                "backend": self.backend,
-                "array_backend": self.array_backend,
-                **self._extras(),
-            },
+            extras={"backend": self.backend, **self._extras()},
         )
         return result
 

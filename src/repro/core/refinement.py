@@ -33,11 +33,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
-
 #: Opts this module into R008 (backend-purity): any distance arithmetic
-#: here must go through the counted kernels in ``repro.common.distance``,
-#: and any managed array math through the backend manager (``bm``).
+#: here must go through the counted kernels in ``repro.common.distance``.
 BACKEND_ROUTED = True
 
 
@@ -52,7 +49,7 @@ def accumulate_cluster_sums(
     """
     n, d = X.shape
     flat_idx = (labels[:, None] * d + np.arange(d)).ravel()
-    flat = bm.bincount(flat_idx, weights=X.ravel(), minlength=k * d)
+    flat = np.bincount(flat_idx, weights=X.ravel(), minlength=k * d)
     return flat.reshape(k, d)
 
 
@@ -119,12 +116,12 @@ def merge_shard_assignments(
         # No loss: one scatter-add over the full matrix, bit-identical to
         # the unsharded refinement fold.
         sums = accumulate_cluster_sums(X, labels, k)
-        counts = bm.bincount(labels, minlength=k).astype(np.intp)
+        counts = np.bincount(labels, minlength=k).astype(np.intp)
         return labels, sums, counts
     if survivors:
         rows = np.concatenate([np.arange(*shard_ranges[r]) for r in survivors])
         sums = accumulate_cluster_sums(X[rows], labels[rows], k)
-        counts = bm.bincount(labels[rows], minlength=k).astype(np.intp)
+        counts = np.bincount(labels[rows], minlength=k).astype(np.intp)
     else:
         sums = np.zeros((k, d))
         counts = np.zeros(k, dtype=np.intp)

@@ -74,7 +74,6 @@ from typing import Dict, List, Tuple, Type
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
 from repro.common.distance import (
     block_distances,
     centroid_scores,
@@ -152,7 +151,7 @@ def elkan_seed_rows(
     """
     sq = chunked_sq_distances(X_rows, centroids, counters)
     counters.add_point_accesses(sq.size)
-    labels = bm.argmin(sq, axis=1).astype(np.intp)
+    labels = np.argmin(sq, axis=1).astype(np.intp)
     dists = np.sqrt(sq)
     ub = dists[np.arange(len(X_rows)), labels].copy()
     counters.add_bound_updates(dists.size + len(X_rows))
@@ -252,7 +251,7 @@ def hamerly_seed_rows(
     """
     sq = chunked_sq_distances(X_rows, centroids, counters)
     counters.add_point_accesses(sq.size)
-    labels = bm.argmin(sq, axis=1).astype(np.intp)
+    labels = np.argmin(sq, axis=1).astype(np.intp)
     dists = np.sqrt(sq)
     n = len(X_rows)
     idx = np.arange(n)
@@ -306,10 +305,10 @@ def hamerly_assign_rows(
     # one_to_many_distances row, so argmin tie-breaking is preserved.
     counters.add_point_accesses(len(rescan) * k)
     dists = block_distances(X_rows[rescan], centroids, counters)
-    best = bm.argmin(dists, axis=1)
+    best = np.argmin(dists, axis=1)
     d1 = dists[np.arange(len(rescan)), best]
     if k > 1:
-        d2 = bm.partition(dists, 1, axis=1)[:, 1]
+        d2 = np.partition(dists, 1, axis=1)[:, 1]
     else:
         d2 = np.full(len(rescan), np.inf)
     labels[rescan] = best
@@ -442,11 +441,11 @@ def exact_group_cells(
     dists = np.full(survive.shape, np.inf)
     dists[srow, scol] = paired_distances(X_rows[srow], C_group[scol])
     second = (
-        bm.partition(dists, 1, axis=1)[:, 1]
+        np.partition(dists, 1, axis=1)[:, 1]
         if len(C_group) > 1
         else np.full(len(X_rows), np.inf)
     )
-    return dists.min(axis=1), bm.argmin(dists, axis=1), second
+    return dists.min(axis=1), np.argmin(dists, axis=1), second
 
 
 class VectorizedYinyangKMeans(YinyangKMeans):
@@ -792,10 +791,10 @@ class VectorizedIndexKMeans(IndexKMeans):
             counters.add_distances(int(frontier_masks.sum()))
             dists = block_distances(self._pivots[frontier_ranks], centroids)
             np.copyto(dists, np.inf, where=~frontier_masks)
-            best = bm.argmin(dists, axis=1)
+            best = np.argmin(dists, axis=1)
             d1 = dists[np.arange(m), best]
             d2 = (
-                bm.partition(dists, 1, axis=1)[:, 1]
+                np.partition(dists, 1, axis=1)[:, 1]
                 if k > 1
                 else np.full(m, np.inf)
             )
@@ -886,7 +885,7 @@ class VectorizedIndexKMeans(IndexKMeans):
             self._labels[self._perm[lo[pos] : hi[pos]]] = batch_best[pos]
         if len(leaf_winners):
             self._labels[leaf_idx] = leaf_winners
-            self._counts += bm.bincount(leaf_winners, minlength=k)
+            self._counts += np.bincount(leaf_winners, minlength=k)
 
     def _scan_leaves_batch(
         self, leaf_ranks: np.ndarray, leaf_masks: np.ndarray
@@ -938,7 +937,7 @@ class VectorizedIndexKMeans(IndexKMeans):
                 )
             )
             sq = chunked_sq_distances(points[rowpos], self._centroids[cand])
-            winners[rowpos] = cand[bm.argmin(sq, axis=1)]
+            winners[rowpos] = cand[np.argmin(sq, axis=1)]
         return points, idx, winners, offsets
 
 

@@ -108,13 +108,11 @@ def _materialize(
     backend: str = "reference",
     shards: int = 1,
     shard_policy=None,
-    array_backend: str = "numpy",
     shard_runner: str = "auto",
 ) -> KMeansAlgorithm:
     if isinstance(spec, str):
         return make_algorithm(
-            spec, backend=backend, array_backend=array_backend,
-            shards=shards, shard_policy=shard_policy,
+            spec, backend=backend, shards=shards, shard_policy=shard_policy,
             shard_runner=shard_runner,
         )
     if isinstance(spec, KnobConfig):
@@ -140,7 +138,6 @@ def run_algorithm(
     max_iter: int = PAPER_ITER_BUDGET,
     seed: int = 0,
     backend: str = "reference",
-    array_backend: str = "numpy",
     shards: int = 1,
     shard_policy=None,
     shard_runner: str = "auto",
@@ -161,10 +158,6 @@ def run_algorithm(
     bit-identical to the single-process vectorized run, so comparability
     is preserved there too.  :class:`KnobConfig` and factory specs carry
     their own construction and ignore backend, shards and shard_policy.
-    ``array_backend`` selects the array backend for string specs
-    (docs/array_backends.md): ``"numpy"`` keeps everything bit-identical;
-    accelerator backends (``"torch"``/...) are tolerance-tier and leave
-    counters untouched — the cost model is computed host-side either way.
 
     ``save_model`` optionally persists the *first* repeat's fitted model
     to a :class:`repro.serve.ModelRegistry` (an instance or a directory
@@ -194,7 +187,7 @@ def run_algorithm(
     results: List[KMeansResult] = []
     for centroids in initial_centroids:
         algorithm = _materialize(
-            spec, backend, shards, shard_policy, array_backend, shard_runner
+            spec, backend, shards, shard_policy, shard_runner
         )
         results.append(
             algorithm.fit(X, k, initial_centroids=centroids, max_iter=max_iter)
@@ -211,7 +204,7 @@ def run_algorithm(
         )
         key = registry.save_model(
             results[0], dataset=dataset, backend=backend,
-            array_backend=array_backend, shards=shards, seed=seed,
+            shards=shards, seed=seed,
         )
         record.extras["model_key"] = key
         record.extras["model_registry"] = str(registry.root)
@@ -257,7 +250,6 @@ def compare_algorithms(
     max_iter: int = PAPER_ITER_BUDGET,
     seed: int = 0,
     backend: str = "reference",
-    array_backend: str = "numpy",
     shards: int = 1,
     shard_policy=None,
     shard_runner: str = "auto",
@@ -276,8 +268,8 @@ def compare_algorithms(
             spec, X, k,
             initial_centroids=initial_centroids,
             repeats=repeats, max_iter=max_iter, seed=seed, backend=backend,
-            array_backend=array_backend, shards=shards,
-            shard_policy=shard_policy, shard_runner=shard_runner,
+            shards=shards, shard_policy=shard_policy,
+            shard_runner=shard_runner,
         )
         for spec in specs
     ]

@@ -24,7 +24,6 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, List, Optional, Tuple, Union
 
-from repro.backend import backend_manager
 from repro.common.exceptions import ValidationError
 from repro.common.validation import check_data_matrix, check_k
 from repro.core import BACKENDS
@@ -45,8 +44,7 @@ RunOutcome = Union[RunRecord, FailedRun]
 
 def _worker(item: Tuple, attempt: int) -> RunRecord:
     (spec, X, k, initial_centroids, repeats, max_iter, seed, key, fault_plan,
-     backend, array_backend, shards, shard_policy, shard_runner,
-     save_model, dataset) = item
+     backend, shards, shard_policy, shard_runner, save_model, dataset) = item
     if fault_plan is not None:
         fault_plan.apply(key, attempt)
     # Pool workers are daemonic and may not fork shard children; the
@@ -58,8 +56,8 @@ def _worker(item: Tuple, attempt: int) -> RunRecord:
         spec, X, k,
         initial_centroids=initial_centroids,
         repeats=repeats, max_iter=max_iter, seed=seed, backend=backend,
-        array_backend=array_backend, shards=shards, shard_policy=shard_policy,
-        shard_runner=shard_runner, save_model=save_model, dataset=dataset,
+        shards=shards, shard_policy=shard_policy, shard_runner=shard_runner,
+        save_model=save_model, dataset=dataset,
     )
 
 
@@ -81,7 +79,6 @@ def parallel_compare(
     resume: bool = False,
     fault_plan=None,
     backend: str = "reference",
-    array_backend: str = "numpy",
     shards: int = 1,
     shard_policy=None,
     shard_runner: str = "auto",
@@ -113,10 +110,6 @@ def parallel_compare(
       ``"vectorized"``; see ``docs/backends.md``).  Counters and
       trajectories are backend-invariant, so cells are resumable across
       backends; only wall-clock metrics differ.
-    * ``array_backend`` — array backend for the managed kernel math
-      (``"numpy"`` default; accelerator names are validated in the parent
-      before any worker starts, see docs/array_backends.md).  Each worker
-      process activates it for its own fits.
     * ``shards`` / ``shard_policy`` — with ``shards > 1`` (and
       ``backend="vectorized"``), each worker runs its fit through the
       sharded engine (``repro.exec.sharded``).  Because pool workers are
@@ -144,9 +137,6 @@ def parallel_compare(
         raise ValidationError(
             f"backend must be one of {BACKENDS}, got {backend!r}"
         )
-    # Fail fast in the parent: unknown/unavailable array backends raise a
-    # classified error here, not inside every pool worker.
-    backend_manager.get(array_backend)
     if resume and log is None:
         raise ValidationError("resume=True requires an EvaluationLog via log=")
     X = check_data_matrix(X)
@@ -182,8 +172,8 @@ def parallel_compare(
         ]
         items = [
             (specs[i], X, k, initial_centroids, repeats, max_iter, seed, keys[i],
-             fault_plan, backend, array_backend, shards, shard_policy,
-             shard_runner, save_model, dataset)
+             fault_plan, backend, shards, shard_policy, shard_runner,
+             save_model, dataset)
             for i in todo
         ]
         outcomes = supervised_map(

@@ -8,8 +8,8 @@ Three pieces (docs/serving.md):
   digests;
 * :mod:`repro.serve.predictor` — :class:`Predictor`, the warm-cache
   serving hot path answering batched one-to-many assignment through the
-  counted, ``bm``-routed exact kernels (bit-identical to training
-  assignment on NumPy);
+  counted, certified exact kernels (bit-identical to training
+  assignment);
 * :mod:`repro.serve.batching` — :class:`MicroBatcher`, the coalescing
   front end with per-request deadlines and graceful
   :class:`FailedRequest` degradation.

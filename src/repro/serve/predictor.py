@@ -8,16 +8,13 @@ registry entry's centroids.  Its contract mirrors training assignment:
   whose certificate proves each label equal to the argmin of the exact
   kernel (:func:`~repro.common.distance.chunked_sq_distances`,
   bit-identical to the scalar helpers), with near-ties recomputed by that
-  kernel and resolved by ``bm.argmin``'s explicit first-index tie-break —
-  the fit's own tie-breaking;
-* under the default ``numpy`` array backend every served label is
-  therefore **equal** to the label the fit itself would assign
-  against its final centroids — and for a *converged* fit the final
-  centroids are a fixed point of assignment, so served labels equal the
-  stored fit labels exactly (the round-trip identity the serving-smoke CI
-  job asserts);
-* accelerator array backends (torch / torch-cuda / cupy) are held to the
-  tolerance tier of docs/array_backends.md, same as training.
+  kernel and resolved by ``np.argmin``'s first-index tie-break — the
+  fit's own tie-breaking;
+* every served label is therefore **equal** to the label the fit itself
+  would assign against its final centroids — and for a *converged* fit
+  the final centroids are a fixed point of assignment, so served labels
+  equal the stored fit labels exactly (the round-trip identity the
+  serving-smoke CI job asserts).
 
 Payloads are loaded memory-mapped from the registry (``np.load`` with
 ``mmap_mode``): the label vector and any future large artifacts stay on
@@ -27,8 +24,7 @@ construction, so the steady-state request path never faults a page or
 re-reads the manifest.
 
 This module declares ``BACKEND_ROUTED = True``: the R008 backend-purity
-rule enforces that it reaches distance math only via the counted kernels
-and managed array ops only via ``bm``.
+rule enforces that it reaches distance math only via the counted kernels.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from repro.common.exceptions import ValidationError
 from repro.instrumentation.counters import OpCounters
 from repro.serve.registry import MODEL_KIND, ModelRegistry, RegistryEntry
 
-#: R008 contract: managed array math in this module must route through bm
+#: R008 contract: distance math in this module must use the counted kernels
 BACKEND_ROUTED = True
 
 

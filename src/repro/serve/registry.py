@@ -215,7 +215,6 @@ class ModelRegistry:
         *,
         dataset: str = "",
         backend: str = "reference",
-        array_backend: str = "numpy",
         shards: int = 1,
         seed: Optional[int] = None,
         extra_meta: Optional[Dict[str, Any]] = None,
@@ -238,7 +237,6 @@ class ModelRegistry:
             "sse": float(result.sse),
             "dataset": dataset,
             "backend": backend,
-            "array_backend": array_backend,
             "shards": int(shards),
             "seed": seed,
             "counters": dict(result.counters.as_dict()),

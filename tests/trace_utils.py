@@ -73,36 +73,21 @@ def traced_class(cls: Type[KMeansAlgorithm]) -> Type[KMeansAlgorithm]:
     return Traced
 
 
-def traced_algorithm(
-    name: str, backend: str, array_backend: str = "numpy"
-) -> KMeansAlgorithm:
+def traced_algorithm(name: str, backend: str) -> KMeansAlgorithm:
     """Build the traced algorithm instance one matrix cell replays.
 
-    The cell under test — (algorithm, execution backend, array backend) —
-    is fixed *here*, once, and :func:`capture_trace` just runs whatever
-    instance it is handed.  That keeps the replay helpers reusable across
-    the conformance matrix: new cells configure an instance instead of
+    The cell under test — (algorithm, execution backend) — is fixed
+    *here*, once, and :func:`capture_trace` just runs whatever instance it
+    is handed.  That keeps the replay helpers reusable across the
+    conformance matrix: new cells configure an instance instead of
     re-deriving classes at every call site.
     """
     algorithm = traced_class(_algorithm_class(name, backend))()
-    algorithm.array_backend = array_backend
     # The registry key, not ``algorithm.name`` (which can carry a variant
     # suffix, e.g. "index-ball-tree"): golden files are keyed by registry
     # name so replays on any backend compare against the same file.
     algorithm.trace_name = name
     return algorithm
-
-
-def require_array_backend(name: str) -> None:
-    """Skip (never silently pass) when an optional array backend is absent."""
-    import pytest
-
-    from repro.backend import BackendUnavailableError, backend_manager
-
-    try:
-        backend_manager.get(name)
-    except BackendUnavailableError as exc:
-        pytest.skip(f"array backend {name!r} unavailable: {exc.reason}")
 
 
 def capture_trace(
