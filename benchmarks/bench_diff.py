@@ -13,11 +13,6 @@ fail the diff, and entries present on only one side are reported as
 added/removed.  Absolute wall-clock is deliberately not compared: runner
 hardware varies between runs, but each report's speedups are ratios
 measured on one machine, so their drift is meaningful.
-
-Entries carrying ``ipc_bytes_per_iter`` (the sharded engine's data-plane
-cells) get a second table: per-iteration IPC bytes are hardware
-independent, so growth beyond the tolerance fails the diff even on
-single-core runners where the wall-clock gate is off.
 """
 
 from __future__ import annotations
@@ -81,69 +76,7 @@ def diff_reports(
             f"{name:<{width}}  {before:>8.2f}x  {after:>8.2f}x  "
             f"{delta:>+7.1%}  {status}"
         )
-    ipc_lines, ipc_regressions = _diff_ipc(
-        prev_algos, curr_algos, names, width, tolerance
-    )
-    if ipc_lines:
-        lines.append("")
-        lines.extend(ipc_lines)
-    regressions.extend(ipc_regressions)
     return "\n".join(lines), regressions
-
-
-def _diff_ipc(
-    prev_algos: Dict,
-    curr_algos: Dict,
-    names: List[str],
-    width: int,
-    tolerance: float,
-) -> Tuple[List[str], List[str]]:
-    """Compare ``ipc_bytes_per_iter`` where present (PR 10's data plane).
-
-    Per-iteration IPC bytes are deterministic — a pure function of the
-    engine's wire format, not of runner hardware — so growth beyond the
-    tolerance fails the diff even for entries whose wall-clock gate is
-    off (single-core runners).  Reports missing the field on either side
-    (pre-data-plane baselines) are reported informationally, never
-    failed: the diff must stay usable across the engine transition.
-    """
-    rows = [
-        name for name in names
-        if "ipc_bytes_per_iter" in prev_algos.get(name, {})
-        or "ipc_bytes_per_iter" in curr_algos.get(name, {})
-    ]
-    if not rows:
-        return [], []
-    header = (
-        f"{'ipc bytes/iter':<{width}}  {'previous':>9}  {'current':>9}  "
-        f"{'delta':>8}  status"
-    )
-    lines = [header, "-" * len(header)]
-    regressions: List[str] = []
-    for name in rows:
-        before = prev_algos.get(name, {}).get("ipc_bytes_per_iter")
-        after = curr_algos.get(name, {}).get("ipc_bytes_per_iter")
-        if before is None or after is None:
-            status = "added" if before is None else "removed"
-            lines.append(
-                f"{name:<{width}}  "
-                f"{'-' if before is None else before:>9}  "
-                f"{'-' if after is None else after:>9}  {'-':>8}  {status}"
-            )
-            continue
-        delta = (after - before) / before if before else 0.0
-        if delta > tolerance:
-            status = f"REGRESSED (>{tolerance:.0%} growth)"
-            regressions.append(
-                f"{name}: ipc bytes/iter grew {before} -> {after} "
-                f"({delta:+.1%}, tolerance +{tolerance:.0%})"
-            )
-        else:
-            status = "ok"
-        lines.append(
-            f"{name:<{width}}  {before:>9}  {after:>9}  {delta:>+7.1%}  {status}"
-        )
-    return lines, regressions
 
 
 def main(argv: List[str] | None = None) -> int:

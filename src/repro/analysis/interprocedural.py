@@ -1,4 +1,4 @@
-"""Interprocedural rules R007–R012: effects lifted through the call graph.
+"""Interprocedural rules R007–R011: effects lifted through the call graph.
 
 These rules consume the whole-project substrate (:mod:`.graph`,
 :mod:`.effects`) and prove the disciplines the sharded data-parallel
@@ -15,8 +15,8 @@ Reachability semantics (documented in docs/static_analysis.md):
 * R008, R010 and R011 traverse **direct** edges only — they assert a
   discipline about code the author actually wired together; fuzzy edges
   would drown them in every same-named method in the project.
-* R009 and R012 are intraprocedural dataflow (provenance inside one
-  function); they live here because they share the project walk.
+* R009 is intraprocedural dataflow (provenance inside one function); it
+  lives here because it shares the project walk.
 """
 
 from __future__ import annotations
@@ -45,13 +45,11 @@ from repro.analysis.suppressions import is_suppressed, parse_suppressions
 #: resolved-name suffixes recognized as pool-dispatch entry points
 POOL_DISPATCH_SUFFIXES = ("supervised_map", "supervised_call")
 
-#: module-level registry literals whose values are pool-dispatched
-#: indirectly (the sharded engine looks kernels up by name inside the
-#: worker, so the dispatch call site never names them — the registry is
-#: the ground truth for what runs in a worker process).  POOL_HANDLERS
-#: holds the persistent pool's command handlers: every entry is a
-#: long-lived worker's dispatch root, same contract.
-POOL_REGISTRY_NAMES = frozenset({"SHARD_KERNELS", "POOL_HANDLERS"})
+#: module-level registry literals whose values are dispatched indirectly
+#: (the sharded engine looks kernels up by name on its shard threads, so
+#: the dispatch call site never names them — the registry is the ground
+#: truth for what runs concurrently).
+POOL_REGISTRY_NAMES = frozenset({"SHARD_KERNELS"})
 
 #: bare function names treated as shard-merge sinks by R011
 MERGE_SINK_NAMES = frozenset({"accumulate_cluster_sums"})
@@ -863,170 +861,3 @@ def _unordered_reductions(
                         "hash order",
                     )
                     break
-
-
-# ----------------------------------------------------------------------
-# R012 — shm-name-provenance.
-# ----------------------------------------------------------------------
-
-
-@register
-class ShmNameProvenanceRule(ProjectRule):
-    """Shared-memory segment names must derive from the fit key, never
-    from RNG, time, or uuid.
-
-    The data plane's resume and leak-audit contracts both hang on
-    deterministic naming: ``segment_name(fit_token, ...)`` maps equal
-    fits to equal names, so a crashed fit's segments are findable (and
-    unlinkable) by recomputing the token, and a chaos test can assert
-    "no ``rpx*`` segment survives" without racing a random suffix.  A
-    name minted from ``uuid4()`` / ``time.time()`` / an RNG draw breaks
-    both: the orphan is unaddressable and the audit has nothing stable
-    to grep for.  Provenance is the same forward dataflow as R009:
-    parameters are clean roots, locals inherit taint from the
-    entropy-bearing expressions they are assigned from, and the rule
-    fires when a tainted name reaches a naming sink — a
-    ``segment_name(...)`` call or a ``SharedMemory(name=..., create=True)``
-    construction.
-    """
-
-    rule_id = "R012"
-    name = "shm-name-provenance"
-    description = (
-        "shared-memory segment name derives from RNG/time/uuid instead of "
-        "the deterministic fit key"
-    )
-
-    #: dotted-call prefixes whose results carry entropy taint
-    _TAINT_PREFIXES = (
-        "time.", "uuid.", "random.", "secrets.", "numpy.random.",
-    )
-    _TAINT_TAILS = ("urandom", "monotonic", "time_ns", "perf_counter")
-
-    def check_project(
-        self, project: Project, graph: CallGraph, direct: DirectEffects
-    ) -> Iterator[Finding]:
-        for qualname in sorted(project.functions):
-            info = project.functions[qualname]
-            module = project.modules[info.module]
-            yield from self._check_function(module, info)
-
-    def _check_function(
-        self, module: ParsedModule, info: FunctionInfo
-    ) -> Iterator[Finding]:
-        tainted = self._tainted_locals(module, info)
-        for node in _body_nodes(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            name_expr, sink = self._sink_name_expr(module, node)
-            if name_expr is None:
-                continue
-            reason = self._taint_reason(module, name_expr, tainted)
-            if reason is not None:
-                yield _module_finding(
-                    self, module, node.lineno, node.col_offset,
-                    f"segment name passed to {sink} derives from {reason}; "
-                    "shm names must be a pure function of the fit key "
-                    "(repro.exec.checkpoint.fit_token) so crashed fits "
-                    "stay addressable and leak audits stay deterministic",
-                )
-
-    # -- sinks ----------------------------------------------------------
-
-    def _sink_name_expr(
-        self, module: ParsedModule, call: ast.Call
-    ) -> Tuple[Optional[ast.AST], str]:
-        resolved = resolve_name(module.aliases, call.func)
-        tail = (
-            resolved.rsplit(".", 1)[-1] if resolved is not None
-            else call.func.id if isinstance(call.func, ast.Name)
-            else call.func.attr if isinstance(call.func, ast.Attribute)
-            else None
-        )
-        if tail == "segment_name":
-            for keyword in call.keywords:
-                if keyword.arg == "fit_token":
-                    return keyword.value, "segment_name()"
-            if call.args:
-                return call.args[0], "segment_name()"
-            return None, ""
-        if tail == "SharedMemory" and self._creates_segment(call):
-            for keyword in call.keywords:
-                if keyword.arg == "name":
-                    return keyword.value, "SharedMemory(create=True)"
-            if call.args:
-                return call.args[0], "SharedMemory(create=True)"
-        return None, ""
-
-    @staticmethod
-    def _creates_segment(call: ast.Call) -> bool:
-        for keyword in call.keywords:
-            if keyword.arg == "create":
-                return (
-                    isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is True
-                )
-        return False
-
-    # -- taint ----------------------------------------------------------
-
-    def _expr_taint(
-        self, module: ParsedModule, expr: ast.AST, tainted: Set[str]
-    ) -> Optional[str]:
-        """The entropy source an expression depends on, or ``None``."""
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                resolved = resolve_name(module.aliases, node.func)
-                if resolved is not None:
-                    tail = resolved.rsplit(".", 1)[-1]
-                    if (
-                        resolved.startswith(self._TAINT_PREFIXES)
-                        or tail in self._TAINT_TAILS
-                    ):
-                        return f"{resolved}()"
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in RNG_METHODS
-                    and _is_rng_shaped(func.value)
-                ):
-                    return f"an RNG draw (.{func.attr}())"
-            elif isinstance(node, ast.Name) and node.id in tainted:
-                return f"{node.id!r} (entropy-tainted local)"
-        return None
-
-    def _tainted_locals(
-        self, module: ParsedModule, info: FunctionInfo
-    ) -> Set[str]:
-        """Locals carrying entropy taint (forward fixpoint, mirror of
-        :func:`_provenance_locals` with the polarity flipped)."""
-        tainted: Set[str] = set()
-        changed = True
-        passes = 0
-        while changed and passes < 8:
-            changed = False
-            passes += 1
-            for node in _body_nodes(info.node):
-                targets: List[ast.AST] = []
-                value: Optional[ast.AST] = None
-                if isinstance(node, ast.Assign):
-                    targets, value = list(node.targets), node.value
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    targets, value = [node.target], node.value
-                elif isinstance(node, ast.AugAssign):
-                    targets, value = [node.target], node.value
-                if value is None:
-                    continue
-                if self._expr_taint(module, value, tainted) is None:
-                    continue
-                for target in targets:
-                    for leaf in ast.walk(target):
-                        if isinstance(leaf, ast.Name) and leaf.id not in tainted:
-                            tainted.add(leaf.id)
-                            changed = True
-        return tainted
-
-    def _taint_reason(
-        self, module: ParsedModule, name_expr: ast.AST, tainted: Set[str]
-    ) -> Optional[str]:
-        return self._expr_taint(module, name_expr, tainted)

@@ -689,7 +689,7 @@ class SwallowedExceptionRule(Rule):
 
 def all_rule_ids() -> Tuple[str, ...]:
     """Every registered rule id, sorted.  The interprocedural rules
-    (R007–R012) register when :mod:`repro.analysis.interprocedural` is
+    (R007–R011) register when :mod:`repro.analysis.interprocedural` is
     imported, so the package ``__init__`` — which imports both modules —
     exposes the completed tuple as ``repro.analysis.ALL_RULE_IDS``."""
     return tuple(sorted(RULES))

@@ -58,7 +58,7 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
 def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=1,
                         help="split the assignment phase across this many "
-                             "supervised worker processes; requires "
+                             "shards, run on threads in-process; requires "
                              "--backend vectorized and results stay "
                              "bit-identical (see docs/sharding.md)")
     parser.add_argument("--shard-policy", default="strict",
@@ -67,16 +67,6 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
                              "raise, re-run it inline (bit-identical), or "
                              "finish from survivors with a DegradedIteration "
                              "record")
-    parser.add_argument("--shard-runner", default="auto",
-                        choices=["auto", "process", "inline"],
-                        help="how shard commands execute: 'inline' runs them "
-                             "on threads in-process, one per shard up to the "
-                             "core count; 'process' uses the persistent worker "
-                             "pool over the shared-memory data plane, which "
-                             "can kill a hung shard; 'auto' (default) picks "
-                             "'inline' unless a shard timeout or a kill/hang "
-                             "fault needs a process and spawning is allowed "
-                             "(see docs/sharding.md)")
 
 
 def _check_shard_arguments(args: argparse.Namespace, names) -> Optional[str]:
@@ -133,7 +123,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     algorithm = make_algorithm(
         args.algorithm, backend=args.backend, shards=args.shards,
         shard_policy=args.shard_policy if args.shards > 1 else None,
-        shard_runner=args.shard_runner,
     )
     result = algorithm.fit(X, args.k, max_iter=args.max_iter, seed=args.seed)
     summary = result.summary()
@@ -190,7 +179,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         seed=args.seed, backend=args.backend,
         shards=args.shards,
         shard_policy=args.shard_policy if args.shards > 1 else None,
-        shard_runner=args.shard_runner,
     )
     table = speedup_table(records)
     rows = format_speedup_rows(table, order=names)
@@ -299,7 +287,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 resume=args.resume, fault_plan=plan, backend=args.backend,
                 shards=args.shards,
                 shard_policy=args.shard_policy if args.shards > 1 else None,
-                shard_runner=args.shard_runner,
                 save_model=args.save_model,
             )
             for record in records:
@@ -411,7 +398,6 @@ def _cmd_registry(args: argparse.Namespace) -> int:
         algorithm = make_algorithm(
             args.algorithm, backend=args.backend, shards=args.shards,
             shard_policy=args.shard_policy if args.shards > 1 else None,
-            shard_runner=args.shard_runner,
         )
         result = algorithm.fit(X, args.k, max_iter=args.max_iter, seed=args.seed)
         key = registry.save_model(

@@ -69,14 +69,6 @@ class CheckpointError(ReproError, RuntimeError):
     centroid digest that disagrees with the replayed trajectory)."""
 
 
-class ShmIntegrityError(ReproError, RuntimeError):
-    """A shared-memory data-plane segment failed header validation on
-    attach (bad magic/version, mismatched dtype/shape, or a payload CRC
-    that disagrees with the publisher's stamp).  Attaching to a segment
-    the supervisor did not publish for this fit must fail loudly, never
-    silently compute on foreign bytes."""
-
-
 class RegistryError(ReproError, RuntimeError):
     """Base class for model-registry failures (``repro.serve.registry``):
     unknown keys, malformed manifests, unusable payload files."""

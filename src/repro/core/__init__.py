@@ -98,7 +98,7 @@ BACKENDS = ("reference", "vectorized")
 
 def make_algorithm(
     name: str, *, backend: str = "reference", shards: int = 1,
-    shard_policy=None, shard_runner: str = "auto", **kwargs
+    shard_policy=None, **kwargs
 ) -> KMeansAlgorithm:
     """Instantiate an algorithm by registry name.
 
@@ -117,12 +117,9 @@ def make_algorithm(
     ``backend="vectorized"`` (the shard kernels *are* the vectorized
     kernels) and an algorithm with a sharded implementation;
     ``shard_policy`` picks the failure policy (``strict`` / ``recompute``
-    / ``degrade``), ``shard_runner`` picks where shards run (``inline``
-    threads, ``process`` workers, or ``auto``, which takes ``inline``
-    unless a shard timeout or kill/hang fault needs a process;
-    docs/sharding.md), and further
-    engine knobs (``execution``, ``fault_plan``, ``checkpoint``) pass
-    through ``kwargs``.
+    / ``degrade``; docs/sharding.md), and further engine knobs
+    (``execution``, ``fault_plan``, ``checkpoint``) pass through
+    ``kwargs``.
     """
     key = name.lower()
     if key not in ALGORITHMS:
@@ -140,7 +137,6 @@ def make_algorithm(
         # vectorized module, and most callers never shard.
         from repro.exec.sharded import make_sharded_algorithm
 
-        kwargs.setdefault("runner", shard_runner)
         return make_sharded_algorithm(
             key, shards=max(1, int(shards)),
             shard_policy=shard_policy if shard_policy is not None else "strict",

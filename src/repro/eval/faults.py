@@ -58,9 +58,9 @@ class InjectedFaultError(ReproError):
 class Fault:
     """One injection rule: what to do, which runs it hits, how often.
 
-    ``shard`` and ``iteration`` narrow the rule to shard workers of the
+    ``shard`` and ``iteration`` narrow the rule to shard commands of the
     sharded execution engine (``repro.exec.sharded``): a constrained rule
-    only fires through :meth:`FaultPlan.apply_shard` when the worker's
+    only fires through :meth:`FaultPlan.apply_shard` when the command's
     shard rank / refinement iteration match, and never through the plain
     harness-level :meth:`FaultPlan.apply` path.
     """
@@ -98,7 +98,7 @@ class Fault:
 
     @property
     def shard_scoped(self) -> bool:
-        """True when the rule only applies inside shard workers."""
+        """True when the rule only applies inside shard commands."""
         return self.shard is not None or self.iteration is not None
 
     def matches_shard(self, shard: int, iteration: int) -> bool:
@@ -138,7 +138,7 @@ class FaultPlan:
         engine (see :class:`Fault`).  ``rate:<p>`` and ``seed:<s>`` items
         configure the pseudo-random mode.  Example::
 
-            transient:hamerly:2,hang:lloyd,kill:elkan:shard=1:iter=2,rate:0.1
+            transient:hamerly:2,hang:lloyd,raise:elkan:shard=1:iter=2,rate:0.1
         """
         faults: List[Fault] = []
         rate = 0.0
@@ -242,15 +242,17 @@ class FaultPlan:
     def apply_shard(
         self, key: RunKey, *, shard: int, iteration: int, attempt: int
     ) -> None:
-        """Trigger matching faults inside one shard worker.
+        """Trigger matching faults inside one shard command.
 
-        Called by ``repro.exec.sharded``'s worker entry before the
+        Called by ``repro.exec.sharded``'s shard entry before the
         assignment kernel runs.  Every rule that matches the run key *and*
         the (shard, iteration) scope fires — unscoped rules hit every
         shard, so e.g. ``transient:lloyd`` exercises the retry path on all
-        of them, while ``kill:lloyd:shard=1:iter=2`` is surgical.
+        of them, while ``raise:lloyd:shard=1:iter=2`` is surgical.
         ``times`` counts per-(shard, iteration) attempts, which is exactly
-        the supervised pool's retry counter for that shard task.
+        the shard runner's retry counter for that shard command.  The
+        engine refuses ``hang``/``kill`` rules at construction: they
+        would wedge or kill the fitting process itself.
         """
         where = f"{key} shard {shard} iter {iteration}"
         for fault in self.for_key(key):

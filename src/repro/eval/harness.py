@@ -108,12 +108,10 @@ def _materialize(
     backend: str = "reference",
     shards: int = 1,
     shard_policy=None,
-    shard_runner: str = "auto",
 ) -> KMeansAlgorithm:
     if isinstance(spec, str):
         return make_algorithm(
-            spec, backend=backend, shards=shards, shard_policy=shard_policy,
-            shard_runner=shard_runner,
+            spec, backend=backend, shards=shards, shard_policy=shard_policy
         )
     if isinstance(spec, KnobConfig):
         return build_algorithm(spec)
@@ -140,7 +138,6 @@ def run_algorithm(
     backend: str = "reference",
     shards: int = 1,
     shard_policy=None,
-    shard_runner: str = "auto",
     save_model=None,
     dataset: str = "",
 ) -> RunRecord:
@@ -186,9 +183,7 @@ def run_algorithm(
         raise ValidationError("initial_centroids must contain at least one seeding")
     results: List[KMeansResult] = []
     for centroids in initial_centroids:
-        algorithm = _materialize(
-            spec, backend, shards, shard_policy, shard_runner
-        )
+        algorithm = _materialize(spec, backend, shards, shard_policy)
         results.append(
             algorithm.fit(X, k, initial_centroids=centroids, max_iter=max_iter)
         )
@@ -252,7 +247,6 @@ def compare_algorithms(
     backend: str = "reference",
     shards: int = 1,
     shard_policy=None,
-    shard_runner: str = "auto",
 ) -> List[RunRecord]:
     """Run several algorithms on the same task with shared initializations."""
     X = check_data_matrix(X)
@@ -269,7 +263,6 @@ def compare_algorithms(
             initial_centroids=initial_centroids,
             repeats=repeats, max_iter=max_iter, seed=seed, backend=backend,
             shards=shards, shard_policy=shard_policy,
-            shard_runner=shard_runner,
         )
         for spec in specs
     ]

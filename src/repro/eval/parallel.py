@@ -44,19 +44,19 @@ RunOutcome = Union[RunRecord, FailedRun]
 
 def _worker(item: Tuple, attempt: int) -> RunRecord:
     (spec, X, k, initial_centroids, repeats, max_iter, seed, key, fault_plan,
-     backend, shards, shard_policy, shard_runner, save_model, dataset) = item
+     backend, shards, shard_policy, save_model, dataset) = item
     if fault_plan is not None:
         fault_plan.apply(key, attempt)
-    # Pool workers are daemonic and may not fork shard children; the
-    # sharded engine detects this and runs its shards inline (sequential,
-    # same rank-order merge — still bit-identical).  Registry saves from
-    # concurrent workers are safe: payload paths are content-keyed and
-    # manifest appends are flock-serialized (see repro.serve.registry).
+    # A sharded fit runs its shards on threads inside this worker, with
+    # the same rank-order merge, so results stay bit-identical to the
+    # serial harness.  Registry saves from concurrent workers are safe:
+    # payload paths are content-keyed and manifest appends are
+    # flock-serialized (see repro.serve.registry).
     return run_algorithm(
         spec, X, k,
         initial_centroids=initial_centroids,
         repeats=repeats, max_iter=max_iter, seed=seed, backend=backend,
-        shards=shards, shard_policy=shard_policy, shard_runner=shard_runner,
+        shards=shards, shard_policy=shard_policy,
         save_model=save_model, dataset=dataset,
     )
 
@@ -81,7 +81,6 @@ def parallel_compare(
     backend: str = "reference",
     shards: int = 1,
     shard_policy=None,
-    shard_runner: str = "auto",
     save_model=None,
 ) -> List[RunOutcome]:
     """Run several algorithm specs concurrently on the same task.
@@ -112,10 +111,10 @@ def parallel_compare(
       backends; only wall-clock metrics differ.
     * ``shards`` / ``shard_policy`` — with ``shards > 1`` (and
       ``backend="vectorized"``), each worker runs its fit through the
-      sharded engine (``repro.exec.sharded``).  Because pool workers are
-      daemonic, shards execute inline inside the worker — the merge
-      discipline is identical, so results remain bit-identical and
-      resumable against single-process cells.
+      sharded engine (``repro.exec.sharded``), whose shards run on
+      threads inside the worker — the merge discipline is identical, so
+      results remain bit-identical and resumable against single-process
+      cells.
     * ``save_model`` — a :class:`repro.serve.ModelRegistry` (or directory
       path) each worker persists its first-repeat fitted model to.  The
       registry tolerates concurrent workers by design (content-keyed
@@ -172,8 +171,7 @@ def parallel_compare(
         ]
         items = [
             (specs[i], X, k, initial_centroids, repeats, max_iter, seed, keys[i],
-             fault_plan, backend, shards, shard_policy, shard_runner,
-             save_model, dataset)
+             fault_plan, backend, shards, shard_policy, save_model, dataset)
             for i in todo
         ]
         outcomes = supervised_map(

@@ -55,11 +55,9 @@ RUN_KEY_FIELDS = ("algorithm", "dataset", "n", "d", "k", "seed", "max_iter")
 #: status literal stored on failed records in the evaluation log
 FAILED_STATUS = "failed"
 
-#: how often a supervisor polls worker pipes and deadlines (seconds);
-#: shared by :func:`supervised_map` and the persistent worker pool
-#: (:mod:`repro.exec.pool`), which reuses this module as its substrate
-POLL_INTERVAL = 0.02
-_POLL_INTERVAL = POLL_INTERVAL
+#: how often :func:`supervised_map` polls worker pipes and deadlines
+#: (seconds)
+_POLL_INTERVAL = 0.02
 
 #: placeholder for a result slot whose task has not finished; distinct from
 #: None so workers may legitimately return None (see supervised_map's
@@ -253,9 +251,8 @@ class _Task:
 def terminate_process(proc, conn=None) -> None:
     """Tear down one worker process and its pipe (terminate, then kill).
 
-    The escalation ladder every supervisor in the project uses: SIGTERM
-    with a grace period, then SIGKILL.  Shared by :func:`supervised_map`
-    and the persistent worker pool (:mod:`repro.exec.pool`).
+    The escalation ladder :func:`supervised_map` uses: SIGTERM with a
+    grace period, then SIGKILL.
     """
     if proc is not None and proc.is_alive():
         proc.terminate()

@@ -1,18 +1,14 @@
 """Execution engines layered above the core algorithms.
 
 ``repro.exec.sharded`` runs the assignment phase of the vectorized
-algorithms across a persistent supervised worker pool
-(``repro.exec.pool``) over a zero-copy shared-memory data plane
-(``repro.exec.shm``), with deterministic bit-identical merging and
-configurable failure policies; ``repro.exec.checkpoint`` persists
-per-iteration shard state so interrupted fits resume.  See
-docs/sharding.md.
+algorithms concurrently on shard threads against the fitting process's
+own arrays, with deterministic bit-identical merging and configurable
+failure policies; ``repro.exec.checkpoint`` persists per-iteration shard
+state so interrupted fits resume.  See docs/sharding.md.
 """
 
 from repro.exec.checkpoint import ShardCheckpoint, fit_token
-from repro.exec.pool import WorkerPool
 from repro.exec.sharded import (
-    POOL_HANDLERS,
     SHARD_KERNELS,
     SHARD_POLICY_MODES,
     SHARDED_ALGORITHMS,
@@ -24,11 +20,9 @@ from repro.exec.sharded import (
     make_sharded_algorithm,
     shard_bounds,
 )
-from repro.exec.shm import ShmArraySpec, ShmLease, attach_shm_array, segment_name
 
 __all__ = [
     "DegradedIteration",
-    "POOL_HANDLERS",
     "SHARD_KERNELS",
     "SHARDED_ALGORITHMS",
     "SHARD_POLICY_MODES",
@@ -37,12 +31,7 @@ __all__ = [
     "ShardedElkanKMeans",
     "ShardedHamerlyKMeans",
     "ShardedLloydKMeans",
-    "ShmArraySpec",
-    "ShmLease",
-    "WorkerPool",
-    "attach_shm_array",
     "fit_token",
     "make_sharded_algorithm",
-    "segment_name",
     "shard_bounds",
 ]

@@ -62,10 +62,8 @@ def fit_token(
 ) -> str:
     """Identity of one sharded fit; equal tokens replay bit-identically.
 
-    Doubles as the naming root of the fit's shared-memory data plane
-    (:func:`repro.exec.shm.segment_name`): a pure content digest, so
-    segment names are deterministic across replays — never RNG or time
-    (the R012 analysis rule enforces this).
+    A pure content digest of the fit's inputs — never RNG or time — so an
+    interrupted fit re-run with the same inputs finds its checkpoint.
     """
     n, d = X.shape
     k = len(initial_centroids)

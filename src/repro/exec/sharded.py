@@ -8,40 +8,16 @@ results in fixed shard-rank order so the fitted model is
 **bit-identical** to the single-process vectorized backend regardless of
 shard completion order.
 
-Runners
--------
-Two runners execute the same shard command path
-(:func:`execute_shard_command`):
-
-* ``inline`` (what ``auto`` resolves to by default): one thread per shard,
-  capped at ``os.cpu_count()``, against the supervisor's own arrays.  The
-  kernels spend their time in NumPy calls that release the GIL, and the
-  point matrix is shared by reference, so per-iteration communication is
-  the O(k·d) centroid broadcast with no IPC at all.  A thread cannot be
-  killed, so ``kill``/``hang`` faults are refused here.
-* ``process``: a persistent worker pool over a shared-memory data plane
-  (below).  ``auto`` picks it only when a shard must be killable — an
-  ``ExecutionPolicy.timeout`` is set, or the fault plan holds a
-  ``kill``/``hang`` rule — and the supervisor may spawn children.
-
-Control plane vs data plane (process runner)
---------------------------------------------
-The process runner is split into two planes so per-iteration IPC is
-O(k·d), not O(n·d):
-
-* **Data plane** (:mod:`repro.exec.shm`): the point matrix and the
-  per-shard persistent state (labels, upper/lower bounds, the epoch
-  vector) are published **once per fit** into CRC-stamped shared-memory
-  segments.  Workers attach read-only to the points and read-write to
-  the state; each shard's command names a disjoint row range, so worker
-  writes land directly at their fixed offsets — the rank-order merge
-  discipline, now with zero copies.
-* **Control plane** (:mod:`repro.exec.pool`): a persistent supervised
-  worker pool, spawned **once per fit**, carries only the per-iteration
-  centroid broadcast (plus the O(k²) separation context for Elkan) and
-  the O(1) result envelopes.  Exact traffic is accounted by the pool's
-  :class:`~repro.instrumentation.TransportCounters` and surfaced through
-  the fit result's ``extras["ipc"]``.
+Runner
+------
+Shard commands (:func:`execute_shard_command`) run concurrently on
+threads, one per shard, capped at ``os.cpu_count()``, against the fitting
+process's own arrays.  The kernels spend their time in NumPy calls that
+release the GIL, and the point matrix is shared by reference, so
+per-iteration communication is the O(k·d) centroid broadcast with no IPC
+at all.  A thread cannot be killed, so ``kill``/``hang`` faults and a set
+``ExecutionPolicy.timeout`` are refused at construction; the batch's
+``max_total_time`` is the deadline the engine honours.
 
 Determinism contract
 --------------------
@@ -65,19 +41,17 @@ Three disciplines carry the bit-identity guarantee:
 
 Failure handling
 ----------------
-Shard commands inherit the robustness runtime under both runners:
+Shard commands inherit the robustness runtime:
 :class:`~repro.common.exceptions.TransientError` retries with
 deterministic CRC32 backoff and the batch's ``max_total_time`` deadline.
-The process runner adds per-command wall-clock deadlines (a hung
-long-lived worker is killed and respawned) and crash containment with
-setup replay on respawn.  What happens when a shard fails *terminally* is the
+What happens when a shard fails *terminally* is the
 :class:`ShardFailurePolicy`:
 
 ``strict``
     Raise :class:`~repro.common.exceptions.ShardFailedError` carrying the
     shard rank, iteration, and classified error type.
 ``recompute``
-    Re-run each lost shard's command inline in the supervisor on the
+    Re-run each lost shard's command on the calling thread against the
     shared state — bit-identical recovery, guarded by the *epoch
     protocol* below.
 ``degrade``
@@ -89,10 +63,10 @@ setup replay on respawn.  What happens when a shard fails *terminally* is the
 
 Epoch protocol
 ~~~~~~~~~~~~~~
-Because workers mutate shared state in place, a worker dying *mid-kernel*
-could leave its slice torn.  Each command brackets its kernel with writes
-to a per-shard epoch slot: ``-(iteration + 2)`` before the kernel,
-``iteration`` after the write-back.  Injected faults
+Because shard kernels mutate shared state in place, a kernel that raises
+*mid-write* could leave its slice torn.  Each command brackets its kernel
+with writes to a per-shard epoch slot: ``-(iteration + 2)`` before the
+kernel, ``iteration`` after the write-back.  Injected faults
 (:meth:`~repro.eval.faults.FaultPlan.apply_shard`) fire *before* the
 dirty mark, so chaos recovery always sees clean state and stays
 bit-identical.  A genuinely torn slice (``epoch <= -2``) makes
@@ -104,16 +78,13 @@ stateless so its next pass reseeds from scratch.
 Checkpointing: pass ``checkpoint=<path>`` to durably record each
 iteration's post-assignment state (:mod:`repro.exec.checkpoint`); an
 interrupted fit re-run with the same inputs replays the stored prefix and
-resumes live — including across a pool restart — reproducing the
-identical final model.
+resumes live, reproducing the identical final model.
 
-See docs/sharding.md for the full lifecycle, segment layout, and policy
-decision table.
+See docs/sharding.md for the policy decision table.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
@@ -144,22 +115,17 @@ from repro.exec.checkpoint import (
     ShardCheckpoint,
     array_crc,
     encode_labels,
-    fit_token,
     shard_state_from_record,
     validate_record,
 )
-from repro.exec.pool import WorkerPool
-from repro.exec.shm import ShmLease, attach_shm_array
 from repro.instrumentation.counters import OpCounters
 from repro.eval.runtime import ExecutionPolicy, FailedRun, RunKey
 
 SHARD_POLICY_MODES = ("strict", "recompute", "degrade")
 
-SHARD_RUNNERS = ("auto", "process", "inline")
-
-#: fault kinds only a worker process can contain: ``kill`` exits the
-#: process it fires in and ``hang`` never returns, so in-process they
-#: would take down or wedge the supervisor itself
+#: fault kinds no shard thread can contain: ``kill`` exits the process it
+#: fires in and ``hang`` never returns, so they would take down or wedge
+#: the fitting process itself
 PROCESS_ONLY_FAULTS = ("hang", "kill")
 
 #: epoch values <= this mark a shard slice as torn (kernel started, never
@@ -251,16 +217,15 @@ class DegradedIteration:
 
 
 # ----------------------------------------------------------------------
-# Worker side.
+# Shard side.
 #
-# Everything below runs inside the persistent pool workers (or on the
-# inline runner's shard threads in the supervisor).  The functions are module-level
-# and registered in SHARD_KERNELS / POOL_HANDLERS so they are picklable
-# under every start method and discoverable as pool-dispatch roots by the
-# R007 parallel-safety rule.  Kernels operate *in place* on views of the
-# shared data plane: each command names a disjoint row range, so direct
-# mutation IS the rank-order merge, and the epoch protocol (module
-# docstring) detects the only hazard — a kernel that dies mid-write.
+# Everything below runs on the shard threads (and, for recompute, on the
+# calling thread).  The kernels are module-level and registered in
+# SHARD_KERNELS, so the R007 parallel-safety rule discovers them as
+# dispatch roots.  Kernels operate *in place* on views of the shared
+# arrays: each command names a disjoint row range, so direct mutation IS
+# the rank-order merge, and the epoch protocol (module docstring) detects
+# the only hazard — a kernel that dies mid-write.
 # ----------------------------------------------------------------------
 
 
@@ -324,10 +289,10 @@ def hamerly_shard_kernel(
     return {"labels": labels, "ub": ub, "lb": lb}
 
 
-#: Registry of shard assignment kernels.  Values are the worker-side entry
-#: points dispatched through the persistent pool; the R007 parallel-safety
-#: rule discovers them from this literal and lints them (and their callees)
-#: like any other pool-dispatch root.
+#: Registry of shard assignment kernels.  Shard threads run them
+#: concurrently, so the R007 parallel-safety rule discovers them from this
+#: literal and lints them (and their callees) like any other dispatch
+#: root.
 SHARD_KERNELS = {
     "lloyd": lloyd_shard_kernel,
     "elkan_seed": elkan_seed_shard_kernel,
@@ -344,11 +309,11 @@ STATE_READING_KERNELS = frozenset({"elkan", "hamerly"})
 def build_shard_payload(
     arrays: Dict[str, np.ndarray], command: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Assemble one kernel's payload from data-plane views + the command.
+    """Assemble one kernel's payload from shared-array views + the command.
 
-    The bulk inputs (``X``, state slices) are *views* of the attached
-    arrays; only the centroids and the O(k²) context arrive through the
-    command — this is the O(k·d)-per-iteration property in code form.
+    The bulk inputs (``X``, state slices) are *views* of the fit's arrays;
+    only the centroids and the O(k²) context arrive through the command —
+    this is the O(k·d)-per-iteration property in code form.
     """
     lo, hi = command["lo"], command["hi"]
     kernel = command["kernel"]
@@ -371,7 +336,7 @@ def execute_shard_command(
     command: Dict[str, Any],
     counters: OpCounters,
 ) -> Dict[str, Any]:
-    """Run one shard command against the data plane (worker or inline).
+    """Run one shard command against the fit's shared arrays.
 
     Applies targeted faults first (so injected chaos never tears state),
     brackets the kernel with the epoch protocol's dirty/clean marks, and
@@ -388,9 +353,8 @@ def execute_shard_command(
             iteration=iteration,
             attempt=command.get("attempt", 1),
         )
-    epoch = arrays.get("epoch")
-    if epoch is not None:
-        epoch[rank] = -(iteration + 2)
+    epoch = arrays["epoch"]
+    epoch[rank] = -(iteration + 2)
     payload = build_shard_payload(arrays, command)
     out = SHARD_KERNELS[command["kernel"]](payload, counters)
     lo, hi = command["lo"], command["hi"]
@@ -402,47 +366,8 @@ def execute_shard_command(
         window = target[lo:hi]
         if not np.shares_memory(value, window):
             window[...] = value
-    if epoch is not None:
-        epoch[rank] = iteration
+    epoch[rank] = iteration
     return {"shard": rank}
-
-
-def pool_attach_handler(state: Dict[str, Any], message: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool setup prologue: attach this worker to the fit's data plane.
-
-    Replayed into respawned workers by the pool, so a killed worker
-    re-attaches before its slot is reused.  Views are parked in the
-    worker-local ``state`` dict; segment handles are kept alive beside
-    them and closed by the worker loop on shutdown.
-    """
-    for role in sorted(message["specs"]):
-        view, segment = attach_shm_array(message["specs"][role])
-        state["arrays"][role] = view
-        state["segments"].append(segment)
-    return {"attached": sorted(message["specs"])}
-
-
-def pool_run_handler(state: Dict[str, Any], message: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool steady-state command: one shard kernel against attached state.
-
-    Counters start from zero per command; the supervisor merges them in
-    shard-rank order (integer accumulation, so totals equal the
-    single-process charge exactly).
-    """
-    counters = OpCounters()
-    out = execute_shard_command(state["arrays"], message, counters)
-    out["counters"] = counters
-    return out
-
-
-#: Command handlers of the persistent shard worker pool.  Values are the
-#: worker-side dispatch roots the R007 parallel-safety rule walks (their
-#: whole callee closure, including SHARD_KERNELS, is linted for hidden
-#: global mutation).
-POOL_HANDLERS = {
-    "attach": pool_attach_handler,
-    "run": pool_run_handler,
-}
 
 
 def _settle_shard_command(
@@ -452,12 +377,11 @@ def _settle_shard_command(
     policy: ExecutionPolicy,
     deadline: Optional[float],
 ) -> Any:
-    """Run one shard command in-process to a settled outcome.
+    """Run one shard command to a settled outcome.
 
-    The pool's settle semantics without the process: transient failures
-    retry with the same deterministic backoff until ``policy.retries`` or
-    the shared ``deadline`` runs out, and any other exception degrades to
-    a classified :class:`FailedRun`.
+    Transient failures retry with deterministic backoff until
+    ``policy.retries`` or the shared ``deadline`` runs out, and any other
+    exception degrades to a classified :class:`FailedRun`.
     """
     started = time.monotonic()
     attempt = 1
@@ -494,7 +418,7 @@ def _settle_shard_command(
                 attempts=attempt,
                 elapsed=time.monotonic() - started,
             )
-        except Exception as exc:  # mirror the pool's classification
+        except Exception as exc:  # classified, like supervised_map's
             return FailedRun(
                 key=key,
                 error_type=type(exc).__name__,
@@ -516,7 +440,7 @@ def _settle_shard_stride(
 ) -> None:
     """Settle commands ``first, first + step, ...`` into their result slots.
 
-    The thread target of the inline runner.  Each slot is written by
+    The shard threads' target.  Each slot is written by
     exactly one thread, and each command's kernel writes only its own
     shard's rows of the shared state, so threads share nothing mutable.
     """
@@ -533,22 +457,21 @@ def _run_inline(
     *,
     policy: ExecutionPolicy,
 ) -> List[Any]:
-    """In-process runner: shard commands run concurrently on threads.
+    """Run shard commands concurrently on threads.
 
-    Runs the *same* command path as the pool workers against the
-    supervisor's own arrays, one thread per shard, capped at
-    ``os.cpu_count()`` (the calling thread takes the first stride).  The
+    One thread per shard, capped at ``os.cpu_count()`` (the calling
+    thread takes the first stride), against the fit's own arrays.  The
     kernels spend their time in NumPy calls that release the GIL, and X
     is shared by reference: no shared memory, no pickling, no spawn.
-    Per command, transient failures retry with the same deterministic
-    backoff under the batch's shared ``max_total_time`` deadline, and any
-    other exception degrades to a classified :class:`FailedRun`.  Results
-    come back in command (shard-rank) order, and every thread is joined
-    before this returns or raises.
+    Per command, transient failures retry with deterministic backoff
+    under the batch's shared ``max_total_time`` deadline, and any other
+    exception degrades to a classified :class:`FailedRun`.  Results come
+    back in command (shard-rank) order, and every thread is joined before
+    this returns or raises.
 
     No timeout isolation: a thread cannot be killed, so ``kill`` and
-    ``hang`` faults are refused at construction and a set
-    ``ExecutionPolicy.timeout`` makes ``auto`` pick the process runner.
+    ``hang`` faults and a set ``ExecutionPolicy.timeout`` are refused at
+    construction.
     """
     deadline = (
         None
@@ -582,7 +505,7 @@ def _run_inline(
 
 
 def _process_only_faults(fault_plan) -> List[str]:
-    """Sorted kinds of the plan's rules that need a worker process."""
+    """Sorted kinds of the plan's rules that would need a worker process."""
     if fault_plan is None:
         return []
     return sorted(
@@ -593,14 +516,14 @@ def _process_only_faults(fault_plan) -> List[str]:
 class _ShardedAssignMixin:
     """Replaces the assignment pass with a shard fan-out.
 
-    Mixed in *before* a vectorized algorithm class, it overrides ``fit``
-    (data-plane/pool lifecycle around the inherited loop), ``_assign``
-    (command fan-out / recover), ``_refine`` (rank-order merge fold for
-    the ``rescan`` mode), ``_update_bounds`` (replay transition), and
-    ``_extras`` (degradation/resume/IPC reporting).  Everything else —
-    setup, initialization, convergence, drift correction — is the
-    inherited single-process implementation, which is exactly why the
-    result is bit-identical.
+    Mixed in *before* a vectorized algorithm class, it overrides
+    ``_setup`` (shard ranges and epoch vector), ``_assign`` (command
+    fan-out / recover), ``_refine`` (rank-order merge fold for the
+    ``rescan`` mode), ``_update_bounds`` (replay transition), and
+    ``_extras`` (degradation/resume reporting).  Everything else — setup,
+    initialization, convergence, drift correction — is the inherited
+    single-process implementation, which is exactly why the result is
+    bit-identical.
     """
 
     #: registry key of the steady-state assignment kernel
@@ -617,30 +540,28 @@ class _ShardedAssignMixin:
         execution: Optional[ExecutionPolicy] = None,
         fault_plan=None,
         checkpoint=None,
-        runner: str = "auto",
-        mp_context=None,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
         if int(shards) < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
-        if runner not in SHARD_RUNNERS:
+        uncontainable = _process_only_faults(fault_plan)
+        if uncontainable:
             raise ConfigurationError(
-                f"unknown shard runner {runner!r}; known: {SHARD_RUNNERS}"
+                f"sharded fits cannot contain {'/'.join(uncontainable)} "
+                "faults: shards run on threads of the fitting process, which "
+                "they would kill or hang"
             )
-        isolating = _process_only_faults(fault_plan)
-        if runner == "inline" and isolating:
+        if execution is not None and execution.timeout is not None:
             raise ConfigurationError(
-                f"shard_runner='inline' cannot contain {'/'.join(isolating)} "
-                "faults: they would kill or hang the supervisor itself; use "
-                "shard_runner='process' or 'auto'"
+                "sharded fits do not take an ExecutionPolicy.timeout: a shard "
+                "thread cannot be killed at a deadline; max_total_time is the "
+                "deadline the engine honours"
             )
         self.shards = int(shards)
         self.shard_policy = ShardFailurePolicy.parse(shard_policy)
         self.shard_execution = execution if execution is not None else ExecutionPolicy()
         self.shard_fault_plan = fault_plan
-        self.shard_runner = runner
-        self._mp_context = mp_context
         self._checkpoint = (
             ShardCheckpoint(checkpoint) if checkpoint is not None else None
         )
@@ -652,50 +573,27 @@ class _ShardedAssignMixin:
         self._current_iteration = -1
         self._last_was_replay = False
         self._resumed_iterations = 0
-        self._runner_resolved: Optional[str] = None
-        self._pool: Optional[WorkerPool] = None
-        self._plane_lease: Optional[ShmLease] = None
-        self._plane_arrays: Optional[Dict[str, np.ndarray]] = None
         self._epoch: Optional[np.ndarray] = None
-        self._live_iterations = 0
-        self._setup_ipc_bytes = 0
 
     # ------------------------------------------------------------------
     # Fit-loop hooks.
     # ------------------------------------------------------------------
 
-    def fit(self, X, k, **kwargs):
-        """Inherited fit loop bracketed by the execution-backend lifecycle.
-
-        The ``finally`` is the single release point for every exit path —
-        normal completion, :class:`ShardFailedError`, ``KeyboardInterrupt``,
-        a worker kill mid-iteration — so the pool is always shut down and
-        the shared-memory lease always unlinked (tests assert ``/dev/shm``
-        is clean after chaos runs; :mod:`repro.exec.shm` adds an ``atexit``
-        backstop for a supervisor that dies before reaching it).
-        """
-        try:
-            return super().fit(X, k, **kwargs)
-        finally:
-            self._release_execution_backend()
-
     def _setup(self) -> None:
         super()._setup()
-        self._release_execution_backend()
         n = len(self.X)
         # Degenerate shards are clamped away rather than erroring: a tiny
         # smoke fit with shards > n still runs, one row per shard.
         effective = max(1, min(self.shards, n))
         self._ranges = shard_bounds(n, effective)
         self._shard_has_state = [False] * effective
+        self._epoch = np.full(effective, -1, dtype=np.int64)
         self._degraded = []
         self._replay = {}
         self._fit_key = None
         self._current_iteration = -1
         self._last_was_replay = False
         self._resumed_iterations = 0
-        self._live_iterations = 0
-        self._setup_ipc_bytes = 0
 
     def _assign(self, iteration: int) -> None:
         self._current_iteration = iteration
@@ -705,17 +603,11 @@ class _ShardedAssignMixin:
         if self._maybe_replay(iteration, entry_crc):
             return
         self._last_was_replay = False
-        self._ensure_execution_backend()
         keys = self._shard_keys(iteration)
         commands = self._shard_commands(iteration, keys)
-        if self._pool is not None:
-            self._sync_state_to_plane()
-            outcomes = list(self._pool.run_batch(commands, keys))
-        else:
-            outcomes = _run_inline(
-                self._local_arrays(), commands, keys, policy=self.shard_execution
-            )
-        self._live_iterations += 1
+        outcomes = _run_inline(
+            self._local_arrays(), commands, keys, policy=self.shard_execution
+        )
         losses: Dict[int, FailedRun] = {
             rank: out
             for rank, out in enumerate(outcomes)
@@ -784,169 +676,16 @@ class _ShardedAssignMixin:
         extras = dict(super()._extras())
         extras["shards"] = len(self._ranges)
         extras["shard_policy"] = self.shard_policy.mode
-        if self._runner_resolved is not None:
-            extras["shard_runner"] = self._runner_resolved
         if self._degraded:
             extras["degraded_iterations"] = [d.as_dict() for d in self._degraded]
         if self._resumed_iterations:
             extras["resumed_iterations"] = self._resumed_iterations
-        if self._pool is not None:
-            stats = self._pool.stats()
-            total = stats["bytes_sent"] + stats["bytes_received"]
-            live = max(1, self._live_iterations)
-            extras["ipc"] = {
-                "bytes_sent": stats["bytes_sent"],
-                "bytes_received": stats["bytes_received"],
-                "messages": stats["messages"],
-                "setup_bytes": self._setup_ipc_bytes,
-                "bytes_per_iter": int(
-                    round((total - self._setup_ipc_bytes) / live)
-                ),
-                "data_plane_bytes": (
-                    self._plane_lease.data_plane_bytes
-                    if self._plane_lease is not None
-                    else 0
-                ),
-            }
-            extras["pool"] = {
-                "workers": stats["workers"],
-                "spawned_processes": stats["spawned_processes"],
-                "respawns": stats["respawns"],
-            }
         return extras
 
-    # ------------------------------------------------------------------
-    # Execution backend lifecycle (control plane + data plane).
-    # ------------------------------------------------------------------
-
-    def _resolve_runner(self) -> str:
-        """Pick the runner for this fit: ``inline`` unless isolation is needed.
-
-        ``auto`` resolves to ``process`` only when the fit needs something
-        only a worker process gives — a killable shard, because
-        ``ExecutionPolicy.timeout`` is set or the fault plan holds a
-        ``kill``/``hang`` rule — and the supervisor may spawn children (a
-        daemon pool worker such as a ``parallel_compare`` cell may not;
-        the outer pool's deadline contains it there).  Everything else
-        runs on threads in-process.
-        """
-        runner = self.shard_runner
-        daemonic = multiprocessing.current_process().daemon
-        if runner == "auto":
-            isolate = self.shard_execution.timeout is not None or bool(
-                _process_only_faults(self.shard_fault_plan)
-            )
-            runner = "process" if isolate and not daemonic else "inline"
-        elif runner == "process" and daemonic:
-            # Explicit request that cannot be honored: multiprocessing
-            # would die with a bare AssertionError at Process.start().
-            raise ConfigurationError(
-                "shard_runner='process' spawns worker processes, which a "
-                "daemonic pool worker (e.g. a parallel_compare cell) may "
-                "not do; use shard_runner='auto' or 'inline' here"
-            )
-        return runner
-
-    def _ensure_execution_backend(self) -> None:
-        """Lazily build the per-fit execution backend, exactly once.
-
-        First live iteration only: resolve the runner, allocate the epoch
-        vector, and — for the process runner — publish the data plane and
-        spawn + attach the persistent pool.  Replayed iterations never get
-        here, so a checkpoint-resumed fit pays for workers only when it
-        goes live.
-        """
-        if self._runner_resolved is None:
-            self._runner_resolved = self._resolve_runner()
-            self._epoch = np.full(len(self._ranges), -1, dtype=np.int64)
-        if self._runner_resolved != "process" or self._pool is not None:
-            return
-        token = fit_token(
-            self.name,
-            len(self._ranges),
-            self.shard_policy.mode,
-            self.X,
-            self._centroids,
-        )
-        lease = ShmLease(token)
-        try:
-            arrays: Dict[str, np.ndarray] = {
-                "x": lease.publish("x", self.X, mutable=False)
-            }
-            for role, (array, mutable) in self._state_arrays().items():
-                arrays[role] = lease.publish(role, array, mutable=mutable)
-            arrays["epoch"] = lease.publish("epoch", self._epoch, mutable=True)
-            self._epoch = arrays["epoch"]
-            self._rebind_state(arrays)
-            pool = WorkerPool(
-                POOL_HANDLERS,
-                workers=len(self._ranges),
-                policy=self.shard_execution,
-                mp_context=self._mp_context,
-            )
-            pool.start()
-            pool.setup([{"op": "attach", "specs": lease.specs()}])
-        except BaseException:
-            lease.release()
-            raise
-        self._plane_lease = lease
-        self._plane_arrays = arrays
-        self._pool = pool
-        self._setup_ipc_bytes = (
-            pool.transport.bytes_sent + pool.transport.bytes_received
-        )
-
-    def _sync_state_to_plane(self) -> None:
-        """Safety net: re-home state an inherited hook rebound off-plane.
-
-        The inherited bound maintenance is fully in-place, so in the
-        normal flow every mutable state array *is* its plane view and this
-        is a no-op identity walk.  If a future override rebinds one, its
-        contents are copied back into the segment and the attribute
-        re-pointed, keeping worker reads coherent.
-        """
-        arrays = self._plane_arrays
-        if arrays is None:
-            return
-        rebound = False
-        for role, (array, mutable) in self._state_arrays().items():
-            if mutable and array is not arrays[role]:
-                arrays[role][...] = array
-                rebound = True
-        if rebound:
-            self._rebind_state(arrays)
-
-    def _release_execution_backend(self) -> None:
-        """Tear down pool + data plane; idempotent, runs on every exit."""
-        pool, self._pool = self._pool, None
-        lease, self._plane_lease = self._plane_lease, None
-        try:
-            if pool is not None:
-                pool.shutdown()
-        finally:
-            if self._plane_arrays is not None:
-                # Copy state out of the segments so the fitted model (and
-                # any later inspection) outlives the unlink below.
-                self._unbind_state()
-                if self._epoch is not None:
-                    self._epoch = np.array(self._epoch, copy=True)
-                self._plane_arrays = None
-            if lease is not None:
-                lease.release()
-        self._runner_resolved = None
-
     def _local_arrays(self) -> Dict[str, np.ndarray]:
-        """The data plane as seen from the supervisor (inline/recompute).
-
-        Under the process runner the mutable entries are the very same
-        segment views the workers write, so inline recompute operates on
-        identical state.
-        """
-        arrays: Dict[str, np.ndarray] = {"x": self.X}
-        if self._epoch is not None:
-            arrays["epoch"] = self._epoch
-        for role, (array, _mutable) in self._state_arrays().items():
-            arrays[role] = array
+        """The arrays shard commands read and write, keyed by role."""
+        arrays: Dict[str, np.ndarray] = {"x": self.X, "epoch": self._epoch}
+        arrays.update(self._state_arrays())
         return arrays
 
     # ------------------------------------------------------------------
@@ -956,7 +695,7 @@ class _ShardedAssignMixin:
     def _shard_commands(
         self, iteration: int, keys: Sequence[RunKey]
     ) -> List[Dict[str, Any]]:
-        """One ``run`` command per shard: centroid broadcast + bookkeeping."""
+        """One command per shard: centroid broadcast + bookkeeping."""
         kernels = [
             self._shard_kernel_for(rank) for rank in range(len(self._ranges))
         ]
@@ -965,7 +704,6 @@ class _ShardedAssignMixin:
         for rank, (lo, hi) in enumerate(self._ranges):
             commands.append(
                 {
-                    "op": "run",
                     "kernel": kernels[rank],
                     "rank": rank,
                     "lo": lo,
@@ -1005,11 +743,11 @@ class _ShardedAssignMixin:
         if mode == "recompute":
             # Deterministic recovery: injected faults fire before the
             # epoch dirty mark, so the shared state still holds the exact
-            # pre-iteration inputs and an inline re-run is bit-identical
-            # to a fault-free worker.  The epoch guard refuses to
-            # recompute a state-reading kernel from a genuinely torn
+            # pre-iteration inputs and a re-run on this thread is
+            # bit-identical to a fault-free pass.  The epoch guard refuses
+            # to recompute a state-reading kernel from a genuinely torn
             # slice.  The recovery path itself is deliberately fault-free
-            # — injected faults target workers, not the supervisor.
+            # — injected faults target shard commands, not recovery.
             arrays = self._local_arrays()
             for rank in sorted(losses):
                 if self._slice_is_torn(commands[rank]):
@@ -1041,7 +779,6 @@ class _ShardedAssignMixin:
     def _slice_is_torn(self, command: Dict[str, Any]) -> bool:
         return (
             command["kernel"] in STATE_READING_KERNELS
-            and self._epoch is not None
             and int(self._epoch[command["rank"]]) <= EPOCH_DIRTY_THRESHOLD
         )
 
@@ -1133,24 +870,12 @@ class _ShardedAssignMixin:
         """Per-kernel broadcast context, charged once in the supervisor."""
         raise NotImplementedError
 
-    def _state_arrays(self) -> Dict[str, Tuple[np.ndarray, bool]]:
-        """Role -> (array, mutable) map of this algorithm's plane state."""
-        raise NotImplementedError
-
-    def _rebind_state(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Point the mutable state attributes at their plane views."""
-        raise NotImplementedError
-
-    def _unbind_state(self) -> None:
-        """Copy mutable state out of the plane views (pre-unlink)."""
+    def _state_arrays(self) -> Dict[str, np.ndarray]:
+        """Role -> array map of the state this algorithm's kernels use."""
         raise NotImplementedError
 
     def _reseed_bounds(self) -> None:
-        """Seed sound conservative bounds at the replay→live transition.
-
-        Must mutate the bound arrays *in place* — rebinding them would
-        detach the supervisor from the views the workers attached to.
-        """
+        """Seed sound conservative bounds at the replay→live transition."""
 
 
 class ShardedLloydKMeans(_ShardedAssignMixin, VectorizedLloydKMeans):
@@ -1167,13 +892,7 @@ class ShardedLloydKMeans(_ShardedAssignMixin, VectorizedLloydKMeans):
     def _state_arrays(self):
         if self._x_sq is None:
             self._x_sq = sq_norms(self.X)
-        return {"xsq": (self._x_sq, False), "labels": (self._labels, True)}
-
-    def _rebind_state(self, arrays):
-        self._labels = arrays["labels"]
-
-    def _unbind_state(self):
-        self._labels = np.array(self._labels, copy=True)
+        return {"xsq": self._x_sq, "labels": self._labels}
 
 
 class _BoundedShardMixin(_ShardedAssignMixin):
@@ -1181,7 +900,7 @@ class _BoundedShardMixin(_ShardedAssignMixin):
 
     A shard runs the *seed* kernel until its first successful pass (always
     iteration 0 in a fault-free fit; later under ``degrade`` when the
-    iteration-0 worker was lost), then the steady-state assignment kernel
+    iteration-0 pass was lost), then the steady-state assignment kernel
     on its slice of the shared bound state.
     """
 
@@ -1197,21 +916,7 @@ class _BoundedShardMixin(_ShardedAssignMixin):
 
     def _state_arrays(self):
         self._ensure_bound_arrays()
-        return {
-            "labels": (self._labels, True),
-            "ub": (self._ub, True),
-            "lb": (self._lb, True),
-        }
-
-    def _rebind_state(self, arrays):
-        self._labels = arrays["labels"]
-        self._ub = arrays["ub"]
-        self._lb = arrays["lb"]
-
-    def _unbind_state(self):
-        self._labels = np.array(self._labels, copy=True)
-        self._ub = np.array(self._ub, copy=True)
-        self._lb = np.array(self._lb, copy=True)
+        return {"labels": self._labels, "ub": self._ub, "lb": self._lb}
 
     def _reseed_bounds(self):
         self._ensure_bound_arrays()
@@ -1275,8 +980,8 @@ def make_sharded_algorithm(name: str, **kwargs):
 
     Raises :class:`ConfigurationError` for algorithms without a sharded
     implementation; accepts the mixin's engine knobs (``shards``,
-    ``shard_policy``, ``execution``, ``fault_plan``, ``checkpoint``,
-    ``runner``) plus the wrapped algorithm's own keyword arguments.
+    ``shard_policy``, ``execution``, ``fault_plan``, ``checkpoint``) plus
+    the wrapped algorithm's own keyword arguments.
     """
     try:
         cls = SHARDED_ALGORITHMS[name]
@@ -1291,7 +996,6 @@ def make_sharded_algorithm(name: str, **kwargs):
 
 __all__ = [
     "DegradedIteration",
-    "POOL_HANDLERS",
     "SHARD_KERNELS",
     "SHARDED_ALGORITHMS",
     "SHARD_POLICY_MODES",

@@ -7,11 +7,7 @@ algorithm in this package therefore threads an :class:`OpCounters` instance
 through its inner loops, and the harness reports the full breakdown.
 """
 
-from repro.instrumentation.counters import (
-    CounterSnapshot,
-    OpCounters,
-    TransportCounters,
-)
+from repro.instrumentation.counters import CounterSnapshot, OpCounters
 from repro.instrumentation.timers import PhaseTimer
 
-__all__ = ["OpCounters", "CounterSnapshot", "PhaseTimer", "TransportCounters"]
+__all__ = ["OpCounters", "CounterSnapshot", "PhaseTimer"]

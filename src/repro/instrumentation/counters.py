@@ -58,42 +58,6 @@ class CounterSnapshot:
 
 
 @dataclass
-class TransportCounters:
-    """IPC traffic accounting for the sharded data plane (bytes, not ops).
-
-    Deliberately separate from :class:`OpCounters`: the paper's cost model
-    counts *algorithmic* work, and a sharded fit's op-counter totals must
-    stay equal to the single-process pass (the bit-identity contract
-    compares them directly).  Transport bytes are an engineering metric of
-    the execution engine, so they live in their own structure and surface
-    through result ``extras["ipc"]``, never through the op counters.
-    """
-
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    messages: int = 0
-
-    def add_sent(self, count: int) -> None:
-        self.bytes_sent += count
-        self.messages += 1
-
-    def add_received(self, count: int) -> None:
-        self.bytes_received += count
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "messages": self.messages,
-        }
-
-    def merge(self, other: "TransportCounters") -> None:
-        self.bytes_sent += other.bytes_sent
-        self.bytes_received += other.bytes_received
-        self.messages += other.messages
-
-
-@dataclass
 class OpCounters:
     """Mutable operation counters threaded through algorithm inner loops."""
 

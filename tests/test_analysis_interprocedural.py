@@ -1,4 +1,4 @@
-"""Fixture-package tests for the interprocedural rules R007–R012.
+"""Fixture-package tests for the interprocedural rules R007–R011.
 
 Each fixture is a tiny source tree written to ``tmp_path`` in the repo's
 ``src/repro/...`` layout (the rules scope by path), run through the real
@@ -140,7 +140,7 @@ class TestParallelSafety:
         assert report.findings == []
 
     def test_shard_kernel_registry_entries_checked(self, tmp_path):
-        # SHARD_KERNELS values are dispatched by name *inside* the worker,
+        # SHARD_KERNELS values are dispatched by name on the shard threads,
         # so no call site ever names them — the registry literal itself is
         # the dispatch surface and every entry gets the reachability walk.
         report = run_fixture(tmp_path, {
@@ -468,125 +468,3 @@ class TestStrictSuppressions:
         )
         report = analyze_paths([tmp_path], root=tmp_path)
         assert report.unused_suppressions == []
-
-
-# ----------------------------------------------------------------------
-# R007 — POOL_HANDLERS registry entries are dispatch roots
-# ----------------------------------------------------------------------
-
-
-class TestPoolHandlerRegistry:
-    def test_handler_with_global_mutation_flagged(self, tmp_path):
-        report = run_fixture(tmp_path, {
-            "src/repro/exec/handlers.py": """\
-                SEEN = []
-
-                def note(message):
-                    SEEN.append(message)
-
-                def run_handler(state, message):
-                    note(message)
-                    return {"ok": True}
-
-                POOL_HANDLERS = {"run": run_handler}
-                """,
-        }, ["R007"])
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert "'note'" in finding.message
-        assert "pool-kernel registry" in finding.message
-
-    def test_state_dict_handlers_pass(self, tmp_path):
-        report = run_fixture(tmp_path, {
-            "src/repro/exec/handlers.py": """\
-                def attach_handler(state, message):
-                    state["arrays"] = dict(message["specs"])
-                    return {"attached": len(state["arrays"])}
-
-                def run_handler(state, message):
-                    return {"shard": message["rank"]}
-
-                POOL_HANDLERS = {
-                    "attach": attach_handler,
-                    "run": run_handler,
-                }
-                """,
-        }, ["R007"])
-        assert report.findings == []
-
-
-# ----------------------------------------------------------------------
-# R012 — shm-name-provenance
-# ----------------------------------------------------------------------
-
-
-class TestShmNameProvenance:
-    def test_uuid_named_segment_flagged(self, tmp_path):
-        report = run_fixture(tmp_path, {
-            "src/repro/exec/plane.py": """\
-                import uuid
-                from multiprocessing.shared_memory import SharedMemory
-
-                def publish(nbytes):
-                    name = uuid.uuid4().hex
-                    return SharedMemory(name=name, create=True, size=nbytes)
-                """,
-        }, ["R012"])
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert finding.rule_id == "R012"
-        assert "SharedMemory(create=True)" in finding.message
-        assert "entropy-tainted" in finding.message
-
-    def test_time_derived_fit_token_flagged(self, tmp_path):
-        report = run_fixture(tmp_path, {
-            "src/repro/exec/plane.py": """\
-                import time
-                from repro.exec.shm import segment_name
-
-                def mint(pid):
-                    return segment_name(str(time.time()), "x", pid=pid, sequence=0)
-                """,
-        }, ["R012"])
-        assert len(report.findings) == 1
-        assert "time.time()" in report.findings[0].message
-        assert "fit key" in report.findings[0].message
-
-    def test_rng_draw_in_name_flagged(self, tmp_path):
-        report = run_fixture(tmp_path, {
-            "src/repro/exec/plane.py": """\
-                from repro.exec.shm import segment_name
-
-                def mint(rng, pid):
-                    suffix = rng.integers(1 << 32)
-                    return segment_name(f"fit{suffix}", "x", pid=pid, sequence=0)
-                """,
-        }, ["R012"])
-        assert len(report.findings) == 1
-        assert "'suffix'" in report.findings[0].message
-
-    def test_fit_key_derived_names_pass(self, tmp_path):
-        report = run_fixture(tmp_path, {
-            "src/repro/exec/plane.py": """\
-                from multiprocessing.shared_memory import SharedMemory
-                from repro.exec.shm import segment_name
-
-                def publish(fit_token, pid, sequence, nbytes):
-                    name = segment_name(fit_token, "x", pid=pid, sequence=sequence)
-                    return SharedMemory(name=name, create=True, size=nbytes)
-
-                def attach(spec):
-                    return SharedMemory(name=spec.name)
-                """,
-        }, ["R012"])
-        assert report.findings == []
-
-    def test_real_data_plane_is_clean(self):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parent.parent
-        report = analyze_paths(
-            [root / "src" / "repro" / "exec"], root=root,
-            rules=get_rules(["R012"]),
-        )
-        assert report.findings == []

@@ -582,7 +582,7 @@ class TestRegistryAndReporters:
     def test_all_rules_registered(self):
         assert ALL_RULE_IDS == (
             "R001", "R002", "R003", "R004", "R005", "R006",
-            "R007", "R008", "R009", "R010", "R011", "R012",
+            "R007", "R008", "R009", "R010", "R011",
         )
 
     def test_get_rules_subset_and_unknown(self):

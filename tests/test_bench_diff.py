@@ -71,56 +71,6 @@ class TestDiffReports:
         assert regressions == []
 
 
-class TestIpcDiff:
-    """The ``ipc_bytes_per_iter`` table: hardware-independent, so it is
-    enforced even for entries whose wall-clock gate is off."""
-
-    def _entry(self, speedup, ipc=None, gated=False):
-        entry = {"speedup": speedup, "gated": gated}
-        if ipc is not None:
-            entry["ipc_bytes_per_iter"] = ipc
-        return entry
-
-    def test_ipc_growth_fails_even_ungated(self):
-        previous = _report(sharded_lloyd=self._entry(0.8, ipc=6000))
-        current = _report(sharded_lloyd=self._entry(0.8, ipc=200000))
-        table, regressions = diff_reports(previous, current)
-        assert len(regressions) == 1
-        assert "ipc bytes/iter grew 6000 -> 200000" in regressions[0]
-        assert "ipc bytes/iter" in table
-
-    def test_ipc_within_tolerance_passes(self):
-        previous = _report(sharded_lloyd=self._entry(0.8, ipc=6000))
-        current = _report(sharded_lloyd=self._entry(0.8, ipc=6500))
-        table, regressions = diff_reports(previous, current)
-        assert regressions == []
-        assert "ipc bytes/iter" in table
-
-    def test_ipc_shrink_never_regresses(self):
-        previous = _report(sharded_lloyd=self._entry(0.8, ipc=200000))
-        current = _report(sharded_lloyd=self._entry(0.8, ipc=6000))
-        assert diff_reports(previous, current)[1] == []
-
-    def test_missing_on_previous_side_tolerated(self):
-        # Pre-data-plane baseline: the old report has no ipc fields.
-        previous = _report(sharded_lloyd=self._entry(0.8))
-        current = _report(sharded_lloyd=self._entry(0.8, ipc=6000))
-        table, regressions = diff_reports(previous, current)
-        assert regressions == []
-        assert "added" in table
-
-    def test_missing_on_current_side_tolerated(self):
-        previous = _report(sharded_lloyd=self._entry(0.8, ipc=6000))
-        current = _report(sharded_lloyd=self._entry(0.8))
-        table, regressions = diff_reports(previous, current)
-        assert regressions == []
-        assert "removed" in table
-
-    def test_no_ipc_entries_no_table(self):
-        table, _ = diff_reports(_report(lloyd=2.0), _report(lloyd=2.0))
-        assert "ipc bytes/iter" not in table
-
-
 class TestMain:
     def _write(self, tmp_path, name, report):
         path = tmp_path / name

@@ -33,7 +33,7 @@ INTERRUPT = FaultPlan.parse("raise:*:shard=1:iter=3")
 
 def _fit(name, task, **kwargs):
     X, k, C0, max_iter = task
-    algorithm = SHARDED_ALGORITHMS[name](shards=3, runner="inline", **kwargs)
+    algorithm = SHARDED_ALGORITHMS[name](shards=3, **kwargs)
     return algorithm.fit(X, k, initial_centroids=C0, max_iter=max_iter)
 
 
@@ -131,13 +131,13 @@ class TestResume:
         want = _fit("lloyd", task)
         interrupted = make_algorithm(
             "lloyd", backend="vectorized", shards=3,
-            runner="inline", checkpoint=path, fault_plan=INTERRUPT,
+            checkpoint=path, fault_plan=INTERRUPT,
         )
         with pytest.raises(ShardFailedError):
             interrupted.fit(X, k, initial_centroids=C0, max_iter=max_iter)
         resumed = make_algorithm(
             "lloyd", backend="vectorized", shards=3,
-            runner="inline", checkpoint=path,
+            checkpoint=path,
         ).fit(X, k, initial_centroids=C0, max_iter=max_iter)
         assert resumed.centroids.tobytes() == want.centroids.tobytes()
         assert resumed.extras["resumed_iterations"] == 3
@@ -181,7 +181,7 @@ class TestResume:
             _fit("lloyd", task, checkpoint=path, fault_plan=INTERRUPT)
         X, _ = make_blobs(90, 4, 3, seed=11)
         fresh = SHARDED_ALGORITHMS["lloyd"](
-            shards=3, runner="inline", checkpoint=path
+            shards=3, checkpoint=path
         ).fit(X, 3, max_iter=10, seed=0)
         assert "resumed_iterations" not in fresh.extras
         want = VECTORIZED_ALGORITHMS["lloyd"]().fit(X, 3, max_iter=10, seed=0)

@@ -3,10 +3,10 @@
 The engine's contract (``docs/sharding.md``) is *bit-identity*: a sharded
 fit produces the same labels, centroids (bitwise), iteration count, and
 counter totals as the single-process vectorized backend — under every
-shard count, runner, and recovery policy that retains all data.  These
-tests pin that contract directly, replay the committed golden traces
-through the sharded engine, drive the chaos matrix (crash / hang /
-transient x strict / recompute / degrade), and property-check the
+shard count and recovery policy that retains all data.  These tests pin
+that contract directly, replay the committed golden traces through the
+sharded engine, drive the shard threads' fault matrix (transient / raise
+/ torn slice x strict / recompute / degrade), and property-check the
 rank-order merge discipline against float non-associativity.
 """
 
@@ -17,7 +17,6 @@ import os
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,25 +133,15 @@ class TestBitIdentity:
         want = VECTORIZED_ALGORITHMS[name]().fit(
             X, k, initial_centroids=C0, max_iter=max_iter
         )
-        got = SHARDED_ALGORITHMS[name](shards=shards, runner="inline").fit(
+        got = SHARDED_ALGORITHMS[name](shards=shards).fit(
             X, k, initial_centroids=C0, max_iter=max_iter
         )
         assert_results_identical(got, want, context=f"{name}/shards={shards}")
         assert got.extras["shards"] == shards
 
-    def test_process_runner_matches_vectorized(self, task):
-        X, k, C0, max_iter = task
-        want = VECTORIZED_ALGORITHMS["lloyd"]().fit(
-            X, k, initial_centroids=C0, max_iter=max_iter
-        )
-        got = SHARDED_ALGORITHMS["lloyd"](shards=3, runner="process").fit(
-            X, k, initial_centroids=C0, max_iter=max_iter
-        )
-        assert_results_identical(got, want, context="lloyd/process")
-
     def test_more_shards_than_rows_clamps(self):
         X, _ = make_blobs(6, 2, 2, seed=1)
-        result = SHARDED_ALGORITHMS["lloyd"](shards=50, runner="inline").fit(
+        result = SHARDED_ALGORITHMS["lloyd"](shards=50).fit(
             X, 2, max_iter=5, seed=0
         )
         assert result.extras["shards"] == 6
@@ -165,9 +154,7 @@ class TestGoldenReplay:
     def test_sharded_replays_golden_trace(self, name):
         golden = json.loads(golden_path(name, 0).read_text())
         X, k, C0, max_iter = golden_task(0)
-        algorithm = traced_class(SHARDED_ALGORITHMS[name])(
-            shards=4, runner="inline"
-        )
+        algorithm = traced_class(SHARDED_ALGORITHMS[name])(shards=4)
         result = algorithm.fit(X, k, initial_centroids=C0, max_iter=max_iter)
         assert result.n_iter == golden["n_iter"]
         assert result.converged == golden["converged"]
@@ -194,97 +181,8 @@ def chaos_task():
     return X, 4, C0
 
 
-class TestChaosMatrix:
-    """crash / hang / transient x strict / recompute / degrade."""
-
-    FAULTS = {
-        "kill": ("kill:lloyd:shard=1:iter=1", "WorkerCrashError"),
-        "hang": ("hang:lloyd:shard=1:iter=1", "RunTimeoutError"),
-    }
-
-    def _fit(self, chaos_task, *, policy, fault, retries=0):
-        X, k, C0 = chaos_task
-        algorithm = SHARDED_ALGORITHMS["lloyd"](
-            shards=3,
-            shard_policy=policy,
-            runner="process",
-            fault_plan=FaultPlan.parse(fault) if fault else None,
-            execution=ExecutionPolicy(
-                timeout=2.0, retries=retries, backoff_base=0.01
-            ),
-        )
-        return algorithm.fit(X, k, initial_centroids=C0, max_iter=6)
-
-    @pytest.fixture(scope="class")
-    def baseline(self, chaos_task):
-        X, k, C0 = chaos_task
-        return VECTORIZED_ALGORITHMS["lloyd"]().fit(
-            X, k, initial_centroids=C0, max_iter=6
-        )
-
-    @pytest.mark.parametrize("kind", sorted(FAULTS))
-    def test_strict_raises_classified_error(self, kind, chaos_task):
-        fault, error_type = self.FAULTS[kind]
-        with pytest.raises(ShardFailedError) as excinfo:
-            self._fit(chaos_task, policy="strict", fault=fault)
-        assert excinfo.value.shard == 1
-        assert excinfo.value.iteration == 1
-        assert excinfo.value.error_type == error_type
-
-    @pytest.mark.parametrize("kind", sorted(FAULTS))
-    def test_recompute_recovers_bit_identically(self, kind, chaos_task, baseline):
-        fault, _ = self.FAULTS[kind]
-        got = self._fit(chaos_task, policy="recompute", fault=fault)
-        assert_results_identical(got, baseline, context=f"recompute/{kind}")
-        assert "degraded_iterations" not in got.extras
-
-    @pytest.mark.parametrize("kind", sorted(FAULTS))
-    def test_degrade_finishes_with_audit_trail(self, kind, chaos_task):
-        fault, error_type = self.FAULTS[kind]
-        X, k, _ = chaos_task
-        got = self._fit(chaos_task, policy="degrade", fault=fault)
-        (degraded,) = got.extras["degraded_iterations"]
-        assert degraded["iteration"] == 1
-        assert degraded["shards"] == [1]
-        assert degraded["point_ranges"] == [[40, 80]]  # shard_bounds(120, 3)
-        assert degraded["error_types"] == [error_type]
-        # Later healthy iterations reassign the stale points: the final
-        # model is complete even though one iteration ran degraded.
-        assert not np.any(got.labels < 0)
-        assert got.n_iter >= 2
-
-    @pytest.mark.parametrize("policy", ("strict", "recompute", "degrade"))
-    def test_transient_is_retried_under_every_policy(
-        self, policy, chaos_task, baseline
-    ):
-        # The supervised pool retries TransientError before the failure
-        # policy ever engages, so every policy converges bit-identically.
-        got = self._fit(
-            chaos_task, policy=policy,
-            fault="transient:lloyd:1:shard=1:iter=1", retries=2,
-        )
-        assert_results_identical(got, baseline, context=f"transient/{policy}")
-        assert "degraded_iterations" not in got.extras
-
-    def test_degrade_keeps_stale_labels_for_lost_range(self, chaos_task):
-        # Lose shard 1 on *every* iteration: its rows keep the stale labels
-        # from the last iteration that saw them (here: none after iter 0's
-        # seed pass is also lost -> they stay -1 until a healthy pass).
-        X, k, C0 = chaos_task
-        algorithm = SHARDED_ALGORITHMS["lloyd"](
-            shards=3, shard_policy="degrade", runner="process",
-            fault_plan=FaultPlan.parse("kill:lloyd:shard=1"),
-            execution=ExecutionPolicy(timeout=2.0, retries=0),
-        )
-        result = algorithm.fit(X, k, initial_centroids=C0, max_iter=3)
-        assert np.all(result.labels[40:80] == -1)
-        assert np.all(result.labels[:40] >= 0)
-        assert np.all(result.labels[80:] >= 0)
-        assert len(result.extras["degraded_iterations"]) == result.n_iter
-
-
 class TestInlineRunner:
-    """The threaded in-process runner: concurrency, joins, and policies.
+    """The shard threads: concurrency, joins, faults, and policies.
 
     Test names carry ``inline`` and, where one applies, the policy name,
     so the CI ``chaos-shard`` matrix's ``-k <policy>`` cells pick them up.
@@ -295,7 +193,6 @@ class TestInlineRunner:
         algorithm = SHARDED_ALGORITHMS["lloyd"](
             shards=3,
             shard_policy=policy,
-            runner="inline",
             fault_plan=FaultPlan.parse(fault) if fault else None,
             execution=ExecutionPolicy(retries=retries, backoff_base=0.01),
         )
@@ -325,7 +222,7 @@ class TestInlineRunner:
             return real(payload, counters)
 
         monkeypatch.setitem(SHARD_KERNELS, "lloyd", spy)
-        got = SHARDED_ALGORITHMS["lloyd"](shards=2, runner="inline").fit(
+        got = SHARDED_ALGORITHMS["lloyd"](shards=2).fit(
             X, k, initial_centroids=C0, max_iter=4
         )
         want = VECTORIZED_ALGORITHMS["lloyd"]().fit(
@@ -352,7 +249,7 @@ class TestInlineRunner:
             return out
 
         monkeypatch.setitem(SHARD_KERNELS, "lloyd", spy)
-        algorithm = SHARDED_ALGORITHMS["lloyd"](shards=3, runner="inline")
+        algorithm = SHARDED_ALGORITHMS["lloyd"](shards=3)
         with pytest.raises(ShardFailedError) as excinfo:
             algorithm.fit(X, k, initial_centroids=C0, max_iter=4)
         assert excinfo.value.shard == 0
@@ -373,7 +270,7 @@ class TestInlineRunner:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = SHARDED_ALGORITHMS["hamerly"](shards=8, runner="inline").fit(
+            got = SHARDED_ALGORITHMS["hamerly"](shards=8).fit(
                 X, k, initial_centroids=C0, max_iter=max_iter
             )
         finally:
@@ -418,42 +315,83 @@ class TestInlineRunner:
         )
         assert not np.any(got.labels < 0)
 
-    @pytest.mark.parametrize("kind", ("kill", "hang"))
-    def test_inline_refuses_process_only_faults(self, kind):
-        with pytest.raises(ConfigurationError, match=kind):
-            SHARDED_ALGORITHMS["lloyd"](
-                shards=2, runner="inline",
-                fault_plan=FaultPlan.parse(f"{kind}:lloyd:shard=1:iter=1"),
-            )
-
-    @pytest.mark.parametrize(
-        "timeout, fault, daemon, expected",
-        [
-            (None, None, False, "inline"),
-            (None, "transient:lloyd,raise:lloyd,delay:lloyd", False, "inline"),
-            (2.0, None, False, "process"),
-            (None, "kill:lloyd:shard=1", False, "process"),
-            (None, "hang:lloyd", False, "process"),
-            (2.0, "kill:lloyd", True, "inline"),
-        ],
-    )
-    def test_auto_runner_resolution(
-        self, timeout, fault, daemon, expected, monkeypatch
-    ):
-        import repro.exec.sharded as sharded_mod
-
-        monkeypatch.setattr(
-            sharded_mod.multiprocessing,
-            "current_process",
-            lambda: SimpleNamespace(daemon=daemon),
-        )
+    def test_inline_degrade_keeps_stale_labels_for_lost_range(self, chaos_task):
+        # Lose shard 1 on *every* iteration: its rows keep the stale labels
+        # from the last iteration that saw them (here: none, since iter 0's
+        # seed pass is also lost, so they stay -1).
+        X, k, C0 = chaos_task
         algorithm = SHARDED_ALGORITHMS["lloyd"](
-            shards=2,
-            runner="auto",
-            fault_plan=FaultPlan.parse(fault) if fault else None,
-            execution=ExecutionPolicy(timeout=timeout),
+            shards=3, shard_policy="degrade",
+            fault_plan=FaultPlan.parse("raise:lloyd:shard=1"),
         )
-        assert algorithm._resolve_runner() == expected
+        result = algorithm.fit(X, k, initial_centroids=C0, max_iter=3)
+        assert np.all(result.labels[40:80] == -1)
+        assert np.all(result.labels[:40] >= 0)
+        assert np.all(result.labels[80:] >= 0)
+        assert len(result.extras["degraded_iterations"]) == result.n_iter
+
+    @pytest.mark.parametrize("policy", ("recompute", "degrade"))
+    def test_inline_torn_slice_trips_epoch_guard(self, policy, task, monkeypatch):
+        # Shard 1's elkan kernel runs at iteration 2 (its second
+        # steady-state pass) and then raises: its slice is written and its
+        # epoch slot stays dirty.  recompute must refuse to rebuild from
+        # that slice; degrade must reseed the shard on its next pass.
+        X, k, C0, max_iter = task
+        lo, hi = shard_bounds(len(X), 3)[1]
+        passes = {"elkan": 0, "elkan_seed": 0}
+
+        def wrap(kernel):
+            real = SHARD_KERNELS[kernel]
+
+            def spy(payload, counters):
+                out = real(payload, counters)
+                if np.shares_memory(payload["X"], X[lo:hi]):
+                    passes[kernel] += 1
+                    if kernel == "elkan" and passes[kernel] == 2:
+                        raise RuntimeError("shard 1 dies after its write")
+                return out
+
+            monkeypatch.setitem(SHARD_KERNELS, kernel, spy)
+
+        wrap("elkan")
+        wrap("elkan_seed")
+        algorithm = SHARDED_ALGORITHMS["elkan"](shards=3, shard_policy=policy)
+        if policy == "recompute":
+            with pytest.raises(ShardFailedError) as excinfo:
+                algorithm.fit(X, k, initial_centroids=C0, max_iter=max_iter)
+            assert excinfo.value.error_type == "ShardStateCorrupted"
+            assert excinfo.value.shard == 1
+            assert excinfo.value.iteration == 2
+            return
+        result = algorithm.fit(X, k, initial_centroids=C0, max_iter=max_iter)
+        assert result.n_iter > 3
+        assert not np.any(result.labels < 0)
+        (degraded,) = result.extras["degraded_iterations"]
+        assert degraded["iteration"] == 2
+        assert degraded["shards"] == [1]
+        assert degraded["error_types"] == ["RuntimeError"]
+        # iteration 0's seed pass, then the reseed at iteration 3
+        assert passes["elkan_seed"] == 2
+
+    @pytest.mark.parametrize("kind", ("kill", "hang", "timeout"))
+    def test_inline_refuses_process_only_faults(self, kind):
+        if kind == "timeout":
+            knobs = {"execution": ExecutionPolicy(timeout=2.0)}
+        else:
+            knobs = {"fault_plan": FaultPlan.parse(f"{kind}:lloyd:shard=1:iter=1")}
+        with pytest.raises(ConfigurationError, match=kind) as excinfo:
+            SHARDED_ALGORITHMS["lloyd"](shards=2, **knobs)
+        if kind == "timeout":
+            assert "cannot be killed" in str(excinfo.value)
+            assert "max_total_time" in str(excinfo.value)
+
+    def test_inline_runner_reports_no_ipc(self, task):
+        X, k, C0, _ = task
+        result = SHARDED_ALGORITHMS["lloyd"](shards=3).fit(
+            X, k, initial_centroids=C0, max_iter=3
+        )
+        assert "ipc" not in result.extras
+        assert "pool" not in result.extras
 
 
 @st.composite
@@ -553,13 +491,9 @@ class TestWiring:
         algorithm = make_algorithm("lloyd", backend="vectorized")
         assert type(algorithm) is VECTORIZED_ALGORITHMS["lloyd"]
 
-    def test_unknown_runner_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SHARDED_ALGORITHMS["lloyd"](shards=2, runner="thread")
-
     def test_kernel_registry_covers_every_algorithm(self):
         # Every sharded algorithm's kernels must be registered so R007
-        # checks them as pool-dispatch roots (docs/sharding.md).
+        # checks them as dispatch roots (docs/sharding.md).
         assert set(SHARD_KERNELS) == {
             "lloyd", "elkan_seed", "elkan", "hamerly_seed", "hamerly"
         }
@@ -587,8 +521,8 @@ class TestHarnessIntegration:
         want = run_algorithm(
             "elkan", X, k, repeats=1, max_iter=5, seed=0, backend="vectorized"
         )
-        # Pool workers are daemonic and may not spawn: auto must run the
-        # shards on the inline runner and still produce identical results.
+        # Inside a daemonic pool worker the shards run on threads and
+        # still produce identical results.
         (got,) = parallel_compare(
             ["elkan"], X, k, repeats=1, max_iter=5, seed=0,
             backend="vectorized", shards=3,
@@ -597,123 +531,3 @@ class TestHarnessIntegration:
         assert got.n_iter == want.n_iter
         assert got.distance_computations == want.distance_computations
         assert got.bound_accesses == want.bound_accesses
-
-    def test_explicit_process_runner_in_daemon_is_classified(
-        self, chaos_task, monkeypatch
-    ):
-        # An explicit runner="process" inside a daemonic pool worker must
-        # raise a classified ConfigurationError, not multiprocessing's
-        # bare AssertionError at Process.start().
-        import repro.exec.sharded as sharded_mod
-
-        X, k, _ = chaos_task
-
-        class FakeDaemon:
-            daemon = True
-
-        monkeypatch.setattr(
-            sharded_mod.multiprocessing, "current_process", FakeDaemon
-        )
-        algo = SHARDED_ALGORITHMS["lloyd"](shards=2, runner="process")
-        with pytest.raises(ConfigurationError, match="daemonic"):
-            algo.fit(X, k, seed=0)
-        # auto still falls back cleanly under the same conditions.
-        got = SHARDED_ALGORITHMS["lloyd"](shards=2, runner="auto").fit(
-            X, k, seed=0
-        )
-        assert got.extras["shard_runner"] == "inline"
-
-
-class TestDataPlaneProfile:
-    """The PR 10 control/data-plane split: workers spawn once per fit and
-    per-iteration IPC excludes the point shard (docs/sharding.md)."""
-
-    @pytest.mark.parametrize("name", sorted(SHARDED_ALGORITHMS))
-    def test_pool_runner_bit_identical_every_algorithm(self, name, task):
-        X, k, C0, max_iter = task
-        want = VECTORIZED_ALGORITHMS[name]().fit(
-            X, k, initial_centroids=C0, max_iter=max_iter
-        )
-        got = SHARDED_ALGORITHMS[name](shards=4, runner="process").fit(
-            X, k, initial_centroids=C0, max_iter=max_iter
-        )
-        assert_results_identical(got, want, context=f"{name}/pool")
-
-    def test_workers_spawn_once_per_fit(self, task):
-        X, k, C0, max_iter = task
-        result = SHARDED_ALGORITHMS["lloyd"](shards=3, runner="process").fit(
-            X, k, initial_centroids=C0, max_iter=max_iter
-        )
-        pool = result.extras["pool"]
-        assert pool["workers"] == 3
-        assert pool["spawned_processes"] == 3  # one spawn per slot, ever
-        assert pool["respawns"] == 0
-        assert result.n_iter > 1  # many iterations, still one spawn each
-
-    def test_per_iteration_ipc_excludes_point_shard(self, task):
-        X, k, C0, max_iter = task
-        result = SHARDED_ALGORITHMS["elkan"](shards=3, runner="process").fit(
-            X, k, initial_centroids=C0, max_iter=max_iter
-        )
-        ipc = result.extras["ipc"]
-        # The O(k*d) contract: steady-state traffic per iteration must be
-        # far below one point matrix, and the bulk bytes must have gone
-        # through the shared-memory plane instead.
-        assert 0 < ipc["bytes_per_iter"] < X.nbytes
-        assert ipc["data_plane_bytes"] >= X.nbytes
-        assert ipc["bytes_sent"] > 0 and ipc["bytes_received"] > 0
-        assert result.extras["shard_runner"] == "process"
-
-    def test_inline_runner_reports_no_ipc(self, task):
-        X, k, C0, _ = task
-        result = SHARDED_ALGORITHMS["lloyd"](shards=3, runner="inline").fit(
-            X, k, initial_centroids=C0, max_iter=3
-        )
-        assert result.extras["shard_runner"] == "inline"
-        assert "ipc" not in result.extras
-        assert "pool" not in result.extras
-
-    def test_chaos_respawn_is_counted_and_bit_identical(self, task):
-        X, k, C0, max_iter = task
-        want = VECTORIZED_ALGORITHMS["lloyd"]().fit(
-            X, k, initial_centroids=C0, max_iter=max_iter
-        )
-        got = SHARDED_ALGORITHMS["lloyd"](
-            shards=3, shard_policy="recompute", runner="process",
-            fault_plan=FaultPlan.parse("kill:lloyd:shard=2:iter=2"),
-            execution=ExecutionPolicy(timeout=10.0),
-        ).fit(X, k, initial_centroids=C0, max_iter=max_iter)
-        assert_results_identical(got, want, context="pool-respawn")
-        assert got.extras["pool"]["respawns"] == 1
-
-    def test_checkpoint_resume_across_pool_restart(self, tmp_path, task):
-        """A fit killed mid-flight resumes on a *fresh* pool (new worker
-        processes, republished data plane) to the identical final model."""
-        X, k, C0, max_iter = task
-        path = tmp_path / "ckpt.jsonl"
-        want = VECTORIZED_ALGORITHMS["lloyd"]().fit(
-            X, k, initial_centroids=C0, max_iter=max_iter
-        )
-        with pytest.raises(ShardFailedError):
-            SHARDED_ALGORITHMS["lloyd"](
-                shards=3, runner="process", checkpoint=path,
-                fault_plan=FaultPlan.parse("raise:*:shard=1:iter=3"),
-                execution=ExecutionPolicy(timeout=10.0),
-            ).fit(X, k, initial_centroids=C0, max_iter=max_iter)
-        resumed = SHARDED_ALGORITHMS["lloyd"](
-            shards=3, runner="process", checkpoint=path,
-        ).fit(X, k, initial_centroids=C0, max_iter=max_iter)
-        assert_results_identical(resumed, want, context="pool-resume")
-        assert resumed.extras["resumed_iterations"] == 3
-
-    def test_data_plane_released_between_fits(self, task):
-        from repro.exec.shm import live_lease_count
-
-        X, k, C0, _ = task
-        algorithm = SHARDED_ALGORITHMS["lloyd"](shards=2, runner="process")
-        baseline = live_lease_count()
-        algorithm.fit(X, k, initial_centroids=C0, max_iter=3)
-        assert live_lease_count() == baseline
-        # A second fit on the same instance republished cleanly.
-        algorithm.fit(X, k, initial_centroids=C0, max_iter=3)
-        assert live_lease_count() == baseline
