@@ -45,12 +45,6 @@ from repro.analysis.suppressions import is_suppressed, parse_suppressions
 #: resolved-name suffixes recognized as pool-dispatch entry points
 POOL_DISPATCH_SUFFIXES = ("supervised_map", "supervised_call")
 
-#: module-level registry literals whose values are dispatched indirectly
-#: (the sharded engine looks kernels up by name on its shard threads, so
-#: the dispatch call site never names them — the registry is the ground
-#: truth for what runs concurrently).
-POOL_REGISTRY_NAMES = frozenset({"SHARD_KERNELS"})
-
 #: bare function names treated as shard-merge sinks by R011
 MERGE_SINK_NAMES = frozenset({"accumulate_cluster_sums"})
 MERGE_SINK_PREFIXES = ("merge_",)
@@ -99,10 +93,10 @@ class ParallelSafetyRule(ProjectRule):
     fuzzy edges) from it.
 
     Dispatch sites are the pool entry points
-    (:data:`POOL_DISPATCH_SUFFIXES`), ``Process(target=...)`` /
+    (:data:`POOL_DISPATCH_SUFFIXES`) and ``Process(target=...)`` /
     ``Thread(target=...)`` constructions (the serving micro-batcher's
-    worker is a thread target — shared memory, same races), and the
-    entries of pool-kernel registries (:data:`POOL_REGISTRY_NAMES`).
+    worker and the sharded engine's shard threads are thread targets —
+    shared memory, same races).
     """
 
     rule_id = "R007"
@@ -177,17 +171,10 @@ class _DispatchSite:
 
 
 def _dispatch_sites(project: Project) -> List[_DispatchSite]:
-    """Every pool-dispatch call site with its resolved callable.
-
-    Includes the entries of pool-kernel *registries*
-    (:data:`POOL_REGISTRY_NAMES`): a worker that looks its kernel up by
-    name at run time hides the callable from every call-site scan, so the
-    registry literal itself is treated as a dispatch site per entry.
-    """
+    """Every pool-dispatch call site with its resolved callable."""
     sites: List[_DispatchSite] = []
     for module_name in sorted(project.modules):
         module = project.modules[module_name]
-        sites.extend(_registry_sites(project, module_name, module))
         # Deepest containers first: a call inside a nested function must be
         # attributed to that function (so name resolution sees its locals),
         # not to the enclosing def or the module walk that also reaches it.
@@ -228,56 +215,6 @@ def _dispatch_sites(project: Project) -> List[_DispatchSite]:
                         kind, root, root_name, where,
                     )
                 )
-    return sites
-
-
-def _registry_sites(
-    project: Project, module_name: str, module: ParsedModule
-) -> List[_DispatchSite]:
-    """Dispatch sites for module-level pool-kernel registry literals."""
-    sites: List[_DispatchSite] = []
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        named = any(
-            isinstance(t, ast.Name) and t.id in POOL_REGISTRY_NAMES
-            for t in targets
-        )
-        if not named:
-            continue
-        if isinstance(value, ast.Dict):
-            entries = list(value.values)
-        elif isinstance(value, (ast.List, ast.Tuple, ast.Set)):
-            entries = list(value.elts)
-        else:
-            continue
-        for entry in entries:
-            where = f"{module.path}:{entry.lineno} (pool-kernel registry)"
-            if isinstance(entry, ast.Lambda):
-                sites.append(
-                    _DispatchSite(
-                        module_name, entry.lineno, entry.col_offset,
-                        "lambda", None, "<lambda>", where,
-                    )
-                )
-                continue
-            root, kind, root_name = _resolve_callable(
-                project, module_name, None, entry
-            )
-            if kind == "skip":
-                continue
-            sites.append(
-                _DispatchSite(
-                    module_name, entry.lineno, entry.col_offset,
-                    kind, root, root_name, where,
-                )
-            )
     return sites
 
 

@@ -41,6 +41,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.common.exceptions import ConfigurationError
 from repro.core import ALGORITHMS, BACKENDS, VECTORIZED_ALGORITHMS, make_algorithm
 from repro.datasets import dataset_names, get_dataset_spec, load_dataset
 from repro.datasets.loaders import append_jsonl, load_points_csv
@@ -70,18 +71,19 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_shard_arguments(args: argparse.Namespace, names) -> Optional[str]:
-    """Validate --shards/--shard-policy against backend + algorithms."""
-    if args.shards <= 1:
-        return None
-    if args.backend != "vectorized":
-        return ("--shards requires --backend vectorized (the shard kernels "
-                "are the vectorized kernels)")
-    from repro.exec.sharded import SHARDED_ALGORITHMS
+    """Validate --shards/--shard-policy against backend + algorithms.
 
-    unsupported = [name for name in names if name not in SHARDED_ALGORITHMS]
-    if unsupported:
-        return (f"no sharded implementation for: {unsupported}; sharded "
-                f"execution supports: {sorted(SHARDED_ALGORITHMS)}")
+    Builds each algorithm once, unfitted, so the CLI reports exactly the
+    ConfigurationError that ``make_algorithm`` raises.
+    """
+    try:
+        for name in names:
+            make_algorithm(
+                name, backend=args.backend, shards=args.shards,
+                shard_policy=args.shard_policy if args.shards > 1 else None,
+            )
+    except ConfigurationError as exc:
+        return str(exc)
     return None
 
 

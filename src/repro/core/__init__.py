@@ -119,7 +119,7 @@ def make_algorithm(
     ``shard_policy`` picks the failure policy (``strict`` / ``recompute``
     / ``degrade``; docs/sharding.md), and further engine knobs
     (``execution``, ``fault_plan``, ``checkpoint``) pass through
-    ``kwargs``.
+    ``kwargs``.  ``shards < 1`` is a :class:`ConfigurationError`.
     """
     key = name.lower()
     if key not in ALGORITHMS:
@@ -127,6 +127,8 @@ def make_algorithm(
         raise ConfigurationError(
             f"unknown algorithm {name!r}; known algorithms: {known}"
         )
+    if int(shards) < 1:
+        raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if int(shards) > 1 or shard_policy is not None:
         if backend != "vectorized":
             raise ConfigurationError(
@@ -138,7 +140,7 @@ def make_algorithm(
         from repro.exec.sharded import make_sharded_algorithm
 
         return make_sharded_algorithm(
-            key, shards=max(1, int(shards)),
+            key, shards=int(shards),
             shard_policy=shard_policy if shard_policy is not None else "strict",
             **kwargs,
         )

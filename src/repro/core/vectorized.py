@@ -108,10 +108,9 @@ BACKEND_ROUTED = True
 # function over an arbitrary contiguous *row slice*: running it on
 # ``X[lo:hi]`` produces exactly the rows ``[lo, hi)`` of the full-matrix
 # pass, bitwise.  The classes below call them on the full matrix; the
-# sharded engine (``repro.exec.sharded``) ships them to supervised worker
-# processes per shard.  They are deliberately plain module functions —
-# picklable, no module-global mutation — because they are pool-dispatch
-# roots under the R007 parallel-safety rule.
+# sharded engine (``repro.exec.sharded``) calls them on each shard's row
+# range from the shard threads.  They keep no module-global state because
+# the R007 parallel-safety rule reaches them from those threads' target.
 #
 # Each kernel charges the slice's share of the per-iteration counters;
 # centroid-level work (``centroid_separations``) is *not* charged here —
@@ -363,8 +362,9 @@ class VectorizedElkanKMeans(ElkanKMeans):
         """Per-iteration centroid-level context ``(half_cc, s)``.
 
         Computed (and charged) once per iteration; the sharded engine calls
-        this in the supervisor and ships the result to every shard worker,
-        so counter totals match the single-process pass.
+        this in the supervisor before its shard threads start and every
+        shard reads the result, so counter totals match the single-process
+        pass.
         """
         if not self.use_inter:
             return None, np.zeros(self.k)  # never prunes

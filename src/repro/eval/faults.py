@@ -58,9 +58,9 @@ class InjectedFaultError(ReproError):
 class Fault:
     """One injection rule: what to do, which runs it hits, how often.
 
-    ``shard`` and ``iteration`` narrow the rule to shard commands of the
+    ``shard`` and ``iteration`` narrow the rule to shard passes of the
     sharded execution engine (``repro.exec.sharded``): a constrained rule
-    only fires through :meth:`FaultPlan.apply_shard` when the command's
+    only fires through :meth:`FaultPlan.apply_shard` when the pass's
     shard rank / refinement iteration match, and never through the plain
     harness-level :meth:`FaultPlan.apply` path.
     """
@@ -98,7 +98,7 @@ class Fault:
 
     @property
     def shard_scoped(self) -> bool:
-        """True when the rule only applies inside shard commands."""
+        """True when the rule only applies inside shard passes."""
         return self.shard is not None or self.iteration is not None
 
     def matches_shard(self, shard: int, iteration: int) -> bool:
@@ -242,7 +242,7 @@ class FaultPlan:
     def apply_shard(
         self, key: RunKey, *, shard: int, iteration: int, attempt: int
     ) -> None:
-        """Trigger matching faults inside one shard command.
+        """Trigger matching faults inside one shard pass.
 
         Called by ``repro.exec.sharded``'s shard entry before the
         assignment kernel runs.  Every rule that matches the run key *and*
@@ -250,7 +250,7 @@ class FaultPlan:
         shard, so e.g. ``transient:lloyd`` exercises the retry path on all
         of them, while ``raise:lloyd:shard=1:iter=2`` is surgical.
         ``times`` counts per-(shard, iteration) attempts, which is exactly
-        the shard runner's retry counter for that shard command.  The
+        the shard runner's retry counter for that shard pass.  The
         engine refuses ``hang``/``kill`` rules at construction: they
         would wedge or kill the fitting process itself.
         """

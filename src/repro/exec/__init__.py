@@ -9,7 +9,6 @@ state so interrupted fits resume.  See docs/sharding.md.
 
 from repro.exec.checkpoint import ShardCheckpoint, fit_token
 from repro.exec.sharded import (
-    SHARD_KERNELS,
     SHARD_POLICY_MODES,
     SHARDED_ALGORITHMS,
     DegradedIteration,
@@ -23,7 +22,6 @@ from repro.exec.sharded import (
 
 __all__ = [
     "DegradedIteration",
-    "SHARD_KERNELS",
     "SHARDED_ALGORITHMS",
     "SHARD_POLICY_MODES",
     "ShardCheckpoint",

@@ -10,14 +10,16 @@ shard completion order.
 
 Runner
 ------
-Shard commands (:func:`execute_shard_command`) run concurrently on
-threads, one per shard, capped at ``os.cpu_count()``, against the fitting
-process's own arrays.  The kernels spend their time in NumPy calls that
-release the GIL, and the point matrix is shared by reference, so
-per-iteration communication is the O(k·d) centroid broadcast with no IPC
-at all.  A thread cannot be killed, so ``kill``/``hang`` faults and a set
-``ExecutionPolicy.timeout`` are refused at construction; the batch's
-``max_total_time`` is the deadline the engine honours.
+Each shard runs its algorithm's ``_assign_shard`` on a thread, one per
+shard, capped at ``os.cpu_count()``.  That method calls the row kernels
+of :mod:`repro.core.vectorized` directly on ``X[lo:hi]`` and the shard's
+slices of the fit's own state arrays.  The kernels spend their time in
+NumPy calls that release the GIL, and the point matrix is shared by
+reference, so per-iteration communication is the O(k·d) centroid
+broadcast with no IPC at all.  A thread cannot be killed, so
+``kill``/``hang`` faults and a set ``ExecutionPolicy.timeout`` are
+refused at construction; the batch's ``max_total_time`` is the deadline
+the engine honours.
 
 Determinism contract
 --------------------
@@ -41,7 +43,7 @@ Three disciplines carry the bit-identity guarantee:
 
 Failure handling
 ----------------
-Shard commands inherit the robustness runtime:
+Shard passes inherit the robustness runtime:
 :class:`~repro.common.exceptions.TransientError` retries with
 deterministic CRC32 backoff and the batch's ``max_total_time`` deadline.
 What happens when a shard fails *terminally* is the
@@ -51,7 +53,7 @@ What happens when a shard fails *terminally* is the
     Raise :class:`~repro.common.exceptions.ShardFailedError` carrying the
     shard rank, iteration, and classified error type.
 ``recompute``
-    Re-run each lost shard's command on the calling thread against the
+    Re-run each lost shard's pass on the calling thread against the
     shared state — bit-identical recovery, guarded by the *epoch
     protocol* below.
 ``degrade``
@@ -64,13 +66,13 @@ What happens when a shard fails *terminally* is the
 Epoch protocol
 ~~~~~~~~~~~~~~
 Because shard kernels mutate shared state in place, a kernel that raises
-*mid-write* could leave its slice torn.  Each command brackets its kernel
-with writes to a per-shard epoch slot: ``-(iteration + 2)`` before the
-kernel, ``iteration`` after the write-back.  Injected faults
+*mid-write* could leave its slice torn.  Each shard pass brackets its
+kernel with writes to a per-shard epoch slot: ``-(iteration + 2)`` before
+the kernel, ``iteration`` after its writes.  Injected faults
 (:meth:`~repro.eval.faults.FaultPlan.apply_shard`) fire *before* the
 dirty mark, so chaos recovery always sees clean state and stays
 bit-identical.  A genuinely torn slice (``epoch <= -2``) makes
-``recompute`` of a state-*reading* kernel raise
+``recompute`` of a state-*reading* pass raise
 ``ShardFailedError(error_type="ShardStateCorrupted")`` instead of
 recomputing from corrupt inputs, and makes ``degrade`` mark the shard
 stateless so its next pass reseeds from scratch.
@@ -220,169 +222,52 @@ class DegradedIteration:
 # Shard side.
 #
 # Everything below runs on the shard threads (and, for recompute, on the
-# calling thread).  The kernels are module-level and registered in
-# SHARD_KERNELS, so the R007 parallel-safety rule discovers them as
-# dispatch roots.  Kernels operate *in place* on views of the shared
-# arrays: each command names a disjoint row range, so direct mutation IS
-# the rank-order merge, and the epoch protocol (module docstring) detects
-# the only hazard — a kernel that dies mid-write.
+# calling thread).  A shard pass runs the fit's ``_assign_shard`` on its
+# own row range of the fit's arrays: the ranges are disjoint, so the
+# in-place writes ARE the rank-order merge, and the epoch protocol
+# (module docstring) detects the only hazard — a kernel that dies
+# mid-write.
 # ----------------------------------------------------------------------
 
 
-def lloyd_shard_kernel(payload: Dict[str, Any], counters: OpCounters) -> Dict[str, Any]:
-    labels = lloyd_assign_rows(
-        payload["X"],
-        payload["centroids"],
-        payload["x_sq"],
-        payload["c_sq"],
-        counters,
-    )
-    return {"labels": labels}
-
-
-def elkan_seed_shard_kernel(
-    payload: Dict[str, Any], counters: OpCounters
-) -> Dict[str, Any]:
-    labels, ub, lb = elkan_seed_rows(payload["X"], payload["centroids"], counters)
-    return {"labels": labels, "ub": ub, "lb": lb}
-
-
-def elkan_shard_kernel(payload: Dict[str, Any], counters: OpCounters) -> Dict[str, Any]:
-    labels = payload["labels"]
-    ub = payload["ub"]
-    lb = payload["lb"]
-    elkan_assign_rows(
-        payload["X"],
-        payload["centroids"],
-        labels,
-        ub,
-        lb,
-        payload["half_cc"],
-        payload["s"],
-        counters,
-    )
-    return {"labels": labels, "ub": ub, "lb": lb}
-
-
-def hamerly_seed_shard_kernel(
-    payload: Dict[str, Any], counters: OpCounters
-) -> Dict[str, Any]:
-    labels, ub, lb = hamerly_seed_rows(payload["X"], payload["centroids"], counters)
-    return {"labels": labels, "ub": ub, "lb": lb}
-
-
-def hamerly_shard_kernel(
-    payload: Dict[str, Any], counters: OpCounters
-) -> Dict[str, Any]:
-    labels = payload["labels"]
-    ub = payload["ub"]
-    lb = payload["lb"]
-    hamerly_assign_rows(
-        payload["X"],
-        payload["centroids"],
-        labels,
-        ub,
-        lb,
-        payload["s"],
-        counters,
-    )
-    return {"labels": labels, "ub": ub, "lb": lb}
-
-
-#: Registry of shard assignment kernels.  Shard threads run them
-#: concurrently, so the R007 parallel-safety rule discovers them from this
-#: literal and lints them (and their callees) like any other dispatch
-#: root.
-SHARD_KERNELS = {
-    "lloyd": lloyd_shard_kernel,
-    "elkan_seed": elkan_seed_shard_kernel,
-    "elkan": elkan_shard_kernel,
-    "hamerly_seed": hamerly_seed_shard_kernel,
-    "hamerly": hamerly_shard_kernel,
-}
-
-#: steady-state kernels that *read* persistent shard state (labels/bounds)
-#: and therefore cannot recompute from a torn slice
-STATE_READING_KERNELS = frozenset({"elkan", "hamerly"})
-
-
-def build_shard_payload(
-    arrays: Dict[str, np.ndarray], command: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Assemble one kernel's payload from shared-array views + the command.
-
-    The bulk inputs (``X``, state slices) are *views* of the fit's arrays;
-    only the centroids and the O(k²) context arrive through the command —
-    this is the O(k·d)-per-iteration property in code form.
-    """
-    lo, hi = command["lo"], command["hi"]
-    kernel = command["kernel"]
-    payload: Dict[str, Any] = {
-        "X": arrays["x"][lo:hi],
-        "centroids": command["centroids"],
-    }
-    payload.update(command.get("context") or {})
-    if kernel == "lloyd":
-        payload["x_sq"] = arrays["xsq"][lo:hi]
-    elif kernel in STATE_READING_KERNELS:
-        payload["labels"] = arrays["labels"][lo:hi]
-        payload["ub"] = arrays["ub"][lo:hi]
-        payload["lb"] = arrays["lb"][lo:hi]
-    return payload
-
-
-def execute_shard_command(
-    arrays: Dict[str, np.ndarray],
-    command: Dict[str, Any],
+def _run_shard(
+    fit: "_ShardedAssignMixin",
+    rank: int,
+    key: RunKey,
+    iteration: int,
+    attempt: int,
     counters: OpCounters,
-) -> Dict[str, Any]:
-    """Run one shard command against the fit's shared arrays.
+    fault_plan,
+) -> None:
+    """Run shard ``rank``'s assignment pass for one iteration.
 
     Applies targeted faults first (so injected chaos never tears state),
-    brackets the kernel with the epoch protocol's dirty/clean marks, and
-    writes any kernel outputs that are not already in-place views back at
-    the shard's fixed row offsets.
+    then brackets the pass with the epoch protocol's dirty/clean marks.
+    The pass is called on the ``fit`` parameter rather than on ``self``,
+    so R007 follows it to every class's override and the row kernels
+    behind them.
     """
-    rank = command["rank"]
-    iteration = command["iteration"]
-    fault_plan = command.get("fault_plan")
     if fault_plan is not None:
-        fault_plan.apply_shard(
-            command["key"],
-            shard=rank,
-            iteration=iteration,
-            attempt=command.get("attempt", 1),
-        )
-    epoch = arrays["epoch"]
-    epoch[rank] = -(iteration + 2)
-    payload = build_shard_payload(arrays, command)
-    out = SHARD_KERNELS[command["kernel"]](payload, counters)
-    lo, hi = command["lo"], command["hi"]
-    for role in ("labels", "ub", "lb"):
-        value = out.get(role)
-        target = arrays.get(role)
-        if value is None or target is None:
-            continue
-        window = target[lo:hi]
-        if not np.shares_memory(value, window):
-            window[...] = value
-    epoch[rank] = iteration
-    return {"shard": rank}
+        fault_plan.apply_shard(key, shard=rank, iteration=iteration, attempt=attempt)
+    fit._epoch[rank] = -(iteration + 2)
+    fit._assign_shard(rank, counters)
+    fit._epoch[rank] = iteration
 
 
-def _settle_shard_command(
-    arrays: Dict[str, np.ndarray],
-    command: Dict[str, Any],
+def _settle_shard(
+    fit: "_ShardedAssignMixin",
+    rank: int,
     key: RunKey,
-    policy: ExecutionPolicy,
+    iteration: int,
     deadline: Optional[float],
 ) -> Any:
-    """Run one shard command to a settled outcome.
+    """Run one shard pass to a settled outcome: its counters or a failure.
 
-    Transient failures retry with deterministic backoff until
-    ``policy.retries`` or the shared ``deadline`` runs out, and any other
-    exception degrades to a classified :class:`FailedRun`.
+    Transient failures retry with deterministic backoff until the fit's
+    ``shard_execution.retries`` or the shared ``deadline`` runs out, and
+    any other exception degrades to a classified :class:`FailedRun`.
     """
+    policy = fit.shard_execution
     started = time.monotonic()
     attempt = 1
     while True:
@@ -399,11 +284,10 @@ def _settle_shard_command(
             )
         try:
             counters = OpCounters()
-            attempt_command = dict(command)
-            attempt_command["attempt"] = attempt
-            out = execute_shard_command(arrays, attempt_command, counters)
-            out["counters"] = counters
-            return out
+            _run_shard(
+                fit, rank, key, iteration, attempt, counters, fit.shard_fault_plan
+            )
+            return counters
         except TransientError as exc:
             if attempt <= policy.retries:
                 delay = policy.backoff_delay(str(key), attempt)
@@ -429,70 +313,59 @@ def _settle_shard_command(
 
 
 def _settle_shard_stride(
-    arrays: Dict[str, np.ndarray],
-    commands: Sequence[Dict[str, Any]],
+    fit: "_ShardedAssignMixin",
     keys: Sequence[RunKey],
+    iteration: int,
     results: List[Any],
     first: int,
     step: int,
-    policy: ExecutionPolicy,
     deadline: Optional[float],
 ) -> None:
-    """Settle commands ``first, first + step, ...`` into their result slots.
+    """Settle shards ``first, first + step, ...`` into their result slots.
 
-    The shard threads' target.  Each slot is written by
-    exactly one thread, and each command's kernel writes only its own
-    shard's rows of the shared state, so threads share nothing mutable.
+    The shard threads' target.  Each slot is written by exactly one
+    thread, and each shard pass writes only its own rows of the fit's
+    state, so threads share nothing mutable.
     """
-    for slot in range(first, len(commands), step):
-        results[slot] = _settle_shard_command(
-            arrays, commands[slot], keys[slot], policy, deadline
-        )
+    for rank in range(first, len(keys), step):
+        results[rank] = _settle_shard(fit, rank, keys[rank], iteration, deadline)
 
 
 def _run_inline(
-    arrays: Dict[str, np.ndarray],
-    commands: Sequence[Dict[str, Any]],
-    keys: Sequence[RunKey],
-    *,
-    policy: ExecutionPolicy,
+    fit: "_ShardedAssignMixin", keys: Sequence[RunKey], iteration: int
 ) -> List[Any]:
-    """Run shard commands concurrently on threads.
+    """Run every shard's pass concurrently on threads.
 
     One thread per shard, capped at ``os.cpu_count()`` (the calling
     thread takes the first stride), against the fit's own arrays.  The
     kernels spend their time in NumPy calls that release the GIL, and X
     is shared by reference: no shared memory, no pickling, no spawn.
-    Per command, transient failures retry with deterministic backoff
-    under the batch's shared ``max_total_time`` deadline, and any other
-    exception degrades to a classified :class:`FailedRun`.  Results come
-    back in command (shard-rank) order, and every thread is joined before
-    this returns or raises.
+    Per shard, transient failures retry with deterministic backoff under
+    the batch's shared ``max_total_time`` deadline, and any other
+    exception degrades to a classified :class:`FailedRun`.  Outcomes
+    (each an :class:`OpCounters` or a :class:`FailedRun`) come back in
+    shard-rank order, and every thread is joined before this returns or
+    raises.
 
     No timeout isolation: a thread cannot be killed, so ``kill`` and
     ``hang`` faults and a set ``ExecutionPolicy.timeout`` are refused at
     construction.
     """
-    deadline = (
-        None
-        if policy.max_total_time is None
-        else time.monotonic() + policy.max_total_time
-    )
-    results: List[Any] = [None] * len(commands)
-    width = max(1, min(len(commands), os.cpu_count() or 1))
+    max_total_time = fit.shard_execution.max_total_time
+    deadline = None if max_total_time is None else time.monotonic() + max_total_time
+    results: List[Any] = [None] * len(keys)
+    width = max(1, min(len(keys), os.cpu_count() or 1))
     threads: List[threading.Thread] = []
     try:
         for first in range(1, width):
             thread = threading.Thread(
                 target=_settle_shard_stride,
-                args=(arrays, commands, keys, results, first, width, policy, deadline),
+                args=(fit, keys, iteration, results, first, width, deadline),
                 name=f"repro-shard-{first}",
             )
             thread.start()
             threads.append(thread)
-        _settle_shard_stride(
-            arrays, commands, keys, results, 0, width, policy, deadline
-        )
+        _settle_shard_stride(fit, keys, iteration, results, 0, width, deadline)
     finally:
         for thread in threads:
             thread.join()
@@ -517,7 +390,7 @@ class _ShardedAssignMixin:
     """Replaces the assignment pass with a shard fan-out.
 
     Mixed in *before* a vectorized algorithm class, it overrides
-    ``_setup`` (shard ranges and epoch vector), ``_assign`` (command
+    ``_setup`` (shard ranges and epoch vector), ``_assign`` (shard
     fan-out / recover), ``_refine`` (rank-order merge fold for the
     ``rescan`` mode), ``_update_bounds`` (replay transition), and
     ``_extras`` (degradation/resume reporting).  Everything else — setup,
@@ -526,11 +399,9 @@ class _ShardedAssignMixin:
     bit-identical.
     """
 
-    #: registry key of the steady-state assignment kernel
-    shard_kernel: str = ""
-    #: registry key of the iteration-0 (seeding) kernel; None when the
-    #: steady-state kernel is already a full scan (Lloyd)
-    shard_seed_kernel: Optional[str] = None
+    #: whether a shard's steady-state pass reads the labels and bounds
+    #: its previous pass left (a torn slice cannot be recomputed from)
+    reads_shard_state = False
 
     def __init__(
         self,
@@ -603,22 +474,20 @@ class _ShardedAssignMixin:
         if self._maybe_replay(iteration, entry_crc):
             return
         self._last_was_replay = False
+        self._prepare_shards()
         keys = self._shard_keys(iteration)
-        commands = self._shard_commands(iteration, keys)
-        outcomes = _run_inline(
-            self._local_arrays(), commands, keys, policy=self.shard_execution
-        )
+        outcomes = _run_inline(self, keys, iteration)
         losses: Dict[int, FailedRun] = {
             rank: out
             for rank, out in enumerate(outcomes)
             if isinstance(out, FailedRun)
         }
         if losses:
-            losses = self._recover(iteration, commands, outcomes, losses)
+            losses = self._recover(iteration, keys, outcomes, losses)
         for rank, out in enumerate(outcomes):
             if isinstance(out, FailedRun):
                 continue
-            self.counters.merge(out["counters"])
+            self.counters.merge(out)
             self._shard_has_state[rank] = True
         degraded = None
         if losses:
@@ -682,45 +551,14 @@ class _ShardedAssignMixin:
             extras["resumed_iterations"] = self._resumed_iterations
         return extras
 
-    def _local_arrays(self) -> Dict[str, np.ndarray]:
-        """The arrays shard commands read and write, keyed by role."""
-        arrays: Dict[str, np.ndarray] = {"x": self.X, "epoch": self._epoch}
-        arrays.update(self._state_arrays())
-        return arrays
-
     # ------------------------------------------------------------------
     # Dispatch and recovery.
     # ------------------------------------------------------------------
 
-    def _shard_commands(
-        self, iteration: int, keys: Sequence[RunKey]
-    ) -> List[Dict[str, Any]]:
-        """One command per shard: centroid broadcast + bookkeeping."""
-        kernels = [
-            self._shard_kernel_for(rank) for rank in range(len(self._ranges))
-        ]
-        context = self._command_context(kernels)
-        commands: List[Dict[str, Any]] = []
-        for rank, (lo, hi) in enumerate(self._ranges):
-            commands.append(
-                {
-                    "kernel": kernels[rank],
-                    "rank": rank,
-                    "lo": lo,
-                    "hi": hi,
-                    "iteration": iteration,
-                    "centroids": self._centroids,
-                    "context": context.get(kernels[rank]),
-                    "key": keys[rank],
-                    "fault_plan": self.shard_fault_plan,
-                }
-            )
-        return commands
-
     def _recover(
         self,
         iteration: int,
-        commands: List[Dict[str, Any]],
+        keys: Sequence[RunKey],
         outcomes: List[Any],
         losses: Dict[int, FailedRun],
     ) -> Dict[int, FailedRun]:
@@ -745,12 +583,11 @@ class _ShardedAssignMixin:
             # epoch dirty mark, so the shared state still holds the exact
             # pre-iteration inputs and a re-run on this thread is
             # bit-identical to a fault-free pass.  The epoch guard refuses
-            # to recompute a state-reading kernel from a genuinely torn
+            # to recompute a state-reading pass from a genuinely torn
             # slice.  The recovery path itself is deliberately fault-free
-            # — injected faults target shard commands, not recovery.
-            arrays = self._local_arrays()
+            # — injected faults target shard threads, not recovery.
             for rank in sorted(losses):
-                if self._slice_is_torn(commands[rank]):
+                if self._slice_is_torn(rank):
                     failure = losses[rank]
                     raise ShardFailedError(
                         f"shard {rank} of {self.name} died mid-kernel at "
@@ -761,25 +598,23 @@ class _ShardedAssignMixin:
                         iteration=iteration,
                         error_type="ShardStateCorrupted",
                     )
-                command = dict(commands[rank])
-                command["fault_plan"] = None
-                command["attempt"] = 1
                 counters = OpCounters()
-                out = execute_shard_command(arrays, command, counters)
-                out["counters"] = counters
-                outcomes[rank] = out
+                _run_shard(self, rank, keys[rank], iteration, 1, counters, None)
+                outcomes[rank] = counters
             return {}
         # degrade: a torn state-reading shard cannot keep "stale but
         # sound" bounds — mark it stateless so its next pass reseeds.
         for rank in sorted(losses):
-            if self._slice_is_torn(commands[rank]):
+            if self._slice_is_torn(rank):
                 self._shard_has_state[rank] = False
         return losses
 
-    def _slice_is_torn(self, command: Dict[str, Any]) -> bool:
+    def _slice_is_torn(self, rank: int) -> bool:
+        """Whether shard ``rank``'s state-reading pass died mid-write."""
         return (
-            command["kernel"] in STATE_READING_KERNELS
-            and int(self._epoch[command["rank"]]) <= EPOCH_DIRTY_THRESHOLD
+            self.reads_shard_state
+            and self._shard_has_state[rank]
+            and int(self._epoch[rank]) <= EPOCH_DIRTY_THRESHOLD
         )
 
     def _shard_keys(self, iteration: int) -> List[RunKey]:
@@ -860,18 +695,13 @@ class _ShardedAssignMixin:
     # Per-algorithm hooks.
     # ------------------------------------------------------------------
 
-    def _shard_kernel_for(self, rank: int) -> str:
-        """Registry key of the kernel shard ``rank`` runs this iteration."""
+    def _prepare_shards(self) -> None:
+        """Compute, and charge once, the centroid context of this
+        iteration's shard passes; runs before the fan-out."""
         raise NotImplementedError
 
-    def _command_context(
-        self, kernels: Sequence[str]
-    ) -> Dict[str, Dict[str, Any]]:
-        """Per-kernel broadcast context, charged once in the supervisor."""
-        raise NotImplementedError
-
-    def _state_arrays(self) -> Dict[str, np.ndarray]:
-        """Role -> array map of the state this algorithm's kernels use."""
+    def _assign_shard(self, rank: int, counters: OpCounters) -> None:
+        """Shard ``rank``'s assignment pass over its rows, in place."""
         raise NotImplementedError
 
     def _reseed_bounds(self) -> None:
@@ -881,18 +711,16 @@ class _ShardedAssignMixin:
 class ShardedLloydKMeans(_ShardedAssignMixin, VectorizedLloydKMeans):
     """Sharded vectorized Lloyd: every iteration is a full scan."""
 
-    shard_kernel = "lloyd"
-
-    def _shard_kernel_for(self, rank: int) -> str:
-        return self.shard_kernel
-
-    def _command_context(self, kernels):
-        return {"lloyd": {"c_sq": sq_norms(self._centroids)}}
-
-    def _state_arrays(self):
+    def _prepare_shards(self):
         if self._x_sq is None:
             self._x_sq = sq_norms(self.X)
-        return {"xsq": self._x_sq, "labels": self._labels}
+        self._c_sq = sq_norms(self._centroids)
+
+    def _assign_shard(self, rank, counters):
+        lo, hi = self._ranges[rank]
+        self._labels[lo:hi] = lloyd_assign_rows(
+            self.X[lo:hi], self._centroids, self._x_sq[lo:hi], self._c_sq, counters
+        )
 
 
 class _BoundedShardMixin(_ShardedAssignMixin):
@@ -904,28 +732,20 @@ class _BoundedShardMixin(_ShardedAssignMixin):
     on its slice of the shared bound state.
     """
 
-    def _shard_kernel_for(self, rank: int) -> str:
-        if not self._shard_has_state[rank]:
-            return self.shard_seed_kernel
-        return self.shard_kernel
+    reads_shard_state = True
 
-    def _command_context(self, kernels):
-        if self.shard_kernel not in kernels:
-            return {}
-        return {self.shard_kernel: self._steady_context()}
-
-    def _state_arrays(self):
+    def _prepare_shards(self):
         self._ensure_bound_arrays()
-        return {"labels": self._labels, "ub": self._ub, "lb": self._lb}
+        # The separations are charged only in iterations where some shard
+        # runs the steady-state kernel, as in the single-process fit.
+        self._separation = (
+            self._separation_context() if any(self._shard_has_state) else None
+        )
 
     def _reseed_bounds(self):
         self._ensure_bound_arrays()
         self._ub.fill(np.inf)
         self._lb.fill(0.0)
-
-    def _steady_context(self) -> Dict[str, Any]:
-        """Centroid-level broadcast context, charged once in the supervisor."""
-        raise NotImplementedError
 
     def _ensure_bound_arrays(self) -> None:
         raise NotImplementedError
@@ -934,12 +754,15 @@ class _BoundedShardMixin(_ShardedAssignMixin):
 class ShardedElkanKMeans(_BoundedShardMixin, VectorizedElkanKMeans):
     """Sharded vectorized Elkan with supervisor-computed separations."""
 
-    shard_kernel = "elkan"
-    shard_seed_kernel = "elkan_seed"
-
-    def _steady_context(self):
-        half_cc, s = self._separation_context()
-        return {"half_cc": half_cc, "s": s}
+    def _assign_shard(self, rank, counters):
+        lo, hi = self._ranges[rank]
+        X, labels = self.X[lo:hi], self._labels[lo:hi]
+        ub, lb = self._ub[lo:hi], self._lb[lo:hi]
+        if not self._shard_has_state[rank]:
+            labels[:], ub[:], lb[:] = elkan_seed_rows(X, self._centroids, counters)
+            return
+        half_cc, s = self._separation
+        elkan_assign_rows(X, self._centroids, labels, ub, lb, half_cc, s, counters)
 
     def _ensure_bound_arrays(self):
         if self._ub is None:
@@ -951,11 +774,16 @@ class ShardedElkanKMeans(_BoundedShardMixin, VectorizedElkanKMeans):
 class ShardedHamerlyKMeans(_BoundedShardMixin, VectorizedHamerlyKMeans):
     """Sharded vectorized Hamerly with supervisor-computed separations."""
 
-    shard_kernel = "hamerly"
-    shard_seed_kernel = "hamerly_seed"
-
-    def _steady_context(self):
-        return {"s": self._separation_context()}
+    def _assign_shard(self, rank, counters):
+        lo, hi = self._ranges[rank]
+        X, labels = self.X[lo:hi], self._labels[lo:hi]
+        ub, lb = self._ub[lo:hi], self._lb[lo:hi]
+        if not self._shard_has_state[rank]:
+            labels[:], ub[:], lb[:] = hamerly_seed_rows(X, self._centroids, counters)
+            return
+        hamerly_assign_rows(
+            X, self._centroids, labels, ub, lb, self._separation, counters
+        )
 
     def _ensure_bound_arrays(self):
         if self._ub is None:
@@ -996,15 +824,12 @@ def make_sharded_algorithm(name: str, **kwargs):
 
 __all__ = [
     "DegradedIteration",
-    "SHARD_KERNELS",
     "SHARDED_ALGORITHMS",
     "SHARD_POLICY_MODES",
     "ShardFailurePolicy",
     "ShardedElkanKMeans",
     "ShardedHamerlyKMeans",
     "ShardedLloydKMeans",
-    "build_shard_payload",
-    "execute_shard_command",
     "make_sharded_algorithm",
     "shard_bounds",
 ]

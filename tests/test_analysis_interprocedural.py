@@ -139,53 +139,45 @@ class TestParallelSafety:
         }, ["R007"])
         assert report.findings == []
 
-    def test_shard_kernel_registry_entries_checked(self, tmp_path):
-        # SHARD_KERNELS values are dispatched by name on the shard threads,
-        # so no call site ever names them — the registry literal itself is
-        # the dispatch surface and every entry gets the reachability walk.
+    def test_shard_pass_on_parameter_reaches_every_override(self, tmp_path):
+        # The sharded engine's thread target calls the per-shard method on
+        # the fit object it was handed: a call on a parameter has no known
+        # receiver type, so R007 follows it to every override and flags
+        # the one that reaches a module-global mutation.
         report = run_fixture(tmp_path, {
             "src/repro/exec/work.py": """\
-                CACHE = {}
+                import threading
 
-                def dirty_kernel(payload, counters):
-                    CACHE["hit"] = payload
-                    return {}
+                SEEN = []
 
-                def clean_kernel(payload, counters):
-                    return {"labels": payload}
+                def remember(rows):
+                    SEEN.append(rows)
 
-                SHARD_KERNELS = {
-                    "dirty": dirty_kernel,
-                    "clean": clean_kernel,
-                }
+                class Sharded:
+                    def _assign_shard(self, rank, counters):
+                        raise NotImplementedError
+
+                class CleanShards(Sharded):
+                    def _assign_shard(self, rank, counters):
+                        return rank
+
+                class DirtyShards(Sharded):
+                    def _assign_shard(self, rank, counters):
+                        remember(rank)
+
+                def run_shard(fit, rank, counters):
+                    fit._assign_shard(rank, counters)
+
+                def fan_out(fit, counters):
+                    thread = threading.Thread(target=run_shard, args=(fit, 1, counters))
+                    thread.start()
+                    thread.join()
                 """,
         }, ["R007"])
         assert len(report.findings) == 1
         finding = report.findings[0]
-        assert "'dirty_kernel'" in finding.message
-        assert "pool-kernel registry" in finding.message
-
-    def test_shard_kernel_registry_lambda_flagged(self, tmp_path):
-        report = run_fixture(tmp_path, {
-            "src/repro/exec/work.py": """\
-                SHARD_KERNELS = {
-                    "bad": lambda payload, counters: {},
-                }
-                """,
-        }, ["R007"])
-        assert len(report.findings) == 1
-        assert "lambda" in report.findings[0].message
-
-    def test_clean_shard_kernel_registry_passes(self, tmp_path):
-        report = run_fixture(tmp_path, {
-            "src/repro/exec/work.py": """\
-                def kernel(payload, counters):
-                    return {"labels": payload}
-
-                SHARD_KERNELS = {"k": kernel}
-                """,
-        }, ["R007"])
-        assert report.findings == []
+        assert "'remember'" in finding.message
+        assert "DirtyShards._assign_shard" in finding.message
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,18 @@ class TestClusterCommand:
         capsys.readouterr()
         assert len(read_jsonl(log)) == 1
 
+    @pytest.mark.parametrize(
+        "shard_args",
+        (["--shards", "0"], ["--shards", "-2", "--shard-policy", "degrade"]),
+        ids=("zero", "negative"),
+    )
+    def test_rejects_nonpositive_shards(self, shard_args, capsys):
+        code = main(["cluster", "--algorithm", "lloyd", "--backend", "vectorized",
+                     "--dataset", "Skin", "--n", "200", "--k", "3",
+                     "--max-iter", "2", *shard_args])
+        assert code == 2
+        assert "shards must be >= 1" in capsys.readouterr().err
+
     def test_csv_input(self, tmp_path, capsys):
         X = np.random.default_rng(0).normal(size=(120, 3))
         path = tmp_path / "points.csv"

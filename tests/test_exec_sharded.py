@@ -17,12 +17,15 @@ import os
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import load_project_from_paths
+from repro.analysis.interprocedural import _dispatch_sites
 from repro.common.exceptions import (
     ConfigurationError,
     ShardFailedError,
@@ -36,8 +39,8 @@ from repro.eval.faults import FaultPlan
 from repro.eval.harness import run_algorithm
 from repro.eval.parallel import parallel_compare
 from repro.eval.runtime import ExecutionPolicy
+from repro.exec import sharded
 from repro.exec.sharded import (
-    SHARD_KERNELS,
     SHARDED_ALGORITHMS,
     DegradedIteration,
     ShardFailurePolicy,
@@ -46,6 +49,8 @@ from repro.exec.sharded import (
 )
 
 from tests.trace_utils import golden_path, golden_task, traced_class
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 COUNTER_FIELDS = (
     "changed",
@@ -209,19 +214,19 @@ class TestInlineRunner:
         (os.cpu_count() or 1) < 2, reason="concurrent shards need >= 2 cores"
     )
     def test_inline_shards_run_concurrently(self, chaos_task, monkeypatch):
-        # Each shard command waits at a two-party barrier before running
+        # Each shard pass waits at a two-party barrier before running
         # the real kernel: a sequential runner would leave the first
         # shard waiting alone until the barrier times out (a
         # BrokenBarrierError, so strict fails the fit), never hang.
         X, k, C0 = chaos_task
         barrier = threading.Barrier(2, timeout=10.0)
-        real = SHARD_KERNELS["lloyd"]
+        real = sharded.lloyd_assign_rows
 
-        def spy(payload, counters):
+        def spy(*args):
             barrier.wait()
-            return real(payload, counters)
+            return real(*args)
 
-        monkeypatch.setitem(SHARD_KERNELS, "lloyd", spy)
+        monkeypatch.setattr(sharded, "lloyd_assign_rows", spy)
         got = SHARDED_ALGORITHMS["lloyd"](shards=2).fit(
             X, k, initial_centroids=C0, max_iter=4
         )
@@ -237,18 +242,18 @@ class TestInlineRunner:
         # kernels: the fit may only raise after every shard has finished,
         # so no thread writes state once the fit is over.
         X, k, C0 = chaos_task
-        real = SHARD_KERNELS["lloyd"]
+        real = sharded.lloyd_assign_rows
         finished = []
 
-        def spy(payload, counters):
-            if np.shares_memory(payload["X"], X[:40]):
+        def spy(X_rows, *args):
+            if np.shares_memory(X_rows, X[:40]):
                 raise RuntimeError("shard 0 fails first")
             time.sleep(0.2)
-            out = real(payload, counters)
-            finished.append(len(payload["X"]))
+            out = real(X_rows, *args)
+            finished.append(len(X_rows))
             return out
 
-        monkeypatch.setitem(SHARD_KERNELS, "lloyd", spy)
+        monkeypatch.setattr(sharded, "lloyd_assign_rows", spy)
         algorithm = SHARDED_ALGORITHMS["lloyd"](shards=3)
         with pytest.raises(ShardFailedError) as excinfo:
             algorithm.fit(X, k, initial_centroids=C0, max_iter=4)
@@ -340,21 +345,21 @@ class TestInlineRunner:
         lo, hi = shard_bounds(len(X), 3)[1]
         passes = {"elkan": 0, "elkan_seed": 0}
 
-        def wrap(kernel):
-            real = SHARD_KERNELS[kernel]
+        def wrap(kernel, name):
+            real = getattr(sharded, name)
 
-            def spy(payload, counters):
-                out = real(payload, counters)
-                if np.shares_memory(payload["X"], X[lo:hi]):
+            def spy(X_rows, *args, **kwargs):
+                out = real(X_rows, *args, **kwargs)
+                if np.shares_memory(X_rows, X[lo:hi]):
                     passes[kernel] += 1
                     if kernel == "elkan" and passes[kernel] == 2:
                         raise RuntimeError("shard 1 dies after its write")
                 return out
 
-            monkeypatch.setitem(SHARD_KERNELS, kernel, spy)
+            monkeypatch.setattr(sharded, name, spy)
 
-        wrap("elkan")
-        wrap("elkan_seed")
+        wrap("elkan", "elkan_assign_rows")
+        wrap("elkan_seed", "elkan_seed_rows")
         algorithm = SHARDED_ALGORITHMS["elkan"](shards=3, shard_policy=policy)
         if policy == "recompute":
             with pytest.raises(ShardFailedError) as excinfo:
@@ -491,14 +496,42 @@ class TestWiring:
         algorithm = make_algorithm("lloyd", backend="vectorized")
         assert type(algorithm) is VECTORIZED_ALGORITHMS["lloyd"]
 
-    def test_kernel_registry_covers_every_algorithm(self):
-        # Every sharded algorithm's kernels must be registered so R007
-        # checks them as dispatch roots (docs/sharding.md).
-        assert set(SHARD_KERNELS) == {
-            "lloyd", "elkan_seed", "elkan", "hamerly_seed", "hamerly"
+    @pytest.mark.parametrize(
+        "knobs",
+        (
+            {"backend": "vectorized", "shards": 0},
+            {"backend": "vectorized", "shards": -3, "shard_policy": "strict"},
+            {"shards": -3},
+        ),
+        ids=("vectorized-zero", "vectorized-negative-policy", "reference-negative"),
+    )
+    def test_make_algorithm_rejects_nonpositive_shards(self, knobs):
+        with pytest.raises(ConfigurationError, match="shards must be >= 1"):
+            make_algorithm("lloyd", **knobs)
+
+    def test_shard_threads_reach_every_row_kernel(self):
+        # R007 lints what the shard threads run by walking the live call
+        # graph, fuzzy edges included, from their Thread target; every
+        # row kernel a shard pass calls must be on that walk.
+        project, graph, _, _ = load_project_from_paths(
+            [REPO_ROOT / "src"], root=REPO_ROOT
+        )
+        (site,) = [
+            site for site in _dispatch_sites(project)
+            if site.module == "repro.exec.sharded"
+        ]
+        reached = graph.reachable([site.root], fuzzy=True)
+        kernels = {
+            f"repro.core.vectorized.{name}"
+            for name in (
+                "lloyd_assign_rows",
+                "elkan_seed_rows",
+                "elkan_assign_rows",
+                "hamerly_seed_rows",
+                "hamerly_assign_rows",
+            )
         }
-        for kernel in SHARD_KERNELS.values():
-            assert callable(kernel)
+        assert kernels <= set(reached)
 
 
 class TestHarnessIntegration:
