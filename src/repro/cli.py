@@ -62,26 +62,17 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
                              "shards, run on threads in-process; requires "
                              "--backend vectorized and results stay "
                              "bit-identical (see docs/sharding.md)")
-    parser.add_argument("--shard-policy", default="strict",
-                        choices=["strict", "recompute", "degrade"],
-                        help="what to do when a shard fails terminally: "
-                             "raise, re-run it inline (bit-identical), or "
-                             "finish from survivors with a DegradedIteration "
-                             "record")
 
 
 def _check_shard_arguments(args: argparse.Namespace, names) -> Optional[str]:
-    """Validate --shards/--shard-policy against backend + algorithms.
+    """Validate --shards against backend + algorithms.
 
     Builds each algorithm once, unfitted, so the CLI reports exactly the
     ConfigurationError that ``make_algorithm`` raises.
     """
     try:
         for name in names:
-            make_algorithm(
-                name, backend=args.backend, shards=args.shards,
-                shard_policy=args.shard_policy if args.shards > 1 else None,
-            )
+            make_algorithm(name, backend=args.backend, shards=args.shards)
     except ConfigurationError as exc:
         return str(exc)
     return None
@@ -123,8 +114,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         return 2
     X = _load(args)
     algorithm = make_algorithm(
-        args.algorithm, backend=args.backend, shards=args.shards,
-        shard_policy=args.shard_policy if args.shards > 1 else None,
+        args.algorithm, backend=args.backend, shards=args.shards
     )
     result = algorithm.fit(X, args.k, max_iter=args.max_iter, seed=args.seed)
     summary = result.summary()
@@ -178,9 +168,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     records = compare_algorithms(
         names, X, args.k,
         repeats=args.repeats, max_iter=args.max_iter,
-        seed=args.seed, backend=args.backend,
-        shards=args.shards,
-        shard_policy=args.shard_policy if args.shards > 1 else None,
+        seed=args.seed, backend=args.backend, shards=args.shards,
     )
     table = speedup_table(records)
     rows = format_speedup_rows(table, order=names)
@@ -287,9 +275,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 max_workers=args.max_workers, timeout=args.timeout,
                 retries=args.retries, dataset=dataset, log=log,
                 resume=args.resume, fault_plan=plan, backend=args.backend,
-                shards=args.shards,
-                shard_policy=args.shard_policy if args.shards > 1 else None,
-                save_model=args.save_model,
+                shards=args.shards, save_model=args.save_model,
             )
             for record in records:
                 if is_failed_record(record):
@@ -398,8 +384,7 @@ def _cmd_registry(args: argparse.Namespace) -> int:
             return 2
         X = _load(args)
         algorithm = make_algorithm(
-            args.algorithm, backend=args.backend, shards=args.shards,
-            shard_policy=args.shard_policy if args.shards > 1 else None,
+            args.algorithm, backend=args.backend, shards=args.shards
         )
         result = algorithm.fit(X, args.k, max_iter=args.max_iter, seed=args.seed)
         key = registry.save_model(

@@ -47,28 +47,6 @@ class WorkerCrashError(ReproError, RuntimeError):
     remaining runs continue."""
 
 
-class ShardFailedError(ReproError, RuntimeError):
-    """A shard of the sharded execution engine failed terminally under the
-    ``strict`` failure policy.  Carries the shard rank, the fit iteration,
-    and the classified error type of the underlying failure so chaos tests
-    (and operators) can attribute the loss precisely."""
-
-    def __init__(
-        self, message: str, *, shard: int = -1, iteration: int = -1,
-        error_type: str = "",
-    ) -> None:
-        super().__init__(message)
-        self.shard = shard
-        self.iteration = iteration
-        self.error_type = error_type
-
-
-class CheckpointError(ReproError, RuntimeError):
-    """A shard-state checkpoint could not be validated against the running
-    fit (mismatched fit key, non-contiguous iteration records, or a
-    centroid digest that disagrees with the replayed trajectory)."""
-
-
 class RegistryError(ReproError, RuntimeError):
     """Base class for model-registry failures (``repro.serve.registry``):
     unknown keys, malformed manifests, unusable payload files."""

@@ -97,8 +97,7 @@ BACKENDS = ("reference", "vectorized")
 
 
 def make_algorithm(
-    name: str, *, backend: str = "reference", shards: int = 1,
-    shard_policy=None, **kwargs
+    name: str, *, backend: str = "reference", shards: int = 1, **kwargs
 ) -> KMeansAlgorithm:
     """Instantiate an algorithm by registry name.
 
@@ -110,16 +109,14 @@ def make_algorithm(
     ``make_algorithm("index", index="kd-tree")`` or
     ``make_algorithm("elkan", backend="vectorized", use_inter=False)``.
 
-    ``shards > 1`` selects the fault-tolerant sharded execution engine
+    ``shards > 1`` selects the sharded execution engine
     (``repro.exec.sharded``): the assignment phase fans out across
-    concurrent shards with deterministic rank-order merging —
-    bit-identical to the single-process vectorized backend.  Requires
-    ``backend="vectorized"`` (the shard kernels *are* the vectorized
-    kernels) and an algorithm with a sharded implementation;
-    ``shard_policy`` picks the failure policy (``strict`` / ``recompute``
-    / ``degrade``; docs/sharding.md), and further engine knobs
-    (``execution``, ``fault_plan``, ``checkpoint``) pass through
-    ``kwargs``.  ``shards < 1`` is a :class:`ConfigurationError`.
+    concurrent shard threads with deterministic rank-order merging —
+    bit-identical to the single-process vectorized backend, and failing
+    with the same exception it would.  Requires ``backend="vectorized"``
+    (the shard kernels *are* the vectorized kernels) and an algorithm
+    with a sharded implementation (docs/sharding.md).  ``shards < 1`` is
+    a :class:`ConfigurationError`.
     """
     key = name.lower()
     if key not in ALGORITHMS:
@@ -129,7 +126,7 @@ def make_algorithm(
         )
     if int(shards) < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    if int(shards) > 1 or shard_policy is not None:
+    if int(shards) > 1:
         if backend != "vectorized":
             raise ConfigurationError(
                 "sharded execution requires backend='vectorized' (the shard "
@@ -139,11 +136,7 @@ def make_algorithm(
         # vectorized module, and most callers never shard.
         from repro.exec.sharded import make_sharded_algorithm
 
-        return make_sharded_algorithm(
-            key, shards=int(shards),
-            shard_policy=shard_policy if shard_policy is not None else "strict",
-            **kwargs,
-        )
+        return make_sharded_algorithm(key, shards=int(shards), **kwargs)
     if backend == "reference":
         cls = ALGORITHMS[key]
     elif backend == "vectorized":
@@ -179,7 +172,6 @@ class KMeans:
         algorithm: str = "unik",
         backend: str = "reference",
         shards: int = 1,
-        shard_policy=None,
         init: str = "k-means++",
         max_iter: int = DEFAULT_MAX_ITER,
         tol: float = 0.0,
@@ -190,7 +182,6 @@ class KMeans:
         self.algorithm_name = algorithm
         self.backend = backend
         self.shards = int(shards)
-        self.shard_policy = shard_policy
         self.init = init
         self.max_iter = int(max_iter)
         self.tol = float(tol)
@@ -204,7 +195,6 @@ class KMeans:
             self.algorithm_name,
             backend=self.backend,
             shards=self.shards,
-            shard_policy=self.shard_policy,
             **self.algorithm_kwargs,
         )
         self.result_ = algorithm.fit(

@@ -56,14 +56,7 @@ class InjectedFaultError(ReproError):
 
 @dataclass(frozen=True)
 class Fault:
-    """One injection rule: what to do, which runs it hits, how often.
-
-    ``shard`` and ``iteration`` narrow the rule to shard passes of the
-    sharded execution engine (``repro.exec.sharded``): a constrained rule
-    only fires through :meth:`FaultPlan.apply_shard` when the pass's
-    shard rank / refinement iteration match, and never through the plain
-    harness-level :meth:`FaultPlan.apply` path.
-    """
+    """One injection rule: what to do, which runs it hits, how often."""
 
     kind: str
     match: str = "*"
@@ -71,10 +64,6 @@ class Fault:
     times: Optional[int] = None
     #: sleep length for ``delay`` faults
     seconds: float = 0.05
-    #: shard rank this rule targets; None means any shard
-    shard: Optional[int] = None
-    #: fit iteration this rule targets; None means any iteration
-    iteration: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -83,28 +72,12 @@ class Fault:
             )
         if self.times is not None and self.times < 1:
             raise ValidationError(f"fault times must be >= 1, got {self.times}")
-        if self.shard is not None and self.shard < 0:
-            raise ValidationError(f"fault shard must be >= 0, got {self.shard}")
-        if self.iteration is not None and self.iteration < 0:
-            raise ValidationError(
-                f"fault iteration must be >= 0, got {self.iteration}"
-            )
 
     def matches(self, key: RunKey) -> bool:
         return self.match == "*" or self.match == key.algorithm or self.match in str(key)
 
     def triggers(self, attempt: int) -> bool:
         return self.times is None or attempt <= self.times
-
-    @property
-    def shard_scoped(self) -> bool:
-        """True when the rule only applies inside shard passes."""
-        return self.shard is not None or self.iteration is not None
-
-    def matches_shard(self, shard: int, iteration: int) -> bool:
-        return (self.shard is None or self.shard == shard) and (
-            self.iteration is None or self.iteration == iteration
-        )
 
 
 @dataclass(frozen=True)
@@ -130,15 +103,15 @@ class FaultPlan:
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
-        """Parse a CLI spec: comma-separated ``kind:match[:arg][:k=v...]`` items.
+        """Parse a CLI spec: comma-separated ``kind:match[:arg]`` items.
 
-        The third positional field is ``times`` for transient/raise faults
-        and ``seconds`` for delay faults.  ``shard=N`` / ``iter=N`` parts
-        scope a rule to one shard rank / fit iteration of the sharded
-        engine (see :class:`Fault`).  ``rate:<p>`` and ``seed:<s>`` items
-        configure the pseudo-random mode.  Example::
+        The third field is ``times`` for transient/raise faults and
+        ``seconds`` for delay faults; an item with more fields, or with a
+        ``key=value`` field, is a :class:`ValidationError` rather than a
+        rule that silently never fires.  ``rate:<p>`` and ``seed:<s>``
+        items configure the pseudo-random mode.  Example::
 
-            transient:hamerly:2,hang:lloyd,raise:elkan:shard=1:iter=2,rate:0.1
+            transient:hamerly:2,hang:lloyd,raise:elkan,rate:0.1
         """
         faults: List[Fault] = []
         rate = 0.0
@@ -164,33 +137,23 @@ class FaultPlan:
 
     @staticmethod
     def _parse_fault(kind: str, args: List[str]) -> Fault:
-        scope = {}
-        positional: List[str] = []
-        for part in args:
-            if "=" in part:
-                field, _, value = part.partition("=")
-                field = field.strip().lower()
-                if field == "iter":
-                    field = "iteration"
-                if field not in ("shard", "iteration"):
-                    raise ValidationError(
-                        f"unknown fault scope {field!r}; known: shard=, iter="
-                    )
-                scope[field] = int(value)
-            else:
-                positional.append(part)
-        match = positional[0] if positional and positional[0] else "*"
-        arg = positional[1] if len(positional) > 1 else None
+        if len(args) > 2 or any("=" in part for part in args):
+            raise ValidationError(
+                f"fault items are kind[:match[:arg]], got "
+                f"{':'.join([kind, *args])!r}"
+            )
+        match = args[0] if args and args[0] else "*"
+        arg = args[1] if len(args) > 1 else None
         if kind == "delay":
             return Fault(kind=kind, match=match,
-                         seconds=float(arg) if arg is not None else 0.05, **scope)
+                         seconds=float(arg) if arg is not None else 0.05)
         if kind == "transient":
             return Fault(kind=kind, match=match,
-                         times=int(arg) if arg is not None else 1, **scope)
+                         times=int(arg) if arg is not None else 1)
         if kind == "raise":
             return Fault(kind=kind, match=match,
-                         times=int(arg) if arg is not None else None, **scope)
-        return Fault(kind=kind, match=match, **scope)
+                         times=int(arg) if arg is not None else None)
+        return Fault(kind=kind, match=match)
 
     # ------------------------------------------------------------------
     # Injection (runs inside worker processes — must stay deterministic).
@@ -199,71 +162,38 @@ class FaultPlan:
     def for_key(self, key: RunKey) -> List[Fault]:
         return [fault for fault in self.faults if fault.matches(key)]
 
-    def rate_triggers(self, key: RunKey, attempt: int, scope: str = "") -> bool:
+    def rate_triggers(self, key: RunKey, attempt: int) -> bool:
         if self.rate <= 0.0:
             return False
-        draw = zlib.crc32(f"{self.seed}:{key}:{scope}{attempt}".encode()) % 100_000
+        draw = zlib.crc32(f"{self.seed}:{key}:{attempt}".encode()) % 100_000
         return draw < self.rate * 100_000
-
-    @staticmethod
-    def _execute(fault: Fault, where: str, attempt: int) -> None:
-        """Carry out one triggered fault (raise, sleep, hang, or exit)."""
-        if fault.kind == "delay":
-            time.sleep(fault.seconds)
-        elif fault.kind == "transient":
-            raise TransientError(
-                f"injected transient fault for {where} (attempt {attempt})"
-            )
-        elif fault.kind == "raise":
-            raise InjectedFaultError(f"injected deterministic fault for {where}")
-        elif fault.kind == "hang":
-            while True:  # the supervisor must kill us
-                time.sleep(60.0)
-        elif fault.kind == "kill":
-            os._exit(KILL_EXIT_CODE)
 
     def apply(self, key: RunKey, attempt: int) -> None:
         """Trigger the matching faults for ``(key, attempt)``, if any.
 
         Called by the harness worker before the actual run; raises, sleeps,
         or exits according to the plan.  ``corrupt`` faults are log-level
-        and ignored here, and shard-scoped rules (``shard=``/``iter=``)
-        only fire through :meth:`apply_shard`.
+        and ignored here.
         """
         for fault in self.for_key(key):
-            if fault.shard_scoped or not fault.triggers(attempt):
+            if not fault.triggers(attempt):
                 continue
-            self._execute(fault, str(key), attempt)
+            if fault.kind == "delay":
+                time.sleep(fault.seconds)
+            elif fault.kind == "transient":
+                raise TransientError(
+                    f"injected transient fault for {key} (attempt {attempt})"
+                )
+            elif fault.kind == "raise":
+                raise InjectedFaultError(f"injected deterministic fault for {key}")
+            elif fault.kind == "hang":
+                while True:  # the supervisor must kill us
+                    time.sleep(60.0)
+            elif fault.kind == "kill":
+                os._exit(KILL_EXIT_CODE)
         if self.rate_triggers(key, attempt):
             raise TransientError(
                 f"injected random transient fault for {key} (attempt {attempt})"
-            )
-
-    def apply_shard(
-        self, key: RunKey, *, shard: int, iteration: int, attempt: int
-    ) -> None:
-        """Trigger matching faults inside one shard pass.
-
-        Called by ``repro.exec.sharded``'s shard entry before the
-        assignment kernel runs.  Every rule that matches the run key *and*
-        the (shard, iteration) scope fires — unscoped rules hit every
-        shard, so e.g. ``transient:lloyd`` exercises the retry path on all
-        of them, while ``raise:lloyd:shard=1:iter=2`` is surgical.
-        ``times`` counts per-(shard, iteration) attempts, which is exactly
-        the shard runner's retry counter for that shard pass.  The
-        engine refuses ``hang``/``kill`` rules at construction: they
-        would wedge or kill the fitting process itself.
-        """
-        where = f"{key} shard {shard} iter {iteration}"
-        for fault in self.for_key(key):
-            if not fault.matches_shard(shard, iteration):
-                continue
-            if not fault.triggers(attempt):
-                continue
-            self._execute(fault, where, attempt)
-        if self.rate_triggers(key, attempt, scope=f"shard{shard}@it{iteration}:"):
-            raise TransientError(
-                f"injected random transient fault for {where} (attempt {attempt})"
             )
 
     def wants_log_corruption(self) -> bool:

@@ -107,12 +107,9 @@ def _materialize(
     spec: AlgorithmSpec,
     backend: str = "reference",
     shards: int = 1,
-    shard_policy=None,
 ) -> KMeansAlgorithm:
     if isinstance(spec, str):
-        return make_algorithm(
-            spec, backend=backend, shards=shards, shard_policy=shard_policy
-        )
+        return make_algorithm(spec, backend=backend, shards=shards)
     if isinstance(spec, KnobConfig):
         return build_algorithm(spec)
     return spec()
@@ -137,7 +134,6 @@ def run_algorithm(
     seed: int = 0,
     backend: str = "reference",
     shards: int = 1,
-    shard_policy=None,
     save_model=None,
     dataset: str = "",
 ) -> RunRecord:
@@ -151,10 +147,10 @@ def run_algorithm(
     ``docs/backends.md``); counters and trajectories are backend-invariant,
     so only wall-clock metrics change.  ``shards > 1`` routes string specs
     through the sharded engine (``repro.exec.sharded``; requires
-    ``backend="vectorized"``) with the given failure policy — results stay
-    bit-identical to the single-process vectorized run, so comparability
-    is preserved there too.  :class:`KnobConfig` and factory specs carry
-    their own construction and ignore backend, shards and shard_policy.
+    ``backend="vectorized"``) — results stay bit-identical to the
+    single-process vectorized run, so comparability is preserved there
+    too.  :class:`KnobConfig` and factory specs carry their own
+    construction and ignore backend and shards.
 
     ``save_model`` optionally persists the *first* repeat's fitted model
     to a :class:`repro.serve.ModelRegistry` (an instance or a directory
@@ -183,7 +179,7 @@ def run_algorithm(
         raise ValidationError("initial_centroids must contain at least one seeding")
     results: List[KMeansResult] = []
     for centroids in initial_centroids:
-        algorithm = _materialize(spec, backend, shards, shard_policy)
+        algorithm = _materialize(spec, backend, shards)
         results.append(
             algorithm.fit(X, k, initial_centroids=centroids, max_iter=max_iter)
         )
@@ -246,7 +242,6 @@ def compare_algorithms(
     seed: int = 0,
     backend: str = "reference",
     shards: int = 1,
-    shard_policy=None,
 ) -> List[RunRecord]:
     """Run several algorithms on the same task with shared initializations."""
     X = check_data_matrix(X)
@@ -262,7 +257,7 @@ def compare_algorithms(
             spec, X, k,
             initial_centroids=initial_centroids,
             repeats=repeats, max_iter=max_iter, seed=seed, backend=backend,
-            shards=shards, shard_policy=shard_policy,
+            shards=shards,
         )
         for spec in specs
     ]

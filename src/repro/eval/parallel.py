@@ -44,7 +44,7 @@ RunOutcome = Union[RunRecord, FailedRun]
 
 def _worker(item: Tuple, attempt: int) -> RunRecord:
     (spec, X, k, initial_centroids, repeats, max_iter, seed, key, fault_plan,
-     backend, shards, shard_policy, save_model, dataset) = item
+     backend, shards, save_model, dataset) = item
     if fault_plan is not None:
         fault_plan.apply(key, attempt)
     # A sharded fit runs its shards on threads inside this worker, with
@@ -56,8 +56,7 @@ def _worker(item: Tuple, attempt: int) -> RunRecord:
         spec, X, k,
         initial_centroids=initial_centroids,
         repeats=repeats, max_iter=max_iter, seed=seed, backend=backend,
-        shards=shards, shard_policy=shard_policy,
-        save_model=save_model, dataset=dataset,
+        shards=shards, save_model=save_model, dataset=dataset,
     )
 
 
@@ -80,7 +79,6 @@ def parallel_compare(
     fault_plan=None,
     backend: str = "reference",
     shards: int = 1,
-    shard_policy=None,
     save_model=None,
 ) -> List[RunOutcome]:
     """Run several algorithm specs concurrently on the same task.
@@ -109,7 +107,7 @@ def parallel_compare(
       ``"vectorized"``; see ``docs/backends.md``).  Counters and
       trajectories are backend-invariant, so cells are resumable across
       backends; only wall-clock metrics differ.
-    * ``shards`` / ``shard_policy`` — with ``shards > 1`` (and
+    * ``shards`` — with ``shards > 1`` (and
       ``backend="vectorized"``), each worker runs its fit through the
       sharded engine (``repro.exec.sharded``), whose shards run on
       threads inside the worker — the merge discipline is identical, so
@@ -171,7 +169,7 @@ def parallel_compare(
         ]
         items = [
             (specs[i], X, k, initial_centroids, repeats, max_iter, seed, keys[i],
-             fault_plan, backend, shards, shard_policy, save_model, dataset)
+             fault_plan, backend, shards, save_model, dataset)
             for i in todo
         ]
         outcomes = supervised_map(

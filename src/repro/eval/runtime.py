@@ -122,7 +122,7 @@ class ExecutionPolicy:
     retry) is launched at or after the deadline, running workers are
     killed when it passes, and every unfinished item degrades to a
     ``RunTimeoutError`` :class:`FailedRun`.  This caps a retry storm
-    across many items (shards, cells) at the campaign budget regardless
+    across many cells at the campaign budget regardless
     of per-item ``timeout``/``retries`` settings.
     """
 

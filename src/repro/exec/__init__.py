@@ -2,17 +2,13 @@
 
 ``repro.exec.sharded`` runs the assignment phase of the vectorized
 algorithms concurrently on shard threads against the fitting process's
-own arrays, with deterministic bit-identical merging and configurable
-failure policies; ``repro.exec.checkpoint`` persists per-iteration shard
-state so interrupted fits resume.  See docs/sharding.md.
+own arrays, with deterministic bit-identical merging; a failing shard
+fails the fit exactly as the single-process fit would.  See
+docs/sharding.md.
 """
 
-from repro.exec.checkpoint import ShardCheckpoint, fit_token
 from repro.exec.sharded import (
-    SHARD_POLICY_MODES,
     SHARDED_ALGORITHMS,
-    DegradedIteration,
-    ShardFailurePolicy,
     ShardedElkanKMeans,
     ShardedHamerlyKMeans,
     ShardedLloydKMeans,
@@ -21,15 +17,10 @@ from repro.exec.sharded import (
 )
 
 __all__ = [
-    "DegradedIteration",
     "SHARDED_ALGORITHMS",
-    "SHARD_POLICY_MODES",
-    "ShardCheckpoint",
-    "ShardFailurePolicy",
     "ShardedElkanKMeans",
     "ShardedHamerlyKMeans",
     "ShardedLloydKMeans",
-    "fit_token",
     "make_sharded_algorithm",
     "shard_bounds",
 ]

@@ -24,14 +24,13 @@ Keying and tamper detection
 ---------------------------
 An entry's ``key`` is the first 16 hex digits of the SHA-256 of the
 canonical JSON of its kind, metadata, and per-array CRC32 digests
-(:func:`repro.exec.checkpoint.array_crc`) — a *content hash*, so saving
+(:func:`array_crc`) — a *content hash*, so saving
 the bit-identical model twice lands on the same key and a different model
 can never collide into it silently.  Every payload's CRC (arrays) or
 SHA-256 (pickled artifacts) is recorded in the manifest at save time;
 :meth:`ModelRegistry.verify` re-reads the bytes and raises a classified
 :class:`~repro.common.exceptions.RegistryCorruptionError` on any
-disagreement — a flipped byte in ``centroids.npy`` is caught, exactly
-like the centroid-digest check of ``repro.exec.checkpoint``.
+disagreement — a flipped byte in ``centroids.npy`` is caught.
 
 Schema versioning
 -----------------
@@ -62,6 +61,7 @@ import json
 import os
 import pickle
 import time
+import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -73,7 +73,6 @@ from repro.common.exceptions import (
     RegistryVersionError,
 )
 from repro.datasets.loaders import append_jsonl, read_jsonl
-from repro.exec.checkpoint import array_crc
 
 try:  # POSIX-only; the registry degrades gracefully without it
     import fcntl
@@ -92,6 +91,11 @@ KINDS = (MODEL_KIND, SELECTOR_KIND)
 
 #: length (hex digits) of the content-hashed entry key
 KEY_LENGTH = 16
+
+
+def array_crc(arr: np.ndarray) -> int:
+    """CRC32 digest of an array's contents (dtype-stable, deterministic)."""
+    return zlib.crc32(np.ascontiguousarray(arr).tobytes()) & 0xFFFFFFFF
 
 
 def content_key(kind: str, meta: Dict[str, Any], digests: Dict[str, int]) -> str:
@@ -572,5 +576,6 @@ __all__ = [
     "SELECTOR_KIND",
     "ModelRegistry",
     "RegistryEntry",
+    "array_crc",
     "content_key",
 ]

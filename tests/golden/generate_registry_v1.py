@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exec.checkpoint import array_crc
+from repro.serve.registry import array_crc
 
 OUT_DIR = Path(__file__).resolve().parent / "registry_v1"
 

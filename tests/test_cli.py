@@ -56,7 +56,7 @@ class TestClusterCommand:
 
     @pytest.mark.parametrize(
         "shard_args",
-        (["--shards", "0"], ["--shards", "-2", "--shard-policy", "degrade"]),
+        (["--shards", "0"], ["--shards", "-2"]),
         ids=("zero", "negative"),
     )
     def test_rejects_nonpositive_shards(self, shard_args, capsys):
@@ -170,6 +170,14 @@ class TestBenchCommand:
 
     def test_malformed_fault_spec_exits_two(self, capsys):
         code = main(self.BASE + ["--inject-faults", "meteor:lloyd"])
+        assert code == 2
+        assert "bad arguments" in capsys.readouterr().err
+
+    def test_key_value_fault_fields_exit_two(self, capsys):
+        code = main(self.BASE + [
+            "--algorithms", "lloyd", "--backend", "vectorized", "--shards", "2",
+            "--inject-faults", "raise:lloyd:shard=1:iter=1", "--strict",
+        ])
         assert code == 2
         assert "bad arguments" in capsys.readouterr().err
 

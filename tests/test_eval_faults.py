@@ -77,6 +77,12 @@ class TestFaultPlanParse:
         assert FaultPlan.parse("") == FaultPlan()
         assert FaultPlan.parse(" , ,") == FaultPlan()
 
+    def test_parse_rejects_key_value_fields(self):
+        # A shard=/iter= field fails the parse instead of yielding a rule
+        # that never fires.
+        with pytest.raises(ValidationError, match="shard=1"):
+            FaultPlan.parse("raise:lloyd:shard=1:iter=1")
+
     def test_parse_malformed_rejected(self):
         with pytest.raises(ValidationError):
             FaultPlan.parse("transient:hamerly:soon")
@@ -281,71 +287,3 @@ def test_injected_faults_do_not_perturb_results(data):
     assert delayed.sse == serial.sse
     assert delayed.distance_computations == serial.distance_computations
     assert np.isfinite(delayed.total_time)
-
-
-class TestShardScopedFaults:
-    def test_parse_shard_and_iter_scope(self):
-        plan = FaultPlan.parse("kill:elkan:shard=1:iter=2")
-        (fault,) = plan.faults
-        assert fault.kind == "kill"
-        assert fault.match == "elkan"
-        assert fault.shard == 1
-        assert fault.iteration == 2
-        assert fault.shard_scoped
-
-    def test_parse_scope_composes_with_positional_arg(self):
-        plan = FaultPlan.parse("transient:lloyd:2:shard=0")
-        (fault,) = plan.faults
-        assert fault.times == 2 and fault.shard == 0 and fault.iteration is None
-
-    def test_parse_unknown_scope_field_rejected(self):
-        with pytest.raises(ValidationError):
-            FaultPlan.parse("kill:elkan:node=1")
-
-    def test_negative_scope_rejected(self):
-        with pytest.raises(ValidationError):
-            Fault(kind="kill", shard=-1)
-        with pytest.raises(ValidationError):
-            Fault(kind="kill", iteration=-1)
-
-    def test_unscoped_fault_is_not_shard_scoped(self):
-        assert not Fault(kind="kill").shard_scoped
-
-    def test_matches_shard_semantics(self):
-        both = Fault(kind="raise", shard=1, iteration=2)
-        assert both.matches_shard(1, 2)
-        assert not both.matches_shard(0, 2)
-        assert not both.matches_shard(1, 3)
-        shard_only = Fault(kind="raise", shard=1)
-        assert shard_only.matches_shard(1, 0) and shard_only.matches_shard(1, 99)
-        iter_only = Fault(kind="raise", iteration=2)
-        assert iter_only.matches_shard(0, 2) and iter_only.matches_shard(7, 2)
-
-    def test_apply_skips_shard_scoped_rules(self):
-        # Harness-level injection must never fire a rule that targets a
-        # shard worker — the scope would be meaningless there.
-        plan = FaultPlan.parse("raise:lloyd:shard=0")
-        plan.apply(KEY, 1)  # must not raise
-
-    def test_apply_shard_fires_on_matching_scope_only(self):
-        plan = FaultPlan.parse("raise:lloyd:shard=1:iter=2")
-        plan.apply_shard(KEY, shard=0, iteration=2, attempt=1)
-        plan.apply_shard(KEY, shard=1, iteration=1, attempt=1)
-        with pytest.raises(InjectedFaultError):
-            plan.apply_shard(KEY, shard=1, iteration=2, attempt=1)
-
-    def test_apply_shard_respects_run_key_match(self):
-        plan = FaultPlan.parse("raise:elkan:shard=0")
-        plan.apply_shard(KEY, shard=0, iteration=0, attempt=1)  # lloyd key
-        elkan_key = RunKey(algorithm="elkan", dataset="toy", n=100, d=4, k=5,
-                           seed=0, max_iter=10)
-        with pytest.raises(InjectedFaultError):
-            plan.apply_shard(elkan_key, shard=0, iteration=0, attempt=1)
-
-    def test_unscoped_rule_hits_every_shard(self):
-        plan = FaultPlan.parse("transient:lloyd:1")
-        for shard in (0, 1, 5):
-            with pytest.raises(TransientError):
-                plan.apply_shard(KEY, shard=shard, iteration=0, attempt=1)
-            # times=1: second attempt on the same shard task passes
-            plan.apply_shard(KEY, shard=shard, iteration=0, attempt=2)

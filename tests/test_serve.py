@@ -35,6 +35,7 @@ from repro.serve import (
     ModelRegistry,
     Predictor,
 )
+from repro.serve.registry import array_crc
 
 GOLDEN_V1 = Path(__file__).resolve().parent / "golden" / "registry_v1"
 
@@ -148,6 +149,13 @@ class TestModelRegistry:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(RegistryCorruptionError):
             entry.selector()
+
+    def test_array_crc_tracks_contents(self):
+        a = np.arange(6, dtype=np.float64)
+        assert array_crc(a) == array_crc(a.copy())
+        b = a.copy()
+        b[3] += 1e-9
+        assert array_crc(a) != array_crc(b)
 
 
 class TestRegistrySchemaEvolution:
