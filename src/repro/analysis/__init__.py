@@ -16,34 +16,27 @@ R003      counter-discipline            counter-taking code charges accesses
 R004      float-equality                pruning never compares floats with ==
 R005      mutable-default-arg           no shared mutable default arguments
 R006      no-swallowed-exception        failures are recorded, never eaten
-R007      parallel-safety               pool-dispatched callables are pickle-
-                                        safe and free of global mutation
-R008      backend-purity                backend-routed modules reach distance
-                                        math only via counted kernels
+R007      parallel-safety               callables shipped to a worker
+                                        process pickle; no dispatched
+                                        callable mutates module globals
+R008      transitive-uncounted-distance instrumented code never reaches
+                                        uncounted distances via helpers
 R009      rng-provenance                RNG use derives from seeded Generator
                                         parameters, never acquired mid-call
 R010      transitive-counter-discipline counter-taking code never calls
                                         helpers with uncharged array reads
-R011      accumulation-order-stability  merge paths feeding cluster sums
-                                        avoid unordered float reductions
 ========  ============================  ==================================
 
-R001–R006 are per-module rules; R007–R011 are *project rules* that run
-over the whole-tree import graph, conservative call graph, and inferred
-effect table (:mod:`repro.analysis.graph`, :mod:`repro.analysis.effects`,
+R001–R006 are per-module rules; R007–R010 are *project rules* that run
+over the whole-tree conservative call graph and direct-effect table
+(:mod:`repro.analysis.graph`, :mod:`repro.analysis.effects`,
 :mod:`repro.analysis.interprocedural`).
 
-Findings can be silenced inline with ``# repro: ignore[R001]`` (with an
-explanatory comment) or grandfathered in ``analysis_baseline.json``.  See
-``docs/static_analysis.md`` for the full workflow.
+Findings are silenced inline with ``# repro: ignore[R001]`` (with an
+explanatory comment); a suppression that silences nothing fails the run.
+See ``docs/static_analysis.md`` for the full workflow.
 """
 
-from repro.analysis.baseline import (
-    Baseline,
-    load_baseline,
-    migrate_baseline,
-    write_baseline,
-)
 from repro.analysis.findings import Finding, statement_content_hash
 from repro.analysis.reporters import (
     format_findings_json,
@@ -52,7 +45,7 @@ from repro.analysis.reporters import (
 )
 from repro.analysis.rules import Rule, all_rule_ids, get_rules
 
-# Importing the interprocedural module registers R007–R011 as a side
+# Importing the interprocedural module registers R007–R010 as a side
 # effect; ALL_RULE_IDS must therefore be computed afterwards.
 import repro.analysis.interprocedural  # noqa: F401  (registration import)
 
@@ -70,7 +63,6 @@ ALL_RULE_IDS = all_rule_ids()
 __all__ = [
     "ALL_RULE_IDS",
     "AnalysisReport",
-    "Baseline",
     "Finding",
     "Rule",
     "UnusedSuppression",
@@ -80,9 +72,6 @@ __all__ = [
     "format_findings_sarif",
     "format_findings_text",
     "get_rules",
-    "load_baseline",
     "load_project_from_paths",
-    "migrate_baseline",
     "statement_content_hash",
-    "write_baseline",
 ]

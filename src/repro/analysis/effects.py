@@ -1,38 +1,23 @@
-"""Effect inference: a small lattice of function side effects.
+"""Direct effects: the two per-function facts the project rules lift.
 
-Every project function is labeled with a subset of :data:`EFFECTS`:
+Every project function gets a subset of two labels:
 
 ``mutates-global``
     Writes module-level state — ``global`` declarations that are stored
     to, or in-place mutation (subscript/attribute store, mutator method
-    call) of a module-level binding.  Fatal for pool-dispatched work: a
-    forked worker's mutation is silently lost, a threaded one races.
-``performs-io``
-    Filesystem / stream traffic (``open``, ``print``, path writes,
-    ``json.dump`` …).  Informational for now; surfaced in ``--graph``.
-``uses-rng``
-    Draws randomness — through :mod:`repro.common.rng`, numpy / stdlib
-    RNG modules, or method calls on generator-shaped receivers.
+    call) of a module-level binding.  R007 walks the call graph from each
+    dispatched callable looking for it: a worker process's mutation is
+    silently lost, a thread's races.
 ``uncounted-distance``
     Contains distance arithmetic outside the counted kernels — exactly
     R001's detectors, but evaluated *everywhere* (R001 itself only scans
-    the instrumented core) so backend-purity (R008) can see an uncounted
-    kernel behind a helper call.  Lines carrying an R001/R008 suppression
-    contribute no effect: a justified suppression is a declaration that
-    the arithmetic is not a distance in the Table 3 sense.
-``unpicklable-closure``
-    The function is nested (defined inside another function), so it
-    pickles by neither reference nor value — dispatching it to a worker
-    process fails or, worse, drags its closure along.  This label is a
-    *property*, not an effect: it does not propagate through calls
-    (calling a closure from picklable code is fine; shipping one isn't).
+    the instrumented scope) so R008 can see an uncounted kernel behind a
+    helper call.  Lines carrying an R001 suppression contribute no
+    effect: a justified suppression is a declaration that the arithmetic
+    is not a distance in the Table 3 sense.
 
-Direct effects come from one AST pass per function
-(:func:`compute_direct_effects`); transitive effects are the least
-fixpoint of ``effects(f) = direct(f) ∪ ⋃ effects(callees(f))`` over a
-chosen edge tier (:func:`propagate_effects`).  The call graph's SCC
-condensation guarantees the fixpoint terminates; determinism of both is
-pinned by ``tests/test_analysis_graph.py``.
+Both come from one AST pass per function (:func:`compute_direct_effects`);
+the rules that consume them do their own reachability walk.
 """
 
 from __future__ import annotations
@@ -41,29 +26,12 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.graph import CallGraph, FunctionInfo, Project
-from repro.analysis.rules import ParsedModule, UninstrumentedDistanceRule, resolve_name
+from repro.analysis.graph import FunctionInfo, Project
+from repro.analysis.rules import ParsedModule, UninstrumentedDistanceRule
 from repro.analysis.suppressions import is_suppressed, parse_suppressions
 
 MUTATES_GLOBAL = "mutates-global"
-PERFORMS_IO = "performs-io"
-USES_RNG = "uses-rng"
 UNCOUNTED_DISTANCE = "uncounted-distance"
-UNPICKLABLE_CLOSURE = "unpicklable-closure"
-
-#: the full lattice, in display order
-EFFECTS = (
-    MUTATES_GLOBAL,
-    PERFORMS_IO,
-    USES_RNG,
-    UNCOUNTED_DISTANCE,
-    UNPICKLABLE_CLOSURE,
-)
-
-#: effects that flow caller-ward through calls (see module docstring)
-PROPAGATED_EFFECTS = frozenset(
-    {MUTATES_GLOBAL, PERFORMS_IO, USES_RNG, UNCOUNTED_DISTANCE}
-)
 
 #: container methods that mutate their receiver in place
 _MUTATOR_METHODS = frozenset(
@@ -73,48 +41,8 @@ _MUTATOR_METHODS = frozenset(
     }
 )
 
-#: resolved dotted prefixes / names whose call is IO
-_IO_CALL_PREFIXES = ("shutil.", "subprocess.", "sys.stdout", "sys.stderr")
-_IO_CALL_NAMES = frozenset(
-    {
-        "json.dump", "json.load", "pickle.dump", "pickle.load",
-        "os.remove", "os.unlink", "os.rename", "os.replace", "os.makedirs",
-        "os.mkdir", "os.rmdir", "os.fsync", "os.chdir",
-    }
-)
-_IO_METHOD_NAMES = frozenset(
-    {"write_text", "write_bytes", "read_text", "read_bytes", "savefig", "to_csv"}
-)
-
-#: numpy Generator drawing methods (the common surface)
-RNG_METHODS = frozenset(
-    {
-        "integers", "random", "choice", "shuffle", "permutation", "normal",
-        "uniform", "standard_normal", "exponential", "poisson", "geometric",
-        "binomial", "multivariate_normal", "spawn",
-    }
-)
-
-#: local/attribute names treated as generator-shaped receivers
-_RNG_NAME_FRAGMENTS = ("rng", "random_state", "generator")
-
 #: the counted-kernel module: raw arithmetic there IS the instrumentation
 DISTANCE_KERNEL_MODULE = "repro.common.distance"
-
-
-def is_rng_shaped_name(name: str) -> bool:
-    lowered = name.lower()
-    return any(fragment in lowered for fragment in _RNG_NAME_FRAGMENTS)
-
-
-@dataclass(frozen=True)
-class DistanceSite:
-    """One uncounted-distance expression inside a function."""
-
-    line: int
-    col: int
-    message: str
-    snippet: str
 
 
 @dataclass
@@ -122,14 +50,14 @@ class DirectEffects:
     """Per-function direct (intraprocedural) effect labels."""
 
     effects: Dict[str, FrozenSet[str]] = field(default_factory=dict)
-    #: per-function uncounted-distance evidence, for R008 reporting
-    distance_sites: Dict[str, Tuple[DistanceSite, ...]] = field(default_factory=dict)
+    #: per-function lines of uncounted distance arithmetic, for R008 reporting
+    distance_lines: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
 
     def get(self, qualname: str) -> FrozenSet[str]:
         return self.effects.get(qualname, frozenset())
 
 
-def _root_name(node: ast.AST) -> Optional[str]:
+def root_name(node: ast.AST) -> Optional[str]:
     """Peel attributes/subscripts down to the base ``Name``, if any."""
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
@@ -158,9 +86,9 @@ def module_level_names(tree: ast.AST) -> FrozenSet[str]:
     return frozenset(names)
 
 
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body, *excluding* nested function definitions
-    (those are separate graph nodes with their own effects)."""
+def body_nodes(func: ast.AST) -> Iterator[ast.AST]:
+    """Walk a function body, *excluding* nested function and lambda
+    bodies (nested defs are separate graph nodes with their own effects)."""
     stack: List[ast.AST] = list(ast.iter_child_nodes(func))
     while stack:
         node = stack.pop()
@@ -183,7 +111,7 @@ def _local_store_names(func: ast.AST) -> Set[str]:
         names.add(args.vararg.arg)
     if args.kwarg:
         names.add(args.kwarg.arg)
-    for node in _own_nodes(func):
+    for node in body_nodes(func):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, (ast.For, ast.AsyncFor)):
@@ -198,15 +126,13 @@ def _function_direct_effects(
     info: FunctionInfo,
     module_globals: FrozenSet[str],
     suppressions: Mapping[int, FrozenSet[str]],
-) -> Tuple[Set[str], List[DistanceSite]]:
+) -> Tuple[Set[str], List[int]]:
     func = info.node
     effects: Set[str] = set()
-    sites: List[DistanceSite] = []
-    if info.is_nested:
-        effects.add(UNPICKLABLE_CLOSURE)
+    distance_lines: List[int] = []
 
     global_names: Set[str] = set()
-    for node in _own_nodes(func):
+    for node in body_nodes(func):
         if isinstance(node, ast.Global):
             global_names.update(node.names)
     locals_ = _local_store_names(func) - global_names
@@ -214,7 +140,7 @@ def _function_direct_effects(
     def is_module_global(name: Optional[str]) -> bool:
         return name is not None and name in module_globals and name not in locals_
 
-    for node in _own_nodes(func):
+    for node in body_nodes(func):
         # --- mutates-global -------------------------------------------
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -222,55 +148,17 @@ def _function_direct_effects(
                 if isinstance(target, ast.Name) and target.id in global_names:
                     effects.add(MUTATES_GLOBAL)
                 elif isinstance(target, (ast.Subscript, ast.Attribute)):
-                    if is_module_global(_root_name(target)):
+                    if is_module_global(root_name(target)):
                         effects.add(MUTATES_GLOBAL)
         elif isinstance(node, ast.Call):
             func_expr = node.func
-            resolved = resolve_name(module.aliases, func_expr)
             # mutator method on a module-level container
             if (
                 isinstance(func_expr, ast.Attribute)
                 and func_expr.attr in _MUTATOR_METHODS
-                and is_module_global(_root_name(func_expr.value))
+                and is_module_global(root_name(func_expr.value))
             ):
                 effects.add(MUTATES_GLOBAL)
-            # --- performs-io ------------------------------------------
-            if isinstance(func_expr, ast.Name) and func_expr.id in ("open", "print"):
-                effects.add(PERFORMS_IO)
-            elif resolved is not None and (
-                resolved in _IO_CALL_NAMES
-                or resolved.startswith(_IO_CALL_PREFIXES)
-            ):
-                effects.add(PERFORMS_IO)
-            elif (
-                isinstance(func_expr, ast.Attribute)
-                and func_expr.attr in _IO_METHOD_NAMES
-            ):
-                effects.add(PERFORMS_IO)
-            # --- uses-rng ---------------------------------------------
-            if resolved is not None and (
-                resolved.startswith("numpy.random.")
-                or resolved == "random"
-                or resolved.startswith("random.")
-                or resolved.endswith(("common.rng.ensure_rng", "common.rng.spawn_rng"))
-            ):
-                effects.add(USES_RNG)
-            elif (
-                isinstance(func_expr, ast.Attribute)
-                and func_expr.attr in RNG_METHODS
-            ):
-                receiver = func_expr.value
-                shaped = False
-                while isinstance(receiver, (ast.Attribute, ast.Subscript)):
-                    if isinstance(receiver, ast.Attribute) and is_rng_shaped_name(
-                        receiver.attr
-                    ):
-                        shaped = True
-                    receiver = receiver.value
-                if isinstance(receiver, ast.Name) and is_rng_shaped_name(receiver.id):
-                    shaped = True
-                if shaped:
-                    effects.add(USES_RNG)
 
     # --- uncounted-distance -------------------------------------------
     if info.module != DISTANCE_KERNEL_MODULE:
@@ -291,20 +179,11 @@ def _function_direct_effects(
         for finding in probe.check(scratch):
             if any(lo <= finding.line <= hi for lo, hi in nested_ranges):
                 continue  # belongs to a nested def (its own graph node)
-            if is_suppressed(suppressions, finding.line, "R001") or is_suppressed(
-                suppressions, finding.line, "R008"
-            ):
+            if is_suppressed(suppressions, finding.line, "R001"):
                 continue
             effects.add(UNCOUNTED_DISTANCE)
-            sites.append(
-                DistanceSite(
-                    line=finding.line,
-                    col=finding.col,
-                    message=finding.message,
-                    snippet=finding.snippet,
-                )
-            )
-    return effects, sites
+            distance_lines.append(finding.line)
+    return effects, distance_lines
 
 
 def compute_direct_effects(project: Project) -> DirectEffects:
@@ -318,49 +197,10 @@ def compute_direct_effects(project: Project) -> DirectEffects:
         if info.module not in globals_cache:
             globals_cache[info.module] = module_level_names(module.tree)
             suppressions_cache[info.module] = parse_suppressions(module.source)
-        effects, sites = _function_direct_effects(
+        effects, distance_lines = _function_direct_effects(
             module, info, globals_cache[info.module], suppressions_cache[info.module]
         )
         out.effects[qualname] = frozenset(effects)
-        if sites:
-            out.distance_sites[qualname] = tuple(
-                sorted(sites, key=lambda s: (s.line, s.col))
-            )
+        if distance_lines:
+            out.distance_lines[qualname] = tuple(sorted(distance_lines))
     return out
-
-
-def propagate_effects(
-    direct: DirectEffects,
-    graph: CallGraph,
-    *,
-    fuzzy: bool = False,
-) -> Dict[str, FrozenSet[str]]:
-    """Least-fixpoint transitive effects over the chosen edge tier.
-
-    Only :data:`PROPAGATED_EFFECTS` flow through calls; the
-    ``unpicklable-closure`` property stays where it was declared.
-    """
-    effects: Dict[str, Set[str]] = {
-        qualname: set(labels) for qualname, labels in direct.effects.items()
-    }
-    # Reverse edges drive a worklist so each SCC converges in few passes.
-    callers: Dict[str, List[str]] = {}
-    for caller in graph.edges:
-        for callee in graph.callees(caller, fuzzy=fuzzy):
-            callers.setdefault(callee, []).append(caller)
-    worklist = sorted(effects)
-    pending = set(worklist)
-    while worklist:
-        node = worklist.pop()
-        pending.discard(node)
-        inherited: Set[str] = set()
-        for callee in graph.callees(node, fuzzy=fuzzy):
-            inherited |= effects.get(callee, set()) & PROPAGATED_EFFECTS
-        merged = effects.setdefault(node, set())
-        if not inherited <= merged:
-            merged |= inherited
-            for caller in callers.get(node, ()):
-                if caller not in pending:
-                    pending.add(caller)
-                    worklist.append(caller)
-    return {qualname: frozenset(labels) for qualname, labels in effects.items()}

@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 
 def statement_content_hash(snippet: str) -> str:
     """Whitespace-insensitive content hash of a flagged statement.
 
-    The baseline (and SARIF's ``partialFingerprints``) key findings by
-    ``(rule, path, hash-of-statement)`` rather than line numbers, so
-    unrelated edits above an offender — or a re-indent of the offender
-    itself — neither resurrect nor orphan its entry.
+    SARIF's ``partialFingerprints`` key findings by this hash rather than
+    by line number, so unrelated edits above an offender — or a re-indent
+    of the offender itself — keep its code-scanning alert identity.
     """
     normalized = "".join(snippet.split())
     return hashlib.sha256(normalized.encode()).hexdigest()[:16]
@@ -25,9 +24,9 @@ class Finding:
 
     ``path`` is stored repo-relative (posix separators) so findings are
     stable across machines; ``snippet`` is the stripped source line whose
-    content hash is the location-insensitive identity used by the baseline
-    (line numbers drift under unrelated edits, the offending code itself
-    rarely does).
+    content hash is the location-insensitive identity SARIF reports (line
+    numbers drift under unrelated edits, the offending code itself rarely
+    does).
     """
 
     path: str
@@ -40,11 +39,6 @@ class Finding:
     @property
     def content_hash(self) -> str:
         return statement_content_hash(self.snippet)
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Identity used to match this finding against baseline entries:
-        ``(rule_id, path, content-hash of the flagged statement)``."""
-        return (self.rule_id, self.path, self.content_hash)
 
     def as_dict(self) -> Dict[str, object]:
         return {

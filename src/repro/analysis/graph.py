@@ -1,10 +1,10 @@
-"""Whole-project model: import graph, symbol table, conservative call graph.
+"""Whole-project model: symbol table and conservative call graph.
 
-The per-file rules (R001–R006) see one module at a time; the
-interprocedural rules (R007–R011, :mod:`repro.analysis.interprocedural`)
-need to reason about *reachability* — an uncounted kernel three frames
-below a pool-dispatched worker is invisible per-file.  This module builds
-the shared substrate:
+The per-file rules (R001–R006) see one module at a time; the project
+rules (R007–R010, :mod:`repro.analysis.interprocedural`) need to reason
+about *reachability* — an uncounted kernel three frames below a counted
+function, or a global mutation below a dispatched worker, is invisible
+per-file.  This module builds the shared substrate:
 
 * :func:`load_project` parses a source tree into a :class:`Project` —
   every module keyed by its dotted import name, every function and method
@@ -19,14 +19,8 @@ the shared substrate:
   - **fuzzy** — an attribute call ``obj.m(...)`` on an object of unknown
     type resolves to *every* project method named ``m``.  Sound for
     may-reach questions (R007 must not miss a mutation behind duck-typed
-    dispatch), far too coarse for must-style rules (R008/R010/R011 stay
-    on the direct tier; see docs/static_analysis.md).
-
-* :meth:`CallGraph.condensation` condenses strongly connected components
-  (Tarjan) into the DAG that the effect fixpoint and the determinism
-  property test run over.
-* :func:`to_dot` renders the graph with effect annotations for
-  ``repro lint --graph``.
+    dispatch), far too coarse for must-style rules (R008/R010 stay on the
+    direct tier; see docs/static_analysis.md).
 
 Everything here is deterministic by construction: modules, functions and
 edges are kept in sorted containers so two builds over the same sources
@@ -37,7 +31,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.rules import ParsedModule, resolve_name
 
@@ -105,8 +99,6 @@ class Project:
     modules: Dict[str, ParsedModule] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: module -> imported project modules (the import graph)
-    imports: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     #: bare method name -> sorted qualnames of every project method so named
     methods_by_name: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
@@ -196,24 +188,6 @@ def load_project(modules: Mapping[str, ParsedModule]) -> Project:
         project.modules[module_name_for_path(path)] = module
     for module_name in sorted(project.modules):
         _index_module(project, module_name, project.modules[module_name])
-    # Import graph: project-internal edges only.
-    module_names = set(project.modules)
-    for module_name in sorted(project.modules):
-        tree = project.modules[module_name].tree
-        imported: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for item in node.names:
-                    if item.name in module_names:
-                        imported.add(item.name)
-            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                if node.module in module_names:
-                    imported.add(node.module)
-                for item in node.names:
-                    candidate = f"{node.module}.{item.name}"
-                    if candidate in module_names:
-                        imported.add(candidate)
-        project.imports[module_name] = tuple(sorted(imported))
     by_name: Dict[str, List[str]] = {}
     for info in project.functions.values():
         if info.is_method:
@@ -279,71 +253,6 @@ class CallGraph:
             seen.add(current)
         return list(reversed(out))
 
-    def condensation(self) -> Tuple[Tuple[Tuple[str, ...], ...], Tuple[Tuple[int, int], ...]]:
-        """SCC condensation (direct + fuzzy edges): sorted component tuples
-        plus inter-component edges.  The result is a DAG — pinned by the
-        property test — which is what makes the effect fixpoint finite."""
-        nodes = sorted(
-            set(self.edges)
-            | {callee for pairs in self.edges.values() for callee, _ in pairs}
-        )
-        index_of: Dict[str, int] = {}
-        lowlink: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        components: List[Tuple[str, ...]] = []
-        component_of: Dict[str, int] = {}
-        counter = [0]
-
-        def strongconnect(start: str) -> None:
-            # Iterative Tarjan (the project graph is deep enough to bust
-            # the recursion limit through fit -> assignment chains).
-            work: List[Tuple[str, int]] = [(start, 0)]
-            while work:
-                node, edge_index = work.pop()
-                if edge_index == 0:
-                    index_of[node] = lowlink[node] = counter[0]
-                    counter[0] += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                recurse = False
-                callees = self.callees(node, fuzzy=True)
-                for position in range(edge_index, len(callees)):
-                    callee = callees[position]
-                    if callee not in index_of:
-                        work.append((node, position + 1))
-                        work.append((callee, 0))
-                        recurse = True
-                        break
-                    if callee in on_stack:
-                        lowlink[node] = min(lowlink[node], index_of[callee])
-                if recurse:
-                    continue
-                if lowlink[node] == index_of[node]:
-                    component: List[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        component_of[member] = len(components)
-                        if member == node:
-                            break
-                    components.append(tuple(sorted(component)))
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-        for node in nodes:
-            if node not in index_of:
-                strongconnect(node)
-        edge_set: Set[Tuple[int, int]] = set()
-        for caller, pairs in self.edges.items():
-            for callee, _tier in pairs:
-                a, b = component_of[caller], component_of[callee]
-                if a != b:
-                    edge_set.add((a, b))
-        return tuple(components), tuple(sorted(edge_set))
-
 
 def _mro_method(project: Project, class_qualname: str, method: str, depth: int = 0) -> Optional[str]:
     """Resolve ``method`` on a class or its project-resolvable bases."""
@@ -362,10 +271,11 @@ def _mro_method(project: Project, class_qualname: str, method: str, depth: int =
 def resolve_call(
     project: Project,
     module_name: str,
-    caller: FunctionInfo,
+    caller: Optional[FunctionInfo],
     call: ast.Call,
 ) -> List[Tuple[str, str]]:
-    """Resolve one call expression to ``(callee_qualname, tier)`` pairs."""
+    """Resolve one call expression to ``(callee_qualname, tier)`` pairs;
+    ``caller`` is None for a call at module level."""
     module = project.modules[module_name]
     func = call.func
     out: List[Tuple[str, str]] = []
@@ -387,7 +297,11 @@ def resolve_call(
         receiver = func.value
         method = func.attr
         if isinstance(receiver, ast.Name):
-            if receiver.id == "self" and caller.class_name is not None:
+            if (
+                receiver.id == "self"
+                and caller is not None
+                and caller.class_name is not None
+            ):
                 own = _mro_method(
                     project, f"{caller.module}.{caller.class_name}", method
                 )
@@ -433,48 +347,3 @@ def build_call_graph(project: Project) -> CallGraph:
     return CallGraph(
         edges={qual: tuple(sorted(pairs)) for qual, pairs in edges.items()}
     )
-
-
-# ----------------------------------------------------------------------
-# DOT rendering.
-# ----------------------------------------------------------------------
-
-
-def to_dot(
-    project: Project,
-    graph: CallGraph,
-    effects: Optional[Mapping[str, FrozenSet[str]]] = None,
-    *,
-    include_fuzzy: bool = False,
-) -> str:
-    """Render the call graph as GraphViz DOT, one cluster per module.
-
-    Effect labels (from :mod:`repro.analysis.effects`) are appended to
-    node labels; fuzzy edges are dashed when included.
-    """
-    effects = effects or {}
-    lines = [
-        "digraph repro_calls {",
-        "  rankdir=LR;",
-        '  node [shape=box, fontsize=10, fontname="monospace"];',
-    ]
-    by_module: Dict[str, List[str]] = {}
-    for qualname in sorted(project.functions):
-        by_module.setdefault(project.functions[qualname].module, []).append(qualname)
-    for cluster_index, module_name in enumerate(sorted(by_module)):
-        lines.append(f'  subgraph "cluster_{cluster_index}" {{')
-        lines.append(f'    label="{module_name}";')
-        for qualname in by_module[module_name]:
-            short = qualname[len(module_name) + 1:] if qualname.startswith(module_name + ".") else qualname
-            labels = sorted(effects.get(qualname, ()))
-            suffix = ("\\n[" + ", ".join(labels) + "]") if labels else ""
-            lines.append(f'    "{qualname}" [label="{short}{suffix}"];')
-        lines.append("  }")
-    for caller in sorted(graph.edges):
-        for callee, tier in graph.edges[caller]:
-            if tier == FUZZY and not include_fuzzy:
-                continue
-            style = ' [style=dashed, color=gray]' if tier == FUZZY else ""
-            lines.append(f'  "{caller}" -> "{callee}"{style};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

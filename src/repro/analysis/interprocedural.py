@@ -1,20 +1,17 @@
-"""Interprocedural rules R007–R011: effects lifted through the call graph.
+"""Project rules R007–R010: effects lifted through the call graph.
 
 These rules consume the whole-project substrate (:mod:`.graph`,
-:mod:`.effects`) and prove the disciplines the sharded data-parallel
-engine and the pluggable backend layer will depend on *before that code
-exists* — a worker that mutates module state, an uncounted kernel behind
-a helper call, or an order-sensitive float merge cannot be seen one file
-at a time.
+:mod:`.effects`).  A worker that mutates module state or an uncounted
+kernel behind a helper call cannot be seen one file at a time.
 
 Reachability semantics (documented in docs/static_analysis.md):
 
 * R007 traverses **direct + fuzzy** edges — a may-reach question must
   not miss a mutation behind duck-typed dispatch, so it accepts the
   fuzzy tier's over-approximation.
-* R008, R010 and R011 traverse **direct** edges only — they assert a
-  discipline about code the author actually wired together; fuzzy edges
-  would drown them in every same-named method in the project.
+* R008 and R010 traverse **direct** edges only — they lift R001 and R003
+  over code the author actually wired together; fuzzy edges would drown
+  them in every same-named method in the project.
 * R009 is intraprocedural dataflow (provenance inside one function); it
   lives here because it shares the project walk.
 """
@@ -24,14 +21,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.analysis.effects import (
-    MUTATES_GLOBAL,
-    RNG_METHODS,
-    DirectEffects,
-    is_rng_shaped_name,
-)
+from repro.analysis.effects import MUTATES_GLOBAL, DirectEffects, body_nodes, root_name
 from repro.analysis.findings import Finding
-from repro.analysis.graph import CallGraph, FunctionInfo, Project
+from repro.analysis.graph import CallGraph, FunctionInfo, Project, resolve_call
 from repro.analysis.rules import (
     CounterDisciplineRule,
     ParsedModule,
@@ -43,11 +35,7 @@ from repro.analysis.rules import (
 from repro.analysis.suppressions import is_suppressed, parse_suppressions
 
 #: resolved-name suffixes recognized as pool-dispatch entry points
-POOL_DISPATCH_SUFFIXES = ("supervised_map", "supervised_call")
-
-#: bare function names treated as shard-merge sinks by R011
-MERGE_SINK_NAMES = frozenset({"accumulate_cluster_sums"})
-MERGE_SINK_PREFIXES = ("merge_",)
+POOL_DISPATCH_SUFFIXES = ("supervised_map",)
 
 
 def _module_finding(
@@ -80,23 +68,21 @@ def _format_chain(chain: Sequence[str]) -> str:
 
 @register
 class ParallelSafetyRule(ProjectRule):
-    """Anything dispatched to the supervised process pool must be pickle-
-    safe and free of transitive module-global mutation.
+    """A callable shipped to a worker process must pickle, and nothing a
+    dispatched callable reaches may mutate module-global state.
 
-    The pool (:func:`repro.eval.runtime.supervised_map`) forks/spawns a
-    worker per item: a lambda or nested closure cannot pickle by
-    reference, and a module-global mutated three frames down is silently
-    lost when the worker exits (fork) or never shared (spawn) — the
-    sharded engine inherits whichever failure mode the platform picks.
-    This rule finds every dispatch site, resolves the dispatched
-    callable, and walks the conservative call graph (direct **and**
-    fuzzy edges) from it.
-
-    Dispatch sites are the pool entry points
-    (:data:`POOL_DISPATCH_SUFFIXES`) and ``Process(target=...)`` /
-    ``Thread(target=...)`` constructions (the serving micro-batcher's
-    worker and the sharded engine's shard threads are thread targets —
-    shared memory, same races).
+    Dispatch sites are the pool entry point (:data:`POOL_DISPATCH_SUFFIXES`,
+    :func:`repro.eval.runtime.supervised_map`) and ``Process(target=...)``
+    / ``Thread(target=...)`` constructions.  The first two ship the
+    callable to another process: a lambda or nested closure cannot pickle
+    by reference, and a module global mutated three frames down is lost
+    when the worker exits (fork) or never shared (spawn).  A thread target
+    pickles nothing, so it may be a lambda or a closure, but it shares the
+    interpreter's memory and a reachable global mutation races (the
+    serving micro-batcher's worker and the sharded engine's shard threads
+    are thread targets).  Every dispatched callable is walked over the
+    conservative call graph, direct **and** fuzzy edges; a lambda thread
+    target is walked from the functions its body calls.
     """
 
     rule_id = "R007"
@@ -115,20 +101,18 @@ class ParallelSafetyRule(ProjectRule):
             if site.kind == "lambda":
                 yield _module_finding(
                     self, module, site.line, site.col,
-                    "lambda dispatched to the process pool cannot pickle; "
+                    "lambda shipped to a worker process cannot pickle; "
                     "use a module-level function",
                 )
                 continue
             if site.kind == "nested":
                 yield _module_finding(
                     self, module, site.line, site.col,
-                    f"nested function {site.root_name!r} dispatched to the "
-                    "process pool is an unpicklable closure; hoist it to "
-                    "module level",
+                    f"nested function {site.root_name!r} shipped to a worker "
+                    "process is an unpicklable closure; hoist it to module "
+                    "level",
                 )
                 # closures still get the reachability check below
-            if site.root is None:
-                continue
             parents = graph.reachable([site.root], fuzzy=True)
             for reached in sorted(parents):
                 if MUTATES_GLOBAL not in direct.get(reached):
@@ -144,9 +128,9 @@ class ParallelSafetyRule(ProjectRule):
                     info.lineno,
                     0,
                     f"{info.name!r} mutates module-global state and is "
-                    f"reachable from pool dispatch at {site.where} "
-                    f"(chain: {_format_chain(chain)}); worker-side global "
-                    "mutation is lost or racy under process dispatch",
+                    f"reachable from the dispatch at {site.where} "
+                    f"(chain: {_format_chain(chain)}); a worker process "
+                    "loses the mutation and a thread races on it",
                 )
 
 
@@ -171,7 +155,13 @@ class _DispatchSite:
 
 
 def _dispatch_sites(project: Project) -> List[_DispatchSite]:
-    """Every pool-dispatch call site with its resolved callable."""
+    """Every dispatch call site with its resolved callable.
+
+    ``kind`` is "lambda" or "nested" only where the callable is shipped to
+    another process and so must pickle; a thread target of either shape
+    is a plain "function" site (a lambda yields one per function its body
+    calls).
+    """
     sites: List[_DispatchSite] = []
     for module_name in sorted(project.modules):
         module = project.modules[module_name]
@@ -191,35 +181,53 @@ def _dispatch_sites(project: Project) -> List[_DispatchSite]:
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call) or id(node) in seen_calls:
                     continue
-                target_expr = _dispatched_callable(module, node)
-                if target_expr is None:
+                dispatched = _dispatched_callable(module, node)
+                if dispatched is None:
                     continue
                 seen_calls.add(id(node))
+                target_expr, pickled = dispatched
                 where = f"{module.path}:{node.lineno}"
                 if isinstance(target_expr, ast.Lambda):
-                    sites.append(
-                        _DispatchSite(
-                            module_name, node.lineno, node.col_offset,
-                            "lambda", None, "<lambda>", where,
+                    if pickled:
+                        sites.append(
+                            _DispatchSite(
+                                module_name, node.lineno, node.col_offset,
+                                "lambda", None, "<lambda>", where,
+                            )
                         )
-                    )
+                        continue
+                    for callee in _lambda_callees(
+                        project, module_name, info, target_expr
+                    ):
+                        sites.append(
+                            _DispatchSite(
+                                module_name, node.lineno, node.col_offset,
+                                "function", callee,
+                                project.functions[callee].name, where,
+                            )
+                        )
                     continue
-                root, kind, root_name = _resolve_callable(
+                root, kind, callable_name = _resolve_callable(
                     project, module_name, info, target_expr
                 )
                 if kind == "skip":
                     continue
+                if not pickled:
+                    kind = "function"
                 sites.append(
                     _DispatchSite(
                         module_name, node.lineno, node.col_offset,
-                        kind, root, root_name, where,
+                        kind, root, callable_name, where,
                     )
                 )
     return sites
 
 
-def _dispatched_callable(module: ParsedModule, call: ast.Call) -> Optional[ast.AST]:
-    """The callable expression a pool-dispatch call ships, or None."""
+def _dispatched_callable(
+    module: ParsedModule, call: ast.Call
+) -> Optional[Tuple[ast.AST, bool]]:
+    """The callable a dispatch call hands over, and whether it is shipped
+    to another process (and so must pickle); None for any other call."""
     resolved = resolve_name(module.aliases, call.func)
     name = None
     if resolved is not None:
@@ -230,20 +238,31 @@ def _dispatched_callable(module: ParsedModule, call: ast.Call) -> Optional[ast.A
         name = call.func.id
     if name in POOL_DISPATCH_SUFFIXES:
         if call.args:
-            return call.args[0]
+            return call.args[0], True
         for keyword in call.keywords:
             if keyword.arg == "fn":
-                return keyword.value
+                return keyword.value, True
         return None
     if name in ("Process", "Thread"):
-        # Both ship a callable into another execution context via
-        # target=; threads share memory, so a thread target that mutates
-        # module globals races exactly like a pool kernel would (the
-        # serving micro-batcher dispatches its worker this way).
         for keyword in call.keywords:
             if keyword.arg == "target":
-                return keyword.value
+                return keyword.value, name == "Process"
     return None
+
+
+def _lambda_callees(
+    project: Project,
+    module_name: str,
+    enclosing: Optional[FunctionInfo],
+    expr: ast.Lambda,
+) -> List[str]:
+    """Project functions a lambda's body calls (direct and fuzzy)."""
+    callees: Set[str] = set()
+    for node in ast.walk(expr.body):
+        if isinstance(node, ast.Call):
+            for callee, _tier in resolve_call(project, module_name, enclosing, node):
+                callees.add(callee)
+    return sorted(callees)
 
 
 def _resolve_callable(
@@ -279,89 +298,82 @@ def _resolve_callable(
 
 
 # ----------------------------------------------------------------------
-# R008 — backend-purity.
+# R008 — transitive uncounted distance.
 # ----------------------------------------------------------------------
 
-@register
-class BackendPurityRule(ProjectRule):
-    """Backend-routed modules must keep every distance evaluation inside
-    the counted kernels of :mod:`repro.common.distance` — including the
-    ones hidden behind helper calls.
 
-    A module opts in by declaring ``BACKEND_ROUTED = True`` at top level
-    (the vectorized execution modules do).  Within such a module, any
-    function whose *transitive* effect set (direct call edges) contains
-    ``uncounted-distance`` is flagged: directly offending expressions are
-    reported at their own line, inherited ones at the function definition
-    with a witness chain to the raw arithmetic.
+@register
+class TransitiveUncountedDistanceRule(ProjectRule):
+    """R001 lifted through the call graph: a function in the instrumented
+    scope must not reach distance arithmetic outside the counted kernels
+    of :mod:`repro.common.distance` through a helper call.
+
+    R001 reports raw distance arithmetic at its own line, but only inside
+    the instrumented scope.  This rule walks each in-scope function's
+    direct call edges (into any module) and flags the function when a
+    callee carries the ``uncounted-distance`` effect — so a helper in
+    ``repro/common/`` or one frame down in the same module cannot hide an
+    uncounted kernel.  Only inherited sites are reported, at the caller's
+    definition with a witness chain; direct sites are R001's findings.
     """
 
     rule_id = "R008"
-    name = "backend-purity"
+    name = "transitive-uncounted-distance"
     description = (
-        "backend-routed module reaches raw distance arithmetic outside "
-        "the counted kernels in repro.common.distance"
+        "instrumented function reaches raw distance arithmetic through a "
+        "helper call, outside the counted kernels in repro.common.distance"
     )
 
     def check_project(
         self, project: Project, graph: CallGraph, direct: DirectEffects
     ) -> Iterator[Finding]:
-        routed_set = {
-            name for name, module in project.modules.items()
-            if _declares_backend_routed(module.tree)
-        }
-        if not routed_set:
-            return
         for qualname in sorted(project.functions):
             info = project.functions[qualname]
-            if info.module not in routed_set:
+            if not _in_instrumented_scope(info.path):
                 continue
-            module = project.modules[info.module]
-            sites = direct.distance_sites.get(qualname, ())
-            for site in sites:
-                yield _module_finding(
-                    self, module, site.line, site.col - 1,
-                    f"backend-routed module: {site.message}",
-                )
-            if sites:
-                continue
-            # Inherited: walk direct edges for a callee with the effect.
+            if direct.distance_lines.get(qualname):
+                continue  # R001 reports these at the arithmetic itself
             parents = graph.reachable([qualname], fuzzy=False)
             witnesses = [
                 reached
                 for reached in sorted(parents)
-                if direct.distance_sites.get(reached)
+                if direct.distance_lines.get(reached)
             ]
-            if witnesses:
-                witness = witnesses[0]
-                evidence = direct.distance_sites[witness][0]
-                chain = graph.chain(parents, witness)
-                yield _module_finding(
-                    self, module, info.lineno, 0,
-                    f"{info.name!r} reaches uncounted distance arithmetic "
-                    f"via {_format_chain(chain)} "
-                    f"({project.functions[witness].path}:{evidence.line}); "
-                    "route it through repro.common.distance",
-                )
-
-
-def _declares_backend_routed(tree: ast.AST) -> bool:
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "BACKEND_ROUTED"
-                    and isinstance(node.value, ast.Constant)
-                    and node.value.value is True
-                ):
-                    return True
-    return False
+            if not witnesses:
+                continue
+            witness = witnesses[0]
+            line = direct.distance_lines[witness][0]
+            chain = graph.chain(parents, witness)
+            yield _module_finding(
+                self, project.modules[info.module], info.lineno, 0,
+                f"{info.name!r} reaches uncounted distance arithmetic "
+                f"via {_format_chain(chain)} "
+                f"({project.functions[witness].path}:{line}); "
+                "route it through repro.common.distance",
+            )
 
 
 # ----------------------------------------------------------------------
 # R009 — rng-provenance.
 # ----------------------------------------------------------------------
+
+
+#: numpy Generator drawing methods (the common surface)
+RNG_METHODS = frozenset(
+    {
+        "integers", "random", "choice", "shuffle", "permutation", "normal",
+        "uniform", "standard_normal", "exponential", "poisson", "geometric",
+        "binomial", "multivariate_normal", "spawn",
+    }
+)
+
+#: local/attribute names treated as generator-shaped receivers
+_RNG_NAME_FRAGMENTS = ("rng", "random_state", "generator")
+
+
+def is_rng_shaped_name(name: str) -> bool:
+    lowered = name.lower()
+    return any(fragment in lowered for fragment in _RNG_NAME_FRAGMENTS)
 
 
 @register
@@ -401,7 +413,7 @@ class RngProvenanceRule(ProjectRule):
         self, module: ParsedModule, info: FunctionInfo
     ) -> Iterator[Finding]:
         ok = _provenance_locals(module, info)
-        for node in _body_nodes(info.node):
+        for node in body_nodes(info.node):
             if not isinstance(node, ast.Call):
                 continue
             acquirer = self._acquisition_name(module, node)
@@ -413,7 +425,7 @@ class RngProvenanceRule(ProjectRule):
                 receiver = func.value
                 if not _is_rng_shaped(receiver):
                     continue
-                root = _root_name_of(receiver)
+                root = root_name(receiver)
                 if root is None or root in ok:
                     continue
                 yield _module_finding(
@@ -476,25 +488,6 @@ class RngProvenanceRule(ProjectRule):
             )
 
 
-def _body_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Function body nodes, excluding nested function/lambda bodies."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _root_name_of(node: ast.AST) -> Optional[str]:
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _is_rng_shaped(receiver: ast.AST) -> bool:
     node = receiver
     while isinstance(node, (ast.Attribute, ast.Subscript)):
@@ -520,7 +513,7 @@ def _name_roots(expr: ast.AST) -> Set[str]:
             roots.add(node.id)
             return
         if isinstance(node, (ast.Attribute, ast.Subscript)):
-            root = _root_name_of(node)
+            root = root_name(node)
             if root is not None:
                 roots.add(root)
             if isinstance(node, ast.Subscript):
@@ -542,7 +535,7 @@ def _provenance_locals(module: ParsedModule, info: FunctionInfo) -> Set[str]:
     while changed and passes < 8:
         changed = False
         passes += 1
-        for node in _body_nodes(info.node):
+        for node in body_nodes(info.node):
             targets: List[ast.AST] = []
             value: Optional[ast.AST] = None
             if isinstance(node, ast.Assign):
@@ -685,116 +678,3 @@ def _read_suppressed(
     return is_suppressed(suppressed, line, "R003") or is_suppressed(
         suppressed, line, "R010"
     )
-
-
-# ----------------------------------------------------------------------
-# R011 — accumulation-order stability.
-# ----------------------------------------------------------------------
-
-
-@register
-class AccumulationOrderRule(ProjectRule):
-    """Merge paths that must stay bit-identical across shards cannot
-    reduce floats in unordered iteration order.
-
-    The sharded engine will merge per-shard partial sums through
-    :func:`repro.core.refinement.accumulate_cluster_sums` (and future
-    ``merge_*`` helpers); float addition does not commute in rounding, so
-    any reduction over a ``set`` — or a ``+=`` accumulation inside a loop
-    over one — in a function from which a merge sink is reachable makes
-    the merged result depend on hash-iteration order.  Sort the operands
-    (or use ``math.fsum``, which is exact and therefore order-free).
-    """
-
-    rule_id = "R011"
-    name = "accumulation-order-stability"
-    description = (
-        "unordered float reduction on a call path into a shard-merge sink "
-        "(accumulate_cluster_sums / merge_*)"
-    )
-
-    def check_project(
-        self, project: Project, graph: CallGraph, direct: DirectEffects
-    ) -> Iterator[Finding]:
-        sinks = sorted(
-            qualname
-            for qualname, info in project.functions.items()
-            if info.name in MERGE_SINK_NAMES
-            or info.name.startswith(MERGE_SINK_PREFIXES)
-        )
-        if not sinks:
-            return
-        # Ancestors of any sink over direct edges (reverse reachability).
-        callers: Dict[str, List[str]] = {}
-        for caller in graph.edges:
-            for callee in graph.callees(caller, fuzzy=False):
-                callers.setdefault(callee, []).append(caller)
-        merge_path: Set[str] = set(sinks)
-        frontier = list(sinks)
-        while frontier:
-            nxt: List[str] = []
-            for current in frontier:
-                for caller in callers.get(current, ()):
-                    if caller not in merge_path:
-                        merge_path.add(caller)
-                        nxt.append(caller)
-            frontier = nxt
-        for qualname in sorted(merge_path):
-            info = project.functions[qualname]
-            module = project.modules[info.module]
-            for node, reason in _unordered_reductions(module, info.node):
-                yield _module_finding(
-                    self, module, node.lineno, node.col_offset,
-                    f"{reason} in {info.name!r}, which is on a call path "
-                    "into a shard-merge sink; iterate in sorted order (or "
-                    "use math.fsum) so shard merges stay bit-identical",
-                )
-
-
-def _is_set_like(module: ParsedModule, node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset"):
-            return True
-        resolved = resolve_name(module.aliases, node.func)
-        if resolved in ("builtins.set", "builtins.frozenset"):
-            return True
-    return False
-
-
-def _unordered_reductions(
-    module: ParsedModule, func: ast.AST
-) -> Iterator[Tuple[ast.AST, str]]:
-    for node in _body_nodes(func):
-        if isinstance(node, ast.Call):
-            resolved = resolve_name(module.aliases, node.func)
-            is_sum = (
-                (isinstance(node.func, ast.Name) and node.func.id == "sum")
-                or resolved in ("builtins.sum", "numpy.sum")
-            )
-            if is_sum and node.args:
-                operand = node.args[0]
-                if _is_set_like(module, operand):
-                    yield node, "sum() over a set reduces in hash order"
-                elif isinstance(operand, (ast.GeneratorExp, ast.ListComp)):
-                    source = operand.generators[0].iter
-                    if _is_set_like(module, source):
-                        yield (
-                            node,
-                            "sum() over a set-driven comprehension reduces "
-                            "in hash order",
-                        )
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            if not _is_set_like(module, node.iter):
-                continue
-            for stmt in ast.walk(node):
-                if isinstance(stmt, ast.AugAssign) and isinstance(
-                    stmt.op, (ast.Add, ast.Sub)
-                ):
-                    yield (
-                        node,
-                        "+= accumulation inside a loop over a set runs in "
-                        "hash order",
-                    )
-                    break

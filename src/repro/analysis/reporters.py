@@ -33,7 +33,7 @@ def format_findings_text(report: "AnalysisReport") -> str:
         lines.append(unused.format())
     summary = (
         f"{len(report.findings)} finding(s) in {report.files_scanned} file(s)"
-        f" ({report.suppressed} suppressed, {report.baselined} baselined)"
+        f" ({report.suppressed} suppressed)"
     )
     if report.unused_suppressions:
         summary += f", {len(report.unused_suppressions)} unused suppression(s)"
@@ -48,7 +48,6 @@ def format_findings_json(report: "AnalysisReport") -> str:
         "parse_errors": list(report.parse_errors),
         "files_scanned": report.files_scanned,
         "suppressed": report.suppressed,
-        "baselined": report.baselined,
         "unused_suppressions": [
             {
                 "path": unused.path,
@@ -74,7 +73,7 @@ def format_findings_sarif(report: "AnalysisReport") -> str:
     code-scanning UI can render rule help even for rules with no current
     findings); results carry the statement content hash as a
     ``partialFingerprints`` entry, which keeps alert identity stable
-    across line drift exactly like the v2 baseline does.
+    across line drift.
     """
     rule_ids = sorted(RULES)
     rule_index: Dict[str, int] = {rid: i for i, rid in enumerate(rule_ids)}

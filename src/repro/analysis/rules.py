@@ -3,14 +3,16 @@
 Each rule is a small class with an id, a path scope, and a ``check`` method
 that walks a parsed module and yields :class:`Finding`\\ s.  Rules are
 registered in :data:`RULES` at import time; the runner applies inline
-suppressions and the baseline afterwards, so rules themselves stay pure.
+suppressions afterwards, so rules themselves stay pure.
 
 Scope conventions
 -----------------
-The *instrumented core* is ``repro/core/`` and ``repro/indexes/`` — the code
-whose operation counts the paper reports (Table 3).  R001/R003/R004 apply
-there; R002 applies everywhere except :mod:`repro.common.rng` (the one
-blessed RNG chokepoint); R005 and R006 apply to the whole tree.
+The *instrumented scope* is ``repro/core/``, ``repro/indexes/`` and
+``repro/serve/`` — the code whose operation counts the paper reports
+(Table 3), plus the serving path that reuses the same counted kernels.
+R001/R003/R004 apply there; R002 applies everywhere except
+:mod:`repro.common.rng` (the one blessed RNG chokepoint); R005 and R006
+apply to the whole tree.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import (
 
 from repro.analysis.findings import Finding
 
-#: path fragments delimiting the instrumented core (posix separators)
-INSTRUMENTED_SCOPE = ("repro/core/", "repro/indexes/")
+#: path fragments delimiting the instrumented scope (posix separators)
+INSTRUMENTED_SCOPE = ("repro/core/", "repro/indexes/", "repro/serve/")
 
 #: attribute names treated as stored bound arrays by R003
 BOUND_ARRAY_ATTRS = frozenset(
@@ -143,8 +145,8 @@ class ProjectRule(Rule):
     once with the loaded :class:`~repro.analysis.graph.Project`, its
     :class:`~repro.analysis.graph.CallGraph`, and the
     :class:`~repro.analysis.effects.DirectEffects` table.  Findings still
-    carry a (path, line) location, so inline suppressions and the baseline
-    apply exactly as they do for per-module rules.
+    carry a (path, line) location, so inline suppressions apply exactly as
+    they do for per-module rules.
     """
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
@@ -188,7 +190,7 @@ def _in_instrumented_scope(path: str) -> bool:
 
 @register
 class UninstrumentedDistanceRule(Rule):
-    """Distance arithmetic in the instrumented core must go through the
+    """Distance arithmetic in the instrumented scope must go through the
     counted kernels of :mod:`repro.common.distance` (or carry a justified
     suppression), otherwise ``distance_computations`` silently undercounts
     and every Table 3-style measurement downstream is wrong.
@@ -689,7 +691,7 @@ class SwallowedExceptionRule(Rule):
 
 def all_rule_ids() -> Tuple[str, ...]:
     """Every registered rule id, sorted.  The interprocedural rules
-    (R007–R011) register when :mod:`repro.analysis.interprocedural` is
+    (R007–R010) register when :mod:`repro.analysis.interprocedural` is
     imported, so the package ``__init__`` — which imports both modules —
     exposes the completed tuple as ``repro.analysis.ALL_RULE_IDS``."""
     return tuple(sorted(RULES))

@@ -1,31 +1,23 @@
 """Walk files, run rules (per-module and whole-project), apply
-suppressions and the baseline, and audit suppression usage.
+suppressions, and audit suppression usage.
 
 Per-module rules (R001–R006) run file by file.  When any
-:class:`~repro.analysis.rules.ProjectRule` (R007–R011) is active, the
+:class:`~repro.analysis.rules.ProjectRule` (R007–R010) is active, the
 parsed modules are additionally assembled into a
 :class:`~repro.analysis.graph.Project`, the conservative call graph and
-effect tables are built once, and each project rule runs over them.
+direct-effect table are built once, and each project rule runs over them.
 Project-rule findings carry ordinary (path, line) locations, so the same
-inline suppressions and baseline apply.
-
-Because the graph/effects build dominates the cost on large trees, it can
-be cached: ``cache_dir`` stores the project-phase findings keyed by a
-digest of every source file plus the active rule ids, so an unchanged
-tree re-lints at per-module speed (the CI job wires this up).
+inline suppressions apply.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
-from repro.analysis.rules import ParsedModule, ProjectRule, Rule, get_rules
+from repro.analysis.rules import RULES, ParsedModule, ProjectRule, Rule, get_rules
 from repro.analysis.suppressions import (
     ALL_RULES,
     is_suppressed,
@@ -35,9 +27,6 @@ from repro.analysis.suppressions import (
 
 #: directory names never descended into
 _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "build", "dist", ".eggs"}
-
-#: bump when the cached project-phase payload shape changes
-_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -64,17 +53,13 @@ class AnalysisReport:
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     suppressed: int = 0
-    baselined: int = 0
     parse_errors: List[str] = field(default_factory=list)
     unused_suppressions: List[UnusedSuppression] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.findings and not self.parse_errors
-
-    def strict_ok(self) -> bool:
-        """`ok` plus the suppression audit: no unused suppressions."""
-        return self.ok and not self.unused_suppressions
+        """No findings, no parse errors and no unused suppressions."""
+        return not (self.findings or self.parse_errors or self.unused_suppressions)
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -132,11 +117,10 @@ def analyze_source(
 ) -> List[Finding]:
     """Analyze one in-memory module; ``path`` drives rule scoping.
 
-    Inline suppressions are honored; baseline filtering is the caller's
-    concern.  Project rules (R007–R011) run against a single-module
-    project, so only intra-module reachability is visible here — use
-    :func:`analyze_paths` for cross-module analysis.  Raises
-    ``SyntaxError`` on unparsable source.
+    Inline suppressions are honored.  Project rules (R007–R010) run
+    against a single-module project, so only intra-module reachability is
+    visible here — use :func:`analyze_paths` for cross-module analysis.
+    Raises ``SyntaxError`` on unparsable source.
     """
     module = ParsedModule.parse(path, source)
     suppressions = parse_suppressions(source)
@@ -156,75 +140,11 @@ def analyze_source(
     return findings
 
 
-def _source_digest(
-    modules_source: Dict[str, str], project_rule_ids: Sequence[str]
-) -> str:
-    digest = hashlib.sha256()
-    digest.update(f"v{_CACHE_VERSION}".encode())
-    for rule_id in sorted(project_rule_ids):
-        digest.update(rule_id.encode())
-    for path in sorted(modules_source):
-        digest.update(path.encode())
-        digest.update(b"\0")
-        digest.update(modules_source[path].encode())
-        digest.update(b"\0")
-    return digest.hexdigest()[:32]
-
-
-def _cache_load(cache_dir: Path, digest: str) -> Optional[Dict]:
-    cache_file = Path(cache_dir) / f"project-{digest}.json"
-    if not cache_file.exists():
-        return None
-    try:
-        payload = json.loads(cache_file.read_text())
-    except (OSError, ValueError):
-        return None
-    if payload.get("version") != _CACHE_VERSION:
-        return None
-    return payload
-
-
-def _cache_store(
-    cache_dir: Path,
-    digest: str,
-    findings: Sequence[Finding],
-    suppressed: int,
-    used: Set[Tuple[str, int, str]],
-) -> None:
-    cache_dir = Path(cache_dir)
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": _CACHE_VERSION,
-            "findings": [finding.as_dict() for finding in findings],
-            "suppressed": suppressed,
-            "used": sorted(list(item) for item in used),
-        }
-        (cache_dir / f"project-{digest}.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
-    except OSError:
-        pass  # caching is best-effort; the analysis result is unaffected
-
-
-def _finding_from_dict(item: Dict) -> Finding:
-    return Finding(
-        path=item["path"],
-        line=int(item["line"]),
-        col=int(item["col"]),
-        rule_id=item["rule"],
-        message=item["message"],
-        snippet=item.get("snippet", ""),
-    )
-
-
 def analyze_paths(
     paths: Sequence[Path],
     *,
     root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
-    cache_dir: Optional[Path] = None,
 ) -> AnalysisReport:
     """Analyze every python file under ``paths`` and aggregate a report."""
     per_module, project_rules = _split_rules(rules)
@@ -272,41 +192,18 @@ def analyze_paths(
                     collected.append(finding)
 
     if project_rules and modules:
-        rule_ids = [rule.rule_id for rule in project_rules]
-        cached = None
-        digest = None
-        if cache_dir is not None:
-            digest = _source_digest(sources, rule_ids)
-            cached = _cache_load(Path(cache_dir), digest)
-        if cached is not None:
-            collected.extend(
-                _finding_from_dict(item) for item in cached["findings"]
-            )
-            report.suppressed += int(cached.get("suppressed", 0))
-            for path, line, rule_id in cached.get("used", []):
-                used.add((path, int(line), rule_id))
-        else:
-            project_findings: List[Finding] = []
-            project_suppressed = 0
-            project_used: Set[Tuple[str, int, str]] = set()
-            for finding in _run_project_rules(project_rules, modules):
-                suppressions = suppression_maps.get(finding.path, {})
-                if is_suppressed(suppressions, finding.line, finding.rule_id):
-                    project_suppressed += 1
-                    before = set(used)
-                    mark_used(finding.path, finding.line, finding.rule_id)
-                    project_used |= used - before
-                else:
-                    project_findings.append(finding)
-            collected.extend(project_findings)
-            report.suppressed += project_suppressed
-            if cache_dir is not None and digest is not None:
-                _cache_store(
-                    Path(cache_dir), digest,
-                    sorted(project_findings), project_suppressed, project_used,
-                )
+        for finding in _run_project_rules(project_rules, modules):
+            suppressions = suppression_maps.get(finding.path, {})
+            if is_suppressed(suppressions, finding.line, finding.rule_id):
+                report.suppressed += 1
+                mark_used(finding.path, finding.line, finding.rule_id)
+            else:
+                collected.append(finding)
 
-    # Suppression audit: comments that silenced nothing are stale.
+    # Suppression audit: comments that silenced nothing are stale.  A
+    # registered rule that did not run cannot show its suppression is used,
+    # so its ids are not judged; unknown ids always are.
+    skipped = set(RULES) - {rule.rule_id for rule in (*per_module, *project_rules)}
     for relpath in sorted(sources):
         for record in parse_suppression_records(sources[relpath]):
             if record.rules == ALL_RULES:
@@ -320,7 +217,7 @@ def analyze_paths(
             stale = tuple(
                 sorted(
                     rule_id
-                    for rule_id in record.rules
+                    for rule_id in record.rules - skipped
                     if (relpath, record.target_line, rule_id) not in used
                 )
             )
@@ -332,9 +229,6 @@ def analyze_paths(
                 )
 
     collected.sort()
-    if baseline is not None:
-        collected, absorbed = baseline.filter(collected)
-        report.baselined = absorbed
     report.findings = collected
     return report
 
@@ -342,9 +236,9 @@ def analyze_paths(
 def load_project_from_paths(
     paths: Sequence[Path], *, root: Optional[Path] = None
 ):
-    """Parse ``paths`` into (Project, CallGraph, DirectEffects,
-    transitive-effects) — the substrate behind ``repro lint --graph``."""
-    from repro.analysis.effects import compute_direct_effects, propagate_effects
+    """Parse ``paths`` into the (Project, CallGraph, DirectEffects)
+    substrate the project rules run over."""
+    from repro.analysis.effects import compute_direct_effects
     from repro.analysis.graph import build_call_graph, load_project
 
     modules: Dict[str, ParsedModule] = {}
@@ -357,6 +251,4 @@ def load_project_from_paths(
             continue
     project = load_project(modules)
     graph = build_call_graph(project)
-    direct = compute_direct_effects(project)
-    transitive = propagate_effects(direct, graph)
-    return project, graph, direct, transitive
+    return project, graph, compute_direct_effects(project)

@@ -52,8 +52,8 @@ class SuppressionRecord:
     ``comment_line`` is the physical line carrying the comment;
     ``target_line`` is the code line the suppression applies to (the same
     line for trailing comments, the next code line for banners).  Used by
-    the unused-suppression audit (``--strict-suppressions``) to point at
-    the comment itself, not the code it annotates.
+    the unused-suppression audit to point at the comment itself, not the
+    code it annotates.
     """
 
     comment_line: int

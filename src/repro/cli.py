@@ -23,8 +23,9 @@ Commands
     chaos mode (``--inject-faults``); failed cells are recorded, not
     fatal (see docs/robustness.md).
 ``lint``
-    Run the repo-contract static analyzer (R001–R006) over source trees
-    and fail on any non-baselined finding (see docs/static_analysis.md).
+    Run the repo-contract static analyzer (R001–R010) over source trees
+    and fail on any finding or unused suppression (see
+    docs/static_analysis.md).
 ``registry``
     Manage the on-disk model registry: ``save`` (fit + persist), ``list``,
     ``show``, and ``verify`` (re-digest payloads; a flipped byte exits
@@ -318,58 +319,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         format_findings_json,
         format_findings_sarif,
         format_findings_text,
-        get_rules,
-        load_baseline,
-        migrate_baseline,
-        write_baseline,
     )
-    from repro.analysis.baseline import DEFAULT_BASELINE_NAME
 
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE_NAME)
-    if args.migrate_baseline:
-        if migrate_baseline(baseline_path):
-            print(f"migrated {baseline_path} to the hash-keyed v2 format")
-        else:
-            print(f"{baseline_path} already current (or absent); nothing to do")
-        return 0
     paths = [Path(p) for p in (args.paths or ["src"])]
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         print(f"no such path(s): {missing}", file=sys.stderr)
         return 2
-    rules = None
-    if args.rules:
-        try:
-            rules = get_rules([r.strip() for r in args.rules.split(",") if r.strip()])
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-    if args.graph:
-        from repro.analysis import load_project_from_paths
-        from repro.analysis.graph import to_dot
-
-        project, graph, direct, transitive = load_project_from_paths(
-            paths, root=Path.cwd()
-        )
-        print(to_dot(project, graph, transitive))
-        return 0
-    baseline = None if args.no_baseline else load_baseline(baseline_path)
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    report = analyze_paths(
-        paths, root=Path.cwd(), rules=rules, baseline=baseline, cache_dir=cache_dir
-    )
-    if args.write_baseline:
-        write_baseline(baseline_path, report.findings)
-        print(f"wrote {len(report.findings)} finding(s) to {baseline_path}")
-        return 0
-    if args.format == "sarif":
-        print(format_findings_sarif(report))
-    elif args.format == "json" or args.json:
-        print(format_findings_json(report))
-    else:
-        print(format_findings_text(report))
-    ok = report.strict_ok() if args.strict_suppressions else report.ok
-    return 0 if ok else 1
+    report = analyze_paths(paths, root=Path.cwd())
+    formatters = {
+        "text": format_findings_text,
+        "json": format_findings_json,
+        "sarif": format_findings_sarif,
+    }
+    print(formatters[args.format](report))
+    return 0 if report.ok else 1
 
 
 def _cmd_registry(args: argparse.Namespace) -> int:
@@ -638,31 +602,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit 1 when any request failed")
 
     lint = sub.add_parser(
-        "lint", help="run the repo-contract static analyzer (R001–R011)"
+        "lint", help="run the repo-contract static analyzer (R001–R010); "
+                     "exit 1 on findings or unused suppressions"
     )
     lint.add_argument("paths", nargs="*", default=None,
                       help="files or directories to analyze (default: src)")
-    lint.add_argument("--json", action="store_true",
-                      help="JSON output (alias for --format json)")
     lint.add_argument("--format", default="text",
                       choices=["text", "json", "sarif"],
                       help="report format (sarif for GitHub code scanning)")
-    lint.add_argument("--rules", default=None,
-                      help="comma-separated rule ids to run (default: all)")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline file (default: analysis_baseline.json)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore the baseline and report every finding")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="write current findings as the new baseline and exit")
-    lint.add_argument("--migrate-baseline", action="store_true",
-                      help="rewrite a v1 baseline in the hash-keyed v2 format")
-    lint.add_argument("--strict-suppressions", action="store_true",
-                      help="also exit non-zero on unused suppression comments")
-    lint.add_argument("--graph", action="store_true",
-                      help="dump the call graph with inferred effects as DOT")
-    lint.add_argument("--cache-dir", default=None,
-                      help="cache whole-project analysis results here")
     return parser
 
 

@@ -54,10 +54,10 @@ class RegistryError(ReproError, RuntimeError):
 
 class RegistryVersionError(RegistryError):
     """A registry record carries a schema version this reader does not
-    understand.  Version 1 records are migrated transparently on read
-    (mirroring the analysis baseline's v1 -> v2 pattern); anything newer
-    than the current writer raises this instead of misreading the
-    payload.  Carries the offending version for test assertions."""
+    understand.  Version 1 records are migrated transparently on read;
+    anything newer than the current writer raises this instead of
+    misreading the payload.  Carries the offending version for test
+    assertions."""
 
     def __init__(self, message: str, *, version: int = -1) -> None:
         super().__init__(message)

@@ -31,10 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Opts this module into R008 (backend-purity): any distance arithmetic
-#: here must go through the counted kernels in ``repro.common.distance``.
-BACKEND_ROUTED = True
-
 
 def accumulate_cluster_sums(
     X: np.ndarray, labels: np.ndarray, k: int

@@ -94,10 +94,6 @@ from repro.core.pruning import GroupView, centroid_separations, group_centroids_
 from repro.core.refinement import accumulate_cluster_sums
 from repro.core.yinyang import YinyangKMeans
 
-#: Opts this module into R008 (backend-purity): any distance arithmetic
-#: here must go through the counted kernels in ``repro.common.distance``.
-BACKEND_ROUTED = True
-
 
 # ----------------------------------------------------------------------
 # Row-subset assignment kernels.

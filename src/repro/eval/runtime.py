@@ -458,45 +458,3 @@ def supervised_map(
                     elapsed=time.monotonic() - (task.first_start or batch_start),
                 )
     return results
-
-
-def supervised_call(
-    fn: Callable[[Any, int], Any],
-    item: Any,
-    key: RunKey,
-    *,
-    policy: Optional[ExecutionPolicy] = None,
-    mp_context=None,
-) -> Any:
-    """One supervised run; raises the classified error instead of degrading."""
-    outcome = supervised_map(
-        fn, [item], [key], policy=policy, max_workers=1, mp_context=mp_context
-    )[0]
-    if isinstance(outcome, FailedRun):
-        raise outcome.to_exception()
-    return outcome
-
-
-def run_with_retries(
-    fn: Callable[[], Any],
-    *,
-    key: str = "",
-    policy: Optional[ExecutionPolicy] = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Any:
-    """In-process retry wrapper (no timeout isolation) for light callers.
-
-    Retries :class:`TransientError` with the policy's deterministic
-    backoff; any other exception — and the final transient failure —
-    propagates unchanged.
-    """
-    policy = policy or ExecutionPolicy()
-    attempt = 1
-    while True:
-        try:
-            return fn()
-        except TransientError:
-            if attempt > policy.retries:
-                raise
-            sleep(policy.backoff_delay(key, attempt))
-            attempt += 1

@@ -23,8 +23,8 @@ disk until touched, while the centroids — small and hit on every request
 construction, so the steady-state request path never faults a page or
 re-reads the manifest.
 
-This module declares ``BACKEND_ROUTED = True``: the R008 backend-purity
-rule enforces that it reaches distance math only via the counted kernels.
+``repro/serve/`` is in the analyzer's instrumented scope: R001 and R008
+hold this module to distance math through the counted kernels only.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ from repro.common.distance import nearest_centroids, sq_norms
 from repro.common.exceptions import ValidationError
 from repro.instrumentation.counters import OpCounters
 from repro.serve.registry import MODEL_KIND, ModelRegistry, RegistryEntry
-
-#: R008 contract: distance math in this module must use the counted kernels
-BACKEND_ROUTED = True
 
 
 class Predictor:
@@ -138,4 +135,4 @@ class Predictor:
         return int(self.predict(np.atleast_2d(x))[0])
 
 
-__all__ = ["BACKEND_ROUTED", "Predictor"]
+__all__ = ["Predictor"]

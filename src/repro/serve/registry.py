@@ -36,9 +36,8 @@ Schema versioning
 -----------------
 The current writer emits ``registry_version`` 2 (payload files + an
 ``arrays`` spec dict).  Version 1 records — inline base64 centroids with
-flat metadata fields — upgrade transparently on read, mirroring the
-baseline v1→v2 migration of ``repro.analysis``; anything *newer* than the
-current writer raises a classified
+flat metadata fields — upgrade transparently on read; anything *newer*
+than the current writer raises a classified
 :class:`~repro.common.exceptions.RegistryVersionError` instead of
 misreading the payload.  A committed v1 golden artifact pins the
 migration (``tests/golden/registry_v1``).
@@ -378,8 +377,7 @@ class ModelRegistry:
         """Bring a manifest record to the current schema, or refuse.
 
         Version 1 upgrades transparently; an unknown or newer version
-        raises :class:`RegistryVersionError` (carrying the version) —
-        the same contract as the analysis baseline's v1→v2 reader.
+        raises :class:`RegistryVersionError` (carrying the version).
         """
         try:
             version = int(record.get("registry_version", 0))

@@ -1,44 +1,33 @@
 """The analyzer's own acceptance gate: the shipped tree is clean.
 
 Runs the full rule set over ``src/`` exactly as ``python -m repro lint src``
-does and asserts zero non-baselined findings — the pytest wrapper the issue
-requires so a regression in the instrumentation contract fails tier-1, not
-just CI lint.
+does and asserts zero findings and zero unused suppressions, so a
+regression in the instrumentation contract fails tier-1, not just CI lint.
 """
 
 from pathlib import Path
 
-from repro.analysis import analyze_paths, load_baseline
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME
+from repro.analysis import analyze_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 
 def test_src_tree_has_no_unbaselined_findings():
-    baseline = load_baseline(REPO_ROOT / DEFAULT_BASELINE_NAME)
-    report = analyze_paths([SRC], root=REPO_ROOT, baseline=baseline)
+    report = analyze_paths([SRC], root=REPO_ROOT)
     assert report.files_scanned > 50
     details = "\n".join(f.format() for f in report.findings)
     assert report.parse_errors == []
-    assert not report.findings, f"non-baselined findings:\n{details}"
+    assert not report.findings, f"findings:\n{details}"
 
 
 def test_src_tree_has_no_unused_suppressions():
     # Every ``# repro: ignore[...]`` in the tree must still silence a
-    # live finding — the --strict-suppressions contract CI enforces.
+    # live finding; `repro lint` fails on a stale one.
     report = analyze_paths([SRC], root=REPO_ROOT)
     stale = "\n".join(u.format() for u in report.unused_suppressions)
     assert report.unused_suppressions == [], f"stale suppressions:\n{stale}"
     assert report.suppressed > 0  # justified suppressions exist and are used
-
-
-def test_shipped_baseline_is_empty():
-    # The tentpole's triage requirement: everything real was fixed or
-    # suppressed with justification, so the committed baseline carries
-    # no grandfathered debt.
-    baseline = load_baseline(REPO_ROOT / DEFAULT_BASELINE_NAME)
-    assert len(baseline) == 0
 
 
 def test_lint_cli_exits_zero_on_clean_tree(capsys):

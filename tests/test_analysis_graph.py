@@ -1,24 +1,15 @@
-"""Call-graph construction: determinism, SCC condensation, DOT output.
+"""Call-graph construction and direct effects.
 
-The effect fixpoint and the interprocedural rules assume two structural
-properties pinned here: building the graph twice from the same sources
-yields identical objects (no set-iteration leakage into the output), and
-the SCC condensation is a DAG (what makes the fixpoint finite).
+The project rules assume that building the graph twice from the same
+sources yields identical objects (no set-iteration leakage into the
+output), that edges resolve across modules, through ``self`` and around
+cycles, and that ``mutates-global`` labels the mutating function only.
 """
 
 import textwrap
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.analysis.effects import compute_direct_effects, propagate_effects
-from repro.analysis.graph import (
-    CallGraph,
-    build_call_graph,
-    load_project,
-    module_name_for_path,
-    to_dot,
-)
+from repro.analysis.effects import compute_direct_effects
+from repro.analysis.graph import build_call_graph, load_project, module_name_for_path
 from repro.analysis.rules import ParsedModule
 
 _FIXTURE = {
@@ -77,8 +68,6 @@ class TestDeterminism:
         project_b, graph_b = _build()
         assert graph_a.edges == graph_b.edges
         assert sorted(project_a.functions) == sorted(project_b.functions)
-        assert project_a.imports == project_b.imports
-        assert graph_a.condensation() == graph_b.condensation()
 
     def test_cross_module_and_self_edges_resolved(self):
         _, graph = _build()
@@ -86,90 +75,19 @@ class TestDeterminism:
         assert "repro.core.a.Algo.step" in graph.callees("repro.core.a.Algo.fit")
 
     def test_mutual_recursion_is_one_component(self):
+        # Each function of the cycle reaches the other, and the walk
+        # terminates on the cycle.
         _, graph = _build()
-        components, edges = graph.condensation()
-        cycle = ("repro.core.a.mutate", "repro.core.a.mutate_again")
-        assert tuple(sorted(cycle)) in components
+        cycle = {"repro.core.a.mutate", "repro.core.a.mutate_again"}
+        for node in cycle:
+            assert set(graph.reachable([node])) == cycle
 
 
-# Random graphs over a small node alphabet: the condensation must always
-# partition the nodes and its inter-component edges must form a DAG.
-_NODES = [f"n{i}" for i in range(8)]
-_edges_strategy = st.dictionaries(
-    st.sampled_from(_NODES),
-    st.lists(
-        st.tuples(st.sampled_from(_NODES), st.sampled_from(["direct", "fuzzy"])),
-        max_size=6,
-        unique_by=lambda pair: pair[0],
-    ).map(tuple),
-    max_size=8,
-)
-
-
-class TestCondensationProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(edges=_edges_strategy)
-    def test_condensation_partitions_and_is_acyclic(self, edges):
-        graph = CallGraph(edges=edges)
-        components, comp_edges = graph.condensation()
-        # Partition: every node in exactly one component.
-        flat = [node for component in components for node in component]
-        assert len(flat) == len(set(flat))
-        expected = set(edges) | {
-            callee for pairs in edges.values() for callee, _ in pairs
-        }
-        assert set(flat) == expected
-        # DAG: Kahn's algorithm consumes every component.
-        indegree = {i: 0 for i in range(len(components))}
-        successors = {i: [] for i in range(len(components))}
-        for a, b in comp_edges:
-            assert a != b
-            successors[a].append(b)
-            indegree[b] += 1
-        ready = [i for i, deg in indegree.items() if deg == 0]
-        seen = 0
-        while ready:
-            current = ready.pop()
-            seen += 1
-            for nxt in successors[current]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    ready.append(nxt)
-        assert seen == len(components)
-
-    @settings(max_examples=100, deadline=None)
-    @given(edges=_edges_strategy)
-    def test_condensation_deterministic(self, edges):
-        graph = CallGraph(edges=edges)
-        assert graph.condensation() == graph.condensation()
-
-
-class TestEffectPropagation:
-    def test_effects_flow_up_call_chain(self):
-        project, graph = _build()
+class TestDirectEffects:
+    def test_mutation_labels_only_the_mutator(self):
+        project, _ = _build()
         direct = compute_direct_effects(project)
-        transitive = propagate_effects(direct, graph)
         assert "mutates-global" in direct.get("repro.core.a.mutate")
-        # The caller inherits through the cycle.
-        assert "mutates-global" in transitive["repro.core.a.mutate_again"]
-        # The clean helper has no effects at all.
-        assert not transitive.get("repro.core.b.helper", frozenset())
-
-
-class TestDot:
-    def test_dot_carries_effect_labels(self):
-        project, graph = _build()
-        direct = compute_direct_effects(project)
-        transitive = propagate_effects(direct, graph)
-        dot = to_dot(project, graph, transitive)
-        assert dot.startswith("digraph repro_calls {")
-        assert dot.rstrip().endswith("}")
-        assert 'label="repro.core.a";' in dot
-        assert "[mutates-global]" in dot
-        assert (
-            '"repro.core.a.Algo.fit" -> "repro.core.a.Algo.step";' in dot
-        )
-        # Fuzzy edges are excluded by default, dashed when included.
-        assert "style=dashed" not in dot
-        dot_fuzzy = to_dot(project, graph, transitive, include_fuzzy=True)
-        assert dot_fuzzy.count("->") >= dot.count("->")
+        # Effects are direct: the caller in the cycle is not labeled.
+        assert not direct.get("repro.core.a.mutate_again")
+        assert not direct.get("repro.core.b.helper")

@@ -16,15 +16,13 @@ from repro.analysis import (
     format_findings_json,
     format_findings_text,
     get_rules,
-    load_baseline,
-    write_baseline,
 )
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.runner import AnalysisReport
 from repro.analysis.suppressions import parse_suppressions
 
 CORE_PATH = "src/repro/core/fake.py"  # inside the instrumented scope
+SERVE_PATH = "src/repro/serve/fake.py"  # inside it too
 OUTSIDE_PATH = "src/repro/eval/fake.py"  # outside it
 
 
@@ -104,6 +102,12 @@ class TestR001:
     def test_out_of_scope_path_ignored(self):
         src = "import numpy as np\nr = np.linalg.norm([1.0, 2.0])\n"
         assert analyze_source(src, OUTSIDE_PATH) == []
+
+    def test_serve_path_in_scope(self):
+        # The serving path answers with the same counted kernels as the
+        # fit; any module under repro/serve/ is checked, with no opt-in.
+        src = "import numpy as np\nr = np.linalg.norm([1.0, 2.0])\n"
+        assert rule_ids(analyze_source(src, SERVE_PATH)) == ["R001"]
 
     # -- vectorized-backend idioms (ISSUE 3) ---------------------------
 
@@ -544,45 +548,11 @@ def _finding(path="src/repro/core/a.py", rule="R001", snippet="x = bad()"):
                    message="msg", snippet=snippet)
 
 
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [_finding(), _finding(), _finding(rule="R004")])
-        baseline = load_baseline(path)
-        assert len(baseline) == 3
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 2
-        counts = {(i["path"], i["rule"]): i.get("count", 1)
-                  for i in payload["findings"]}
-        assert counts[("src/repro/core/a.py", "R001")] == 2
-        # v2 entries are keyed by content hash; the snippet rides along
-        # for human review only.
-        assert all(i["hash"] for i in payload["findings"])
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert len(load_baseline(tmp_path / "absent.json")) == 0
-
-    def test_filter_absorbs_up_to_count(self):
-        baseline = Baseline()
-        baseline.entries[_finding().baseline_key()] = 1
-        fresh, absorbed = baseline.filter([_finding(), _finding()])
-        assert absorbed == 1
-        assert len(fresh) == 1
-
-    def test_line_number_insensitive(self):
-        moved = Finding(path="src/repro/core/a.py", line=99, col=1,
-                        rule_id="R001", message="msg", snippet="x = bad()")
-        baseline = Baseline()
-        baseline.entries[_finding().baseline_key()] = 1
-        fresh, absorbed = baseline.filter([moved])
-        assert absorbed == 1 and fresh == []
-
-
 class TestRegistryAndReporters:
     def test_all_rules_registered(self):
         assert ALL_RULE_IDS == (
             "R001", "R002", "R003", "R004", "R005", "R006",
-            "R007", "R008", "R009", "R010", "R011",
+            "R007", "R008", "R009", "R010",
         )
 
     def test_get_rules_subset_and_unknown(self):

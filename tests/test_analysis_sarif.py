@@ -2,9 +2,9 @@
 
 The golden file pins the exact SARIF 2.1.0 document produced for a fixed
 report — regenerate with ``python tests/golden/generate_sarif.py`` after a
-deliberate format change.  The docs-parity test is what the CI
-``lint-analysis`` job runs to fail the build when ``ALL_RULE_IDS`` and the
-rule table in ``docs/static_analysis.md`` drift apart.
+deliberate format change.  The docs-parity test is what the CI ``lint``
+job runs to fail the build when ``ALL_RULE_IDS`` and the rule table in
+``docs/static_analysis.md`` drift apart.
 """
 
 import json

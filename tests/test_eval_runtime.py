@@ -21,8 +21,6 @@ from repro.eval.runtime import (
     FailedRun,
     RunKey,
     is_failed_record,
-    run_with_retries,
-    supervised_call,
     supervised_map,
 )
 
@@ -177,56 +175,6 @@ class TestSupervisedMap:
     def test_concurrent_batch_preserves_input_order(self):
         results = supervised_map(_double, [1, 2, 3, 4], _keys(4), max_workers=4)
         assert results == [2, 4, 6, 8]
-
-
-class TestSupervisedCall:
-    def test_returns_value(self):
-        assert supervised_call(_double, 21, KEY) == 42
-
-    def test_raises_timeout(self):
-        with pytest.raises(RunTimeoutError):
-            supervised_call(_hang, 0, KEY, policy=ExecutionPolicy(timeout=0.5))
-
-    def test_raises_crash(self):
-        with pytest.raises(WorkerCrashError):
-            supervised_call(_exit_hard, 0, KEY)
-
-
-class TestRunWithRetries:
-    def test_retries_transient_then_succeeds(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise TransientError("not yet")
-            return "done"
-
-        slept = []
-        result = run_with_retries(
-            flaky, key="k", policy=ExecutionPolicy(retries=3, backoff_base=0.2),
-            sleep=slept.append,
-        )
-        assert result == "done"
-        assert len(calls) == 3
-        assert len(slept) == 2
-        assert slept[1] > slept[0]  # exponential growth
-
-    def test_non_transient_propagates_immediately(self):
-        def broken():
-            raise ValueError("no retry for you")
-
-        with pytest.raises(ValueError):
-            run_with_retries(broken, policy=ExecutionPolicy(retries=5),
-                             sleep=lambda _: None)
-
-    def test_transient_budget_exhausted(self):
-        def always():
-            raise TransientError("forever")
-
-        with pytest.raises(TransientError):
-            run_with_retries(always, policy=ExecutionPolicy(retries=1),
-                             sleep=lambda _: None)
 
 
 def _sleep_quarter(item, attempt):

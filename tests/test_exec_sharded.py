@@ -303,7 +303,7 @@ class TestWiring:
         # R007 lints what the shard threads run by walking the live call
         # graph, fuzzy edges included, from their Thread target; every
         # row kernel a shard pass calls must be on that walk.
-        project, graph, _, _ = load_project_from_paths(
+        project, graph, _ = load_project_from_paths(
             [REPO_ROOT / "src"], root=REPO_ROOT
         )
         (site,) = [
