@@ -43,7 +43,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.common.exceptions import ConfigurationError
-from repro.core import ALGORITHMS, BACKENDS, VECTORIZED_ALGORITHMS, make_algorithm
+from repro.core import ALGORITHMS, BACKENDS, make_algorithm
 from repro.datasets import dataset_names, get_dataset_spec, load_dataset
 from repro.datasets.loaders import append_jsonl, load_points_csv
 from repro.eval import compare_algorithms, format_table, speedup_table
@@ -65,11 +65,12 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
                              "bit-identical (see docs/sharding.md)")
 
 
-def _check_shard_arguments(args: argparse.Namespace, names) -> Optional[str]:
-    """Validate --shards against backend + algorithms.
+def _check_algorithm_arguments(args: argparse.Namespace, names) -> Optional[str]:
+    """Validate algorithm names against --backend and --shards.
 
     Builds each algorithm once, unfitted, so the CLI reports exactly the
-    ConfigurationError that ``make_algorithm`` raises.
+    ConfigurationError that ``make_algorithm`` raises: an unknown name, an
+    algorithm with no implementation on the backend, or a bad shard count.
     """
     try:
         for name in names:
@@ -109,7 +110,7 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    error = _check_shard_arguments(args, [args.algorithm])
+    error = _check_algorithm_arguments(args, [args.algorithm])
     if error:
         print(error, file=sys.stderr)
         return 2
@@ -141,31 +142,17 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    X = _load(args)
     names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    unknown = [name for name in names if name not in ALGORITHMS]
-    if unknown:
-        print(f"unknown algorithms: {unknown}; known: {sorted(ALGORITHMS)}",
-              file=sys.stderr)
-        return 2
-    if args.backend != "reference":
-        unsupported = [name for name in names if name not in VECTORIZED_ALGORITHMS]
-        if unsupported:
-            print(
-                f"no {args.backend!r} implementation for: {unsupported}; "
-                f"vectorized backends exist for: {sorted(VECTORIZED_ALGORITHMS)}",
-                file=sys.stderr,
-            )
-            return 2
     if "lloyd" not in names:
         # speedup_table needs the Lloyd baseline; it runs on the selected
         # backend like everything else, so vectorized comparisons measure
         # speedups against vectorized Lloyd, not the scalar reference.
         names.insert(0, "lloyd")
-    error = _check_shard_arguments(args, names)
+    error = _check_algorithm_arguments(args, names)
     if error:
         print(error, file=sys.stderr)
         return 2
+    X = _load(args)
     records = compare_algorithms(
         names, X, args.k,
         repeats=args.repeats, max_iter=args.max_iter,
@@ -244,16 +231,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.eval.runtime import is_failed_record
 
     names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    unknown = [name for name in names if name not in ALGORITHMS]
-    if unknown:
-        print(f"unknown algorithms: {unknown}; known: {sorted(ALGORITHMS)}",
-              file=sys.stderr)
-        return 2
     if args.resume and not args.log:
         print("--resume requires --log (the checkpoint to resume from)",
               file=sys.stderr)
         return 2
-    error = _check_shard_arguments(args, names)
+    error = _check_algorithm_arguments(args, names)
     if error:
         print(error, file=sys.stderr)
         return 2
@@ -342,7 +324,7 @@ def _cmd_registry(args: argparse.Namespace) -> int:
 
     registry = ModelRegistry(args.root)
     if args.registry_command == "save":
-        error = _check_shard_arguments(args, [args.algorithm])
+        error = _check_algorithm_arguments(args, [args.algorithm])
         if error:
             print(error, file=sys.stderr)
             return 2

@@ -6,9 +6,9 @@ builds instances by name, and :class:`KMeans` is the user-facing facade.
 Two execution backends exist (see ``docs/backends.md``): ``"reference"``
 (the pointwise scalar implementations, ground truth for counter semantics)
 and ``"vectorized"`` (NumPy-batched replacements — the sequential
-bound-based trio, Lloyd, index-based k-means, and k-means++ seeding — that
-reproduce the reference labels, centroids, iteration counts and counter
-totals exactly — enforced by ``tests/test_backend_conformance.py``).
+bound-based trio, Lloyd, and k-means++ seeding — that reproduce the
+reference labels, centroids, iteration counts and counter totals exactly —
+enforced by ``tests/test_backend_conformance.py``).
 Select with ``make_algorithm(name, backend="vectorized")`` or
 ``KMeans(..., backend="vectorized")``.
 """
@@ -57,7 +57,6 @@ from repro.core.vectorized import (
     VECTORIZED_ALGORITHMS,
     VectorizedElkanKMeans,
     VectorizedHamerlyKMeans,
-    VectorizedIndexKMeans,
     VectorizedLloydKMeans,
     VectorizedYinyangKMeans,
 )
@@ -256,7 +255,6 @@ __all__ = [
     "FullKMeans",
     "VectorizedElkanKMeans",
     "VectorizedHamerlyKMeans",
-    "VectorizedIndexKMeans",
     "VectorizedLloydKMeans",
     "VectorizedYinyangKMeans",
     "SphereKMeans",

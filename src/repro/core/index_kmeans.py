@@ -149,10 +149,7 @@ class IndexKMeans(KMeansAlgorithm):
         (``np.add.at`` applies its updates sequentially in element order).
         Together with the descent's depth-first decision order this makes
         the full iteration's sum update one well-defined sequence of scalar
-        additions per (cluster, dimension) — which is exactly what lets the
-        vectorized backend replay it as a single flattened ``bincount``
-        scatter-add and still match the reference centroids bitwise
-        (see ``VectorizedIndexKMeans`` and ``repro.core.refinement``).
+        additions per (cluster, dimension).
         """
         idx = node.point_indices
         self._labels[idx] = winners

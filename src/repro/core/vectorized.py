@@ -1,4 +1,4 @@
-"""Vectorized NumPy backend: bound-based trio, Lloyd, and index k-means.
+"""Vectorized NumPy backend: bound-based trio and Lloyd.
 
 The reference implementations in :mod:`repro.core.elkan`,
 :mod:`repro.core.hamerly` and :mod:`repro.core.yinyang` run their pruning
@@ -6,10 +6,8 @@ loops point by point — faithful to the paper's pseudocode and easy to
 audit, but dominated by Python interpreter overhead, so the "accelerated"
 methods often lose to plain vectorized Lloyd on wall-clock.  Newling &
 Fleuret's and Raff's implementations show the fix: bound-based pruning only
-pays when the bound *bookkeeping* is batched too.  The same applies to the
-paper's other pipeline half: the reference :class:`IndexKMeans` descent
-(Section 3, Eq. 2/9) makes one tiny NumPy call per tree node, and plain
-Lloyd's chunked direct-differencing scan leaves the expansion trick's GEMM
+pays when the bound *bookkeeping* is batched too.  Likewise, plain Lloyd's
+chunked direct-differencing scan leaves the expansion trick's GEMM
 throughput on the table.
 
 The classes here are drop-in replacements selected with
@@ -17,14 +15,15 @@ The classes here are drop-in replacements selected with
 ``docs/backends.md``).  Each subclasses its reference implementation and
 replaces only the per-iteration assignment pass — array-held bounds and
 masked batch updates for the trio (Yinyang's seeding and group scans also
-pick their exact entries from certified GEMM scores), the certified
-blocked GEMM scan with exact near-tie fallback for Lloyd, and a
-frontier-batched breadth-first traversal for index k-means; setup,
+pick their exact entries from certified GEMM scores), and the certified
+blocked GEMM scan with exact near-tie fallback for Lloyd; setup,
 initialization, refinement and drift correction are inherited unchanged
 (refinement itself is the shared scatter-add of
 :mod:`repro.core.refinement`, and k-means++ seeding batches its D²
 updates through the same bit-identical kernels, see
-:mod:`repro.core.initialization`).
+:mod:`repro.core.initialization`).  Index k-means has no vectorized
+implementation: it was never the fastest exact method at any shape
+measured (``docs/backends.md``).
 
 Exactness contract
 ------------------
@@ -70,7 +69,7 @@ backends do the same algorithmic work.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Tuple, Type
+from typing import Dict, Tuple, Type
 
 import numpy as np
 
@@ -88,10 +87,8 @@ from repro.common.distance import (
 from repro.core.base import KMeansAlgorithm
 from repro.core.elkan import ElkanKMeans
 from repro.core.hamerly import HamerlyKMeans
-from repro.core.index_kmeans import IndexKMeans
 from repro.core.lloyd import LloydKMeans
 from repro.core.pruning import GroupView, centroid_separations, group_centroids_kmeans
-from repro.core.refinement import accumulate_cluster_sums
 from repro.core.yinyang import YinyangKMeans
 
 
@@ -701,256 +698,18 @@ class VectorizedLloydKMeans(LloydKMeans):
         )
 
 
-class VectorizedIndexKMeans(IndexKMeans):
-    """Index-based k-means with a frontier-batched breadth-first traversal.
-
-    The reference descends the tree recursively, making one tiny NumPy call
-    per node (Section 3's filtering algorithm).  This class processes whole
-    BFS *frontiers* instead: one :func:`block_distances` call yields the
-    pivot-to-centroid matrix for every frontier node, the Eq. 2/9 batch
-    test and the ring filter ``d_j - r <= d_1 + r`` run array-wise over the
-    frontier, pruned subtrees queue their ``sv``/``num`` batch assignment,
-    and all surviving leaves are scanned in one concatenated
-    :func:`chunked_sq_distances` call.
-
-    Exactness
-    ---------
-    * Per-node decisions are identical: ``block_distances`` entries are
-      bit-identical to the reference's ``one_to_many_distances``; masked
-      ``argmin``/``partition`` reproduce the stable-argsort two-smallest
-      over each node's (ascending) candidate set; the kd-tree hyperplane
-      filter reuses the inherited per-node corner test verbatim.  So every
-      node is batch-assigned / filtered / descended exactly as in the
-      reference, and each leaf sees the same candidate set.
-    * The sum update is replayed, not re-derived: the reference's
-      depth-first descent performs one well-defined sequence of additions
-      into ``self._sums`` — per visited node in left-to-right pre-order,
-      either its ``sv`` vector (batch assignment) or its points one by one
-      (leaf fold, ``np.add.at``).  The traversal buffers every decision,
-      sorts by pre-order rank (``MetricTree.preorder_nodes``), stacks the
-      addend rows in exactly that order and folds them with the same
-      sequential bincount scatter-add the shared refinement step uses
-      (:func:`repro.core.refinement.accumulate_cluster_sums`) — from the
-      zeroed per-iteration base this is bit-identical to the reference's
-      addition sequence, so the refined centroids match bitwise.  Label
-      writes and integer counts are order-independent and applied in bulk
-      (whole subtrees via precomputed pre-order point ranges).
-    * Counters charge per pruning decision, as always: node accesses per
-      frontier node, one distance per (node, surviving candidate) pair
-      actually tested, leaf point accesses/distances per (point, candidate)
-      pair scanned — the full-matrix kernel calls themselves are uncounted.
-    """
-
-    backend = "vectorized"
-
-    def _setup(self) -> None:
-        super()._setup()
-        # Pre-order flattening of the tree (parallel arrays indexed by
-        # left-to-right pre-order rank = reference visit order), cached on
-        # the tree itself so repeated fits over a prebuilt index pay it once.
-        flat = self.tree.preorder_flat()
-        self._nodes = flat.nodes
-        self._pivots = flat.pivots
-        self._radii = flat.radii
-        self._svs = flat.svs
-        self._leaf_flags = flat.leaf_flags
-        self._child_flat = flat.child_flat
-        self._child_offsets = flat.child_offsets
-        # Each subtree covers the contiguous slice perm[start[r]:end[r]],
-        # replacing the reference's per-call subtree walk for
-        # (order-independent) bulk label writes.
-        self._perm = flat.perm
-        self._subtree_starts = flat.subtree_starts
-        self._subtree_ends = flat.subtree_ends
-
-    def _assign(self, iteration: int) -> None:
-        self._sums.fill(0.0)
-        self._counts.fill(0)
-        counters = self.counters
-        centroids = self._centroids
-        k = self.k
-        nodes = self._nodes
-        # Decisions accumulate as parallel arrays: batch-assigned node ranks
-        # with their winning cluster, and surviving-leaf ranks with their
-        # candidate masks (winners filled in after the batched scan).
-        batch_rank_parts: List[np.ndarray] = []
-        batch_best_parts: List[np.ndarray] = []
-        leaf_rank_parts: List[np.ndarray] = []
-        leaf_mask_parts: List[np.ndarray] = []
-        frontier_ranks = np.array([0], dtype=np.intp)
-        frontier_masks = np.ones((1, k), dtype=bool)
-        while len(frontier_ranks):
-            m = len(frontier_ranks)
-            counters.add_node_accesses(m)
-            # One distance per (node, candidate) pair, as in the reference;
-            # the full (m, k) block itself is an uncounted kernel call.
-            counters.add_distances(int(frontier_masks.sum()))
-            dists = block_distances(self._pivots[frontier_ranks], centroids)
-            np.copyto(dists, np.inf, where=~frontier_masks)
-            best = np.argmin(dists, axis=1)
-            d1 = dists[np.arange(m), best]
-            d2 = (
-                np.partition(dists, 1, axis=1)[:, 1]
-                if k > 1
-                else np.full(m, np.inf)
-            )
-            radii = self._radii[frontier_ranks]
-            # Eq. 2/9 batch test; single-candidate nodes have d2 = inf and
-            # batch-assign too, matching the reference's explicit branch.
-            batch = d2 - d1 > 2.0 * radii
-            if batch.any():
-                batch_rank_parts.append(frontier_ranks[batch])
-                batch_best_parts.append(best[batch])
-            survivors = np.flatnonzero(~batch)
-            if len(survivors) == 0:
-                break
-            # Ring filter over the whole frontier: candidates with
-            # d_j - r > d_1 + r cannot win anywhere inside the ball.
-            keep = dists[survivors] - radii[survivors, None] <= (
-                d1[survivors] + radii[survivors]
-            )[:, None]
-            surv_ranks = frontier_ranks[survivors]
-            surv_best = best[survivors]
-            if self._use_hyperplane:
-                for pos, row in enumerate(survivors):
-                    cand_idx = np.flatnonzero(frontier_masks[row])
-                    keep[pos, cand_idx] &= self._hyperplane_keep(
-                        nodes[int(surv_ranks[pos])], cand_idx, int(surv_best[pos])
-                    )
-            keep[np.arange(len(survivors)), surv_best] = True
-            leaf_sel = self._leaf_flags[surv_ranks]
-            if leaf_sel.any():
-                leaf_rank_parts.append(surv_ranks[leaf_sel])
-                leaf_mask_parts.append(keep[leaf_sel])
-            int_sel = ~leaf_sel
-            int_ranks = surv_ranks[int_sel]
-            if len(int_ranks):
-                # CSR-style frontier expansion: gather every surviving
-                # internal node's children in one shot.
-                starts = self._child_offsets[int_ranks]
-                cnts = self._child_offsets[int_ranks + 1] - starts
-                rep = np.repeat(np.arange(len(int_ranks)), cnts)
-                within = np.arange(int(cnts.sum())) - (np.cumsum(cnts) - cnts)[rep]
-                frontier_ranks = self._child_flat[starts[rep] + within]
-                frontier_masks = keep[int_sel][rep]
-            else:
-                frontier_ranks = np.empty(0, dtype=np.intp)
-        empty = np.empty(0, dtype=np.intp)
-        batch_ranks = (
-            np.concatenate(batch_rank_parts) if batch_rank_parts else empty
-        )
-        batch_best = (
-            np.concatenate(batch_best_parts) if batch_best_parts else empty
-        )
-        leaf_ranks = np.concatenate(leaf_rank_parts) if leaf_rank_parts else empty
-        leaf_masks = (
-            np.vstack(leaf_mask_parts)
-            if leaf_mask_parts
-            else np.empty((0, k), dtype=bool)
-        )
-        leaf_points, leaf_idx, leaf_winners, leaf_offsets = self._scan_leaves_batch(
-            leaf_ranks, leaf_masks
-        )
-        # Replay: stack every decision's addend rows in reference (pre-order)
-        # order — one sv row per batch-assigned node, the leaf's point rows
-        # per scanned leaf — and fold them with one sequential bincount
-        # scatter-add.  Bin-internal accumulation runs in row order, so each
-        # (cluster, dim) cell sums in exactly the reference's sequence.
-        n_batch = len(batch_ranks)
-        order = np.argsort(np.concatenate([batch_ranks, leaf_ranks]))
-        addends: List[np.ndarray] = []
-        keys: List[np.ndarray] = []
-        for pos in order:
-            if pos < n_batch:
-                addends.append(self._svs[batch_ranks[pos]][None])
-                keys.append(batch_best[pos : pos + 1])
-            else:
-                lo, hi = leaf_offsets[pos - n_batch], leaf_offsets[pos - n_batch + 1]
-                addends.append(leaf_points[lo:hi])
-                keys.append(leaf_winners[lo:hi])
-        if addends:
-            self._sums[:] = accumulate_cluster_sums(
-                np.concatenate(addends), np.concatenate(keys), k
-            )
-        # Labels and integer counts are order-independent: bulk subtree
-        # slice writes for batch assignments, one write for all leaf points.
-        lo = self._subtree_starts[batch_ranks]
-        hi = self._subtree_ends[batch_ranks]
-        np.add.at(self._counts, batch_best, hi - lo)
-        for pos in range(n_batch):
-            self._labels[self._perm[lo[pos] : hi[pos]]] = batch_best[pos]
-        if len(leaf_winners):
-            self._labels[leaf_idx] = leaf_winners
-            self._counts += np.bincount(leaf_winners, minlength=k)
-
-    def _scan_leaves_batch(
-        self, leaf_ranks: np.ndarray, leaf_masks: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One concatenated exact scan over every surviving leaf.
-
-        Returns ``(points, point_indices, winners, offsets)`` where leaf
-        ``i`` (in ``leaf_ranks`` order) owns rows
-        ``offsets[i]:offsets[i+1]``.  Winners are bit-identical to the
-        reference's per-leaf ``candidates[argmin]``: each group scans the
-        exact column subset the reference scans (chunked entries are row-
-        and column-subset invariant), so argmin sees the same floats in the
-        same candidate order.
-        """
-        d = self.X.shape[1]
-        if len(leaf_ranks) == 0:
-            empty_idx = np.empty(0, dtype=np.intp)
-            return np.empty((0, d)), empty_idx, empty_idx, np.zeros(1, dtype=np.intp)
-        counters = self.counters
-        # A leaf's perm slice is its own point_indices (see FlatTree).
-        lstarts = self._subtree_starts[leaf_ranks]
-        sizes = self._subtree_ends[leaf_ranks] - lstarts
-        pairs = sizes * leaf_masks.sum(axis=1)
-        counters.add_point_accesses(int(pairs.sum()))
-        counters.add_distances(int(pairs.sum()))
-        rep = np.repeat(np.arange(len(leaf_ranks)), sizes)
-        offsets = np.zeros(len(leaf_ranks) + 1, dtype=np.intp)
-        np.cumsum(sizes, out=offsets[1:])
-        within = np.arange(int(offsets[-1])) - offsets[:-1][rep]
-        idx = self._perm[lstarts[rep] + within]
-        points = self.X[idx]
-        # Group leaves sharing the same surviving-candidate set and scan
-        # each group over those columns only — the same
-        # ``chunked_sq_distances(points, centroids[candidates])`` call the
-        # reference makes per leaf (entry- and subset-invariant), but one
-        # rectangular kernel per distinct candidate set instead of one per
-        # leaf, and no wasted columns for well-pruned frontiers.
-        groups: Dict[bytes, List[int]] = {}
-        for pos in range(len(leaf_ranks)):
-            groups.setdefault(leaf_masks[pos].tobytes(), []).append(pos)
-        winners = np.empty(len(points), dtype=np.intp)
-        for leaf_positions in groups.values():
-            cand = np.flatnonzero(leaf_masks[leaf_positions[0]])
-            rowpos = (
-                slice(offsets[leaf_positions[0]], offsets[leaf_positions[0] + 1])
-                if len(leaf_positions) == 1
-                else np.concatenate(
-                    [np.arange(offsets[i], offsets[i + 1]) for i in leaf_positions]
-                )
-            )
-            sq = chunked_sq_distances(points[rowpos], self._centroids[cand])
-            winners[rowpos] = cand[np.argmin(sq, axis=1)]
-        return points, idx, winners, offsets
-
-
 #: registry of vectorized implementations, keyed by algorithm name
 VECTORIZED_ALGORITHMS: Dict[str, Type[KMeansAlgorithm]] = {
     "lloyd": VectorizedLloydKMeans,
     "elkan": VectorizedElkanKMeans,
     "hamerly": VectorizedHamerlyKMeans,
     "yinyang": VectorizedYinyangKMeans,
-    "index": VectorizedIndexKMeans,
 }
 
 __all__ = [
     "VECTORIZED_ALGORITHMS",
     "VectorizedElkanKMeans",
     "VectorizedHamerlyKMeans",
-    "VectorizedIndexKMeans",
     "VectorizedLloydKMeans",
     "VectorizedYinyangKMeans",
     "elkan_assign_rows",

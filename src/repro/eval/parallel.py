@@ -72,7 +72,6 @@ def parallel_compare(
     timeout: Optional[float] = None,
     retries: int = 0,
     policy: Optional[ExecutionPolicy] = None,
-    on_failure: str = "record",
     dataset: str = "",
     log=None,
     resume: bool = False,
@@ -94,9 +93,8 @@ def parallel_compare(
       the cell recorded as timed out.
     * ``retries`` — extra attempts for :class:`TransientError` failures,
       with deterministic exponential backoff (``policy`` overrides both).
-    * ``on_failure`` — ``"record"`` (default) degrades a failed cell to a
-      :class:`FailedRun` entry in the returned list (with a warning);
-      ``"raise"`` re-raises the classified error instead.
+    * A failed cell degrades to a :class:`FailedRun` entry in the
+      returned list, with a warning.
     * ``log`` / ``resume`` — with an :class:`EvaluationLog`, every outcome
       is appended as it lands; ``resume=True`` loads already-completed
       cells from the log (marked ``extras["resumed"]``) instead of
@@ -126,10 +124,6 @@ def parallel_compare(
                 "parallel_compare accepts algorithm names or KnobConfig "
                 f"values; got {type(spec).__name__}"
             )
-    if on_failure not in ("record", "raise"):
-        raise ValidationError(
-            f"on_failure must be 'record' or 'raise', got {on_failure!r}"
-        )
     if backend not in BACKENDS:
         raise ValidationError(
             f"backend must be one of {BACKENDS}, got {backend!r}"
@@ -176,7 +170,6 @@ def parallel_compare(
             _worker, items, [keys[i] for i in todo],
             policy=policy, max_workers=max_workers,
         )
-        first_failure: Optional[FailedRun] = None
         for index, outcome in zip(todo, outcomes):
             results[index] = outcome
             if log is not None:
@@ -185,14 +178,10 @@ def parallel_compare(
                 else:
                     log.add(outcome, dataset=dataset, seed=seed, max_iter=max_iter)
             if isinstance(outcome, FailedRun):
-                first_failure = first_failure or outcome
-                if on_failure == "record":
-                    warnings.warn(
-                        f"run {outcome.key} failed after {outcome.attempts} "
-                        f"attempt(s): {outcome.error_type}: {outcome.message}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-        if first_failure is not None and on_failure == "raise":
-            raise first_failure.to_exception()
+                warnings.warn(
+                    f"run {outcome.key} failed after {outcome.attempts} "
+                    f"attempt(s): {outcome.error_type}: {outcome.message}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
     return results

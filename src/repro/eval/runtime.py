@@ -40,13 +40,7 @@ from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.common.exceptions import (
-    ReproError,
-    RunTimeoutError,
-    TransientError,
-    ValidationError,
-    WorkerCrashError,
-)
+from repro.common.exceptions import TransientError, ValidationError
 
 #: the fields that identify one harness cell; together they pin the
 #: k-means++ initializations, so equal keys imply bit-identical reruns
@@ -185,15 +179,6 @@ class FailedRun:
             elapsed=self.elapsed,
         )
         return record
-
-    def to_exception(self) -> ReproError:
-        """The failure as a raisable exception (for ``on_failure="raise"``)."""
-        text = f"{self.key}: {self.error_type} after {self.attempts} attempt(s): {self.message}"
-        if self.error_type == "RunTimeoutError":
-            return RunTimeoutError(text)
-        if self.error_type == "WorkerCrashError":
-            return WorkerCrashError(text)
-        return ReproError(text)
 
 
 def is_failed_record(record: Any) -> bool:

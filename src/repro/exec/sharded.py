@@ -265,10 +265,10 @@ class ShardedHamerlyKMeans(_BoundedShardMixin, VectorizedHamerlyKMeans):
             self._lb = np.zeros(n)
 
 
-#: Algorithms with a sharded implementation.  Yinyang and index k-means
-#: keep per-iteration *global* group/tree state inside the assignment pass
-#: and are not row-subset decomposable without changing their decision
-#: procedure, so they are deliberately absent.
+#: Algorithms with a sharded implementation.  Yinyang keeps per-iteration
+#: *global* group state inside the assignment pass and is not row-subset
+#: decomposable without changing its decision procedure, so it is
+#: deliberately absent (index k-means has no vectorized implementation).
 SHARDED_ALGORITHMS: Dict[str, type] = {
     "lloyd": ShardedLloydKMeans,
     "elkan": ShardedElkanKMeans,

@@ -89,39 +89,6 @@ class TreeNode:
 
 
 @dataclass(frozen=True)
-class FlatTree:
-    """Array-of-structs view of a tree in left-to-right pre-order.
-
-    Built once per tree by :meth:`MetricTree.preorder_flat` and cached —
-    the arrays are pure tree metadata, invariant after construction, and
-    the frontier-batched traversal of ``repro.core.vectorized`` consumes
-    them on every ``fit`` (the benchmark's prebuilt-tree workload would
-    otherwise pay the flattening walk per run).
-
-    ``nodes[r]`` is the node with pre-order rank ``r``; ``pivots``/``radii``/
-    ``svs`` stack its ball and sum vector, ``leaf_flags[r]`` marks leaves,
-    and its children's ranks are ``child_flat[child_offsets[r]:
-    child_offsets[r + 1]]`` (CSR-style ragged layout, so whole frontiers
-    expand with one gather).  ``perm`` concatenates leaf ``point_indices``
-    in pre-order, so rank ``r``'s subtree covers exactly
-    ``perm[subtree_starts[r]:subtree_ends[r]]`` — an O(1) replacement for
-    :meth:`TreeNode.subtree_point_indices` when the visit order does not
-    matter (bulk label writes).
-    """
-
-    nodes: List[TreeNode]
-    pivots: np.ndarray
-    radii: np.ndarray
-    svs: np.ndarray
-    leaf_flags: np.ndarray
-    child_flat: np.ndarray
-    child_offsets: np.ndarray
-    perm: np.ndarray
-    subtree_starts: np.ndarray
-    subtree_ends: np.ndarray
-
-
-@dataclass(frozen=True)
 class TreeStats:
     """Aggregate statistics consumed as meta-features (paper Table 1)."""
 
@@ -217,7 +184,6 @@ class MetricTree(abc.ABC):
         self.counters = counters if counters is not None else OpCounters()
         self.root = self._build()
         self.root.psi = 0.0
-        self._flat: Optional[FlatTree] = None
 
     @abc.abstractmethod
     def _build(self) -> TreeNode:
@@ -322,80 +288,6 @@ class MetricTree(abc.ABC):
 
     def node_count(self) -> int:
         return sum(1 for _ in self.root.iter_subtree())
-
-    def preorder_nodes(self) -> List[TreeNode]:
-        """Every node in left-to-right pre-order (parent before children,
-        children in stored order).
-
-        This is exactly the order in which a depth-first descent like
-        ``IndexKMeans._descend`` visits nodes, so a node's position in this
-        list serializes frontier-batched traversal decisions back into the
-        reference's sequential apply order (``repro.core.vectorized``).
-        ``iter_subtree`` is also pre-order but visits children right-to-left
-        (it is a stack, order-agnostic for aggregation); here order is the
-        point, so children are pushed reversed.
-        """
-        out: List[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(reversed(node.children))
-        return out
-
-    def preorder_flat(self) -> FlatTree:
-        """Cached :class:`FlatTree` view (see its docstring).
-
-        The tree is immutable after construction, so the flattening is
-        computed on first call and reused by every subsequent ``fit``.
-        """
-        if self._flat is not None:
-            return self._flat
-        nodes = self.preorder_nodes()
-        rank = {id(node): r for r, node in enumerate(nodes)}
-        n_nodes = len(nodes)
-        starts = np.zeros(n_nodes, dtype=np.intp)
-        ends = np.zeros(n_nodes, dtype=np.intp)
-        perm_parts: List[np.ndarray] = []
-        offset = 0
-        stack = [(self.root, False)]
-        while stack:
-            node, closed = stack.pop()
-            node_rank = rank[id(node)]
-            if closed:
-                ends[node_rank] = offset
-                continue
-            starts[node_rank] = offset
-            stack.append((node, True))
-            if node.is_leaf:
-                perm_parts.append(node.point_indices)
-                offset += len(node.point_indices)
-            else:
-                stack.extend((child, False) for child in reversed(node.children))
-        child_offsets = np.zeros(n_nodes + 1, dtype=np.intp)
-        np.cumsum([len(node.children) for node in nodes], out=child_offsets[1:])
-        child_flat = np.fromiter(
-            (rank[id(child)] for node in nodes for child in node.children),
-            dtype=np.intp,
-            count=int(child_offsets[-1]),
-        )
-        self._flat = FlatTree(
-            nodes=nodes,
-            pivots=np.ascontiguousarray(np.stack([node.pivot for node in nodes])),
-            radii=np.array([node.radius for node in nodes]),
-            svs=np.ascontiguousarray(np.stack([node.sv for node in nodes])),
-            leaf_flags=np.array([node.is_leaf for node in nodes]),
-            child_flat=child_flat,
-            child_offsets=child_offsets,
-            perm=(
-                np.concatenate(perm_parts)
-                if perm_parts
-                else np.empty(0, dtype=np.intp)
-            ),
-            subtree_starts=starts,
-            subtree_ends=ends,
-        )
-        return self._flat
 
     def leaves(self) -> List[TreeNode]:
         return [node for node in self.root.iter_subtree() if node.is_leaf]

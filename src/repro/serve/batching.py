@@ -2,9 +2,9 @@
 
 Concurrent callers submit small queries; a single worker thread coalesces
 whatever is pending into one vectorized :meth:`Predictor.predict` call.
-Batching amortizes the per-call kernel overhead — the ``serve_predict``
-entry of ``BENCH_backends.json`` gates the batched path at ≥5x over the
-per-point loop on the 20k×16 smoke workload.
+Batching amortizes the per-call kernel overhead — ``TestServingPerformance``
+in ``tests/test_backend_conformance.py`` gates the batched path at ≥5x over
+the per-point loop on the 20k×16 smoke workload.
 
 Failure semantics follow ``repro.eval.runtime``: a request never takes
 the server down.  Each request carries an optional *deadline*; a request

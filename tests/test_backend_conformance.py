@@ -171,22 +171,6 @@ class TestAlgorithmKnobs:
         )
         _assert_identical(reference, vectorized)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"index": "kd-tree"},  # exercises the hyperplane corner filter
-            {"index": "m-tree"},
-            {"index": "cover-tree"},
-            {"index": "ball-tree", "capacity": 8},
-        ],
-        ids=["kd-tree", "m-tree", "cover-tree", "small-capacity"],
-    )
-    def test_index_variants(self, kwargs):
-        reference, vectorized = _run_pair(
-            "index", _DATASETS["blobs"], 8, seed=1, **kwargs
-        )
-        _assert_identical(reference, vectorized)
-
 
 class TestSeedingParity:
     """k-means++ seeding: both backends draw identical picks (docs/backends.md).
@@ -430,9 +414,12 @@ class TestBackendSelection:
         with pytest.raises(ConfigurationError, match="unknown backend"):
             make_algorithm("elkan", backend="gpu")
 
-    def test_unvectorized_algorithm_rejected(self):
+    @pytest.mark.parametrize("name", ["unik", "index"])
+    def test_unvectorized_algorithm_rejected(self, name):
         with pytest.raises(ConfigurationError, match="no vectorized implementation"):
-            make_algorithm("unik", backend="vectorized")
+            make_algorithm(name, backend="vectorized")
+        with pytest.raises(ConfigurationError, match="no vectorized implementation"):
+            KMeans(k=4, algorithm=name, backend="vectorized").fit(_DATASETS["uniform"])
 
     def test_facade_threads_backend(self):
         X = _DATASETS["uniform"]
@@ -442,9 +429,7 @@ class TestBackendSelection:
 
     def test_registry_exposes_backends(self):
         assert BACKENDS == ("reference", "vectorized")
-        assert set(VECTORIZED_ALGORITHMS) >= {
-            "lloyd", "elkan", "hamerly", "yinyang", "index",
-        }
+        assert set(VECTORIZED_ALGORITHMS) == {"lloyd", "elkan", "hamerly", "yinyang"}
 
 
 class TestShardedArrayBackend:
@@ -485,16 +470,8 @@ class TestBackendPerformance:
     N, D, K, ITERS, COMPONENTS = 20_000, 16, 16, 5, 12
 
     def test_vectorized_beats_reference(self):
-        from repro.indexes import INDEX_CLASSES
-
         X, _ = make_blobs(self.N, self.D, self.COMPONENTS, seed=5)
         C0 = init_kmeans_plus_plus(X, self.K, seed=0)
-        # Shared prebuilt tree for the index entry: both backends run the
-        # identical build code, so including it would dilute the traversal
-        # comparison with a constant; fit() reuses a tree built over the
-        # same X object (see IndexKMeans._setup).
-        tree = INDEX_CLASSES["ball-tree"](X, capacity=30)
-        per_algorithm_kwargs = {"index": {"tree": tree}}
         report = {
             "workload": {
                 "n": self.N, "d": self.D, "k": self.K,
@@ -505,12 +482,11 @@ class TestBackendPerformance:
         }
         failures = []
         for name in VECTORIZED:
-            kwargs = per_algorithm_kwargs.get(name, {})
             times = {}
             for backend in BACKENDS:
                 best = float("inf")
                 for _ in range(3):  # best-of-3 to damp scheduler noise
-                    algorithm = make_algorithm(name, backend=backend, **kwargs)
+                    algorithm = make_algorithm(name, backend=backend)
                     t0 = time.perf_counter()
                     result = algorithm.fit(
                         X, self.K, initial_centroids=C0, max_iter=self.ITERS

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.common.exceptions import ReproError, TransientError, ValidationError
+from repro.common.exceptions import TransientError, ValidationError
 from repro.datasets import make_blobs
 from repro.datasets.loaders import read_jsonl
 from repro.eval.faults import (
@@ -211,18 +211,6 @@ class TestChaosCampaign:
         # Exactly the two failed cells were re-run and appended.
         assert len(read_jsonl(log_path)) == lines_before + 2
         assert len(EvaluationLog(log_path).failed_keys()) == 0
-
-    def test_on_failure_raise_still_logs_everything(self, data, tmp_path):
-        log = EvaluationLog(tmp_path / "strict.jsonl")
-        plan = FaultPlan(faults=(Fault(kind="raise", match="hamerly"),))
-        with pytest.raises(ReproError):
-            parallel_compare(
-                ["lloyd", "hamerly"], data, 4,
-                repeats=1, max_iter=3, seed=0, timeout=15.0,
-                on_failure="raise", dataset="strict", log=log, fault_plan=plan,
-            )
-        assert len(log.completed_keys()) == 1
-        assert len(log.failed_keys()) == 1
 
 
 class TestCrashRecovery:

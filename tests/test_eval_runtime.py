@@ -10,12 +10,7 @@ import time
 
 import pytest
 
-from repro.common.exceptions import (
-    RunTimeoutError,
-    TransientError,
-    ValidationError,
-    WorkerCrashError,
-)
+from repro.common.exceptions import TransientError, ValidationError
 from repro.eval.runtime import (
     ExecutionPolicy,
     FailedRun,
@@ -115,14 +110,6 @@ class TestFailedRun:
         assert is_failed_record(failed.as_dict())
         assert not is_failed_record({"algorithm": "lloyd"})
         assert not is_failed_record(object())
-
-    def test_to_exception_maps_error_types(self):
-        def make(error_type):
-            return FailedRun(key=KEY, error_type=error_type, message="m",
-                             attempts=1, elapsed=0.0).to_exception()
-
-        assert isinstance(make("RunTimeoutError"), RunTimeoutError)
-        assert isinstance(make("WorkerCrashError"), WorkerCrashError)
 
 
 class TestSupervisedMap:

@@ -1,11 +1,13 @@
 """Golden-trace regression: replay committed trajectories on both backends.
 
 The files under ``tests/golden/`` pin the *full* observable trajectory of
-Elkan/Hamerly/Yinyang on two fixed seeds: per-iteration labels, per-iteration
-counter deltas, final centroids, SSE, and convergence.  Both backends must
-reproduce them exactly — so a future refactor cannot silently change a
-convergence path, re-charge a counter, or drift a centroid by one ulp, even
-if it still lands on the same clustering.
+Lloyd/Elkan/Hamerly/Yinyang/index k-means on two fixed seeds: per-iteration
+labels, per-iteration counter deltas, final centroids, SSE, and convergence.
+The reference backend must reproduce every file exactly, and the vectorized
+backend every file of an algorithm in ``VECTORIZED_ALGORITHMS`` — so a
+future refactor cannot silently change a convergence path, re-charge a
+counter, or drift a centroid by one ulp, even if it still lands on the same
+clustering.
 
 If a test here fails because of a *deliberate, reviewed* behavioral change,
 regenerate with ``PYTHONPATH=src python tests/golden/generate_traces.py``
@@ -19,7 +21,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import BACKENDS
+from repro.core import BACKENDS, VECTORIZED_ALGORITHMS
 
 from tests.trace_utils import (
     GOLDEN_ALGORITHMS,
@@ -49,9 +51,18 @@ def _load_golden(name: str, seed: int) -> dict:
     return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-@pytest.mark.parametrize("name", GOLDEN_ALGORITHMS)
+#: (name, seed, backend) replay cells: every golden file on the reference
+#: backend, and on the vectorized backend where one exists
+REPLAY_CELLS = [
+    (name, seed, backend)
+    for name in GOLDEN_ALGORITHMS
+    for seed in GOLDEN_SEEDS
+    for backend in BACKENDS
+    if backend == "reference" or name in VECTORIZED_ALGORITHMS
+]
+
+
+@pytest.mark.parametrize("name, seed, backend", REPLAY_CELLS)
 def test_replay_matches_golden(name, seed, backend):
     golden = _load_golden(name, seed)
     X, k, C0, max_iter = golden_task(seed)

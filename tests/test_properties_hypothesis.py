@@ -216,11 +216,11 @@ def test_batched_argmin_breaks_ties_toward_lowest_index(dists, seed):
     """np.argmin == the reference backends' strict-< first-wins scan.
 
     Every vectorized assignment pass funnels through a row-wise ``argmin``
-    (Lloyd's full scan, the frontier's pivot test, the leaf scan), while
-    the reference loops candidates in ascending order keeping the first
+    (Lloyd's full scan, Yinyang's masked survivor scan), while the
+    reference loops candidates in ascending order keeping the first
     strictly smaller distance.  Both resolve duplicated distances to the
     *lowest* index; this pins that convention, including through the
-    masked-inf and candidate-subset formulations the index traversal uses.
+    masked-inf and candidate-subset formulations.
     """
     best = np.argmin(dists, axis=1)
     for row, winner in zip(dists, best):
@@ -231,8 +231,8 @@ def test_batched_argmin_breaks_ties_toward_lowest_index(dists, seed):
         assert winner == scan
     # Candidate-subset invariance: masking non-candidates to inf and taking
     # the full-width argmin equals the subset argmin mapped back through
-    # the ascending candidate list (empty masks excluded — a frontier row
-    # always keeps its best candidate).
+    # the ascending candidate list (empty masks excluded — a scanned row
+    # always keeps at least one candidate).
     rng = np.random.default_rng(seed)
     k = dists.shape[1]
     cand = np.flatnonzero(rng.random(k) < 0.5)

@@ -5,7 +5,8 @@ label vector after every assignment pass, the per-iteration counter
 deltas, and the final centroids/SSE.  Golden traces are captured once from
 the reference backend (the ground truth for counter semantics, see
 ``docs/backends.md``) and committed under ``tests/golden/``; the
-regression test replays **both** backends against them, so a refactor
+regression test replays **both** backends against them (the vectorized
+one where the algorithm has a vectorized implementation), so a refactor
 that silently changes a convergence path — even one that still reaches
 the same fixed point — fails loudly.
 
@@ -26,7 +27,7 @@ from repro.core.base import KMeansAlgorithm
 from repro.core.initialization import init_kmeans_plus_plus
 from repro.datasets import make_uniform
 
-#: the algorithms with golden traces (= everything with a vectorized backend)
+#: the algorithms with golden traces (every vectorized algorithm, plus index)
 GOLDEN_ALGORITHMS = ("elkan", "hamerly", "yinyang", "lloyd", "index")
 #: the two fixed seeds each algorithm is traced on
 GOLDEN_SEEDS = (0, 1)
