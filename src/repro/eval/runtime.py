@@ -31,7 +31,6 @@ Failure taxonomy, retry semantics, and the resume keying are documented in
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
 from collections import deque
@@ -40,6 +39,7 @@ from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.common.blas import available_cores
 from repro.common.exceptions import TransientError, ValidationError
 
 #: the fields that identify one harness cell; together they pin the
@@ -293,7 +293,7 @@ def supervised_map(
     if not items:
         return []
     ctx = mp_context or _default_context()
-    workers = max(1, max_workers or min(len(items), os.cpu_count() or 1))
+    workers = max(1, max_workers or min(len(items), available_cores()))
     results: List[Union[Any, FailedRun]] = [_PENDING] * len(items)
     tasks = [
         _Task(index=i, item=item, key=key)

@@ -11,12 +11,14 @@ shard completion order.
 Runner
 ------
 Each shard runs its algorithm's ``_assign_shard`` on a thread, one per
-shard, capped at ``os.cpu_count()``.  That method calls the row kernels
-of :mod:`repro.core.vectorized` directly on ``X[lo:hi]`` and the shard's
-slices of the fit's own state arrays.  The kernels spend their time in
-NumPy calls that release the GIL, and the point matrix is shared by
-reference, so per-iteration communication is the O(k·d) centroid
-broadcast with no IPC at all.
+shard, capped at the cores this process may run on.  That method calls
+the row kernels of :mod:`repro.core.vectorized` directly on
+``X[lo:hi]`` and the shard's slices of the fit's own state arrays.  The
+kernels spend their time in NumPy calls that release the GIL, and the
+point matrix is shared by reference, so per-iteration communication is
+the O(k·d) centroid broadcast with no IPC at all.  While the shard
+threads run, OpenBLAS runs ``cores // threads`` threads per call, so
+the shard threads and their BLAS threads together fit the cores.
 
 Determinism contract
 --------------------
@@ -46,12 +48,13 @@ nothing to retry, and no thread writes state once the fit is over.
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Any, Dict, List, Tuple
+from contextlib import nullcontext
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.common.blas import available_cores, blas_threads
 from repro.common.distance import sq_norms
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.core.vectorized import (
@@ -108,37 +111,45 @@ def _assign_shard_stride(
             results[rank] = counters
 
 
-def _run_shards(fit: "_ShardedAssignMixin") -> List[OpCounters]:
+def _run_shards(
+    fit: "_ShardedAssignMixin",
+) -> Tuple[List[OpCounters], Optional[int]]:
     """Run every shard's pass concurrently on threads.
 
-    One thread per shard, capped at ``os.cpu_count()`` (the calling
-    thread takes the first stride), against the fit's own arrays.  The
-    kernels spend their time in NumPy calls that release the GIL, and X
-    is shared by reference: no shared memory, no pickling, no spawn.
+    One thread per shard, capped at the usable cores (the calling thread
+    takes the first stride), against the fit's own arrays.  The kernels
+    spend their time in NumPy calls that release the GIL, and X is
+    shared by reference: no shared memory, no pickling, no spawn.  With
+    more than one thread, OpenBLAS runs at ``cores // threads`` threads
+    from before the first thread starts until after the last is joined.
     Every thread is joined before this returns or raises; the counters
-    come back in shard-rank order, and the lowest-rank shard's exception,
-    if any, is re-raised unchanged.
+    come back in shard-rank order with the BLAS thread count applied
+    (``None`` when single-threaded or without a settable BLAS), and the
+    lowest-rank shard's exception, if any, is re-raised unchanged.
     """
     results: List[Any] = [None] * len(fit._ranges)
-    width = max(1, min(len(results), os.cpu_count() or 1))
+    cores = available_cores()
+    width = max(1, min(len(results), cores))
+    budget = blas_threads(max(1, cores // width)) if width > 1 else nullcontext()
     threads: List[threading.Thread] = []
-    try:
-        for first in range(1, width):
-            thread = threading.Thread(
-                target=_assign_shard_stride,
-                args=(fit, results, first, width),
-                name=f"repro-shard-{first}",
-            )
-            thread.start()
-            threads.append(thread)
-        _assign_shard_stride(fit, results, 0, width)
-    finally:
-        for thread in threads:
-            thread.join()
+    with budget as applied:
+        try:
+            for first in range(1, width):
+                thread = threading.Thread(
+                    target=_assign_shard_stride,
+                    args=(fit, results, first, width),
+                    name=f"repro-shard-{first}",
+                )
+                thread.start()
+                threads.append(thread)
+            _assign_shard_stride(fit, results, 0, width)
+        finally:
+            for thread in threads:
+                thread.join()
     for outcome in results:
         if isinstance(outcome, Exception):
             raise outcome
-    return results
+    return results, applied
 
 
 class _ShardedAssignMixin:
@@ -146,10 +157,10 @@ class _ShardedAssignMixin:
 
     Mixed in *before* a vectorized algorithm class, it overrides
     ``_setup`` (shard ranges), ``_assign`` (shard fan-out) and ``_extras``
-    (the shard count).  Everything else — setup, initialization,
-    refinement, bound upkeep, convergence — is the inherited
-    single-process implementation, which is exactly why the result is
-    bit-identical.
+    (the shard count and the fan-out's BLAS thread count).  Everything
+    else — setup, initialization, refinement, bound upkeep, convergence —
+    is the inherited single-process implementation, which is exactly why
+    the result is bit-identical.
     """
 
     def __init__(self, *, shards: int = 2, **kwargs) -> None:
@@ -158,9 +169,11 @@ class _ShardedAssignMixin:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         self.shards = int(shards)
         self._ranges: List[Tuple[int, int]] = []
+        self._blas_threads: Optional[int] = None
 
     def _setup(self) -> None:
         super()._setup()
+        self._blas_threads = None
         n = len(self.X)
         # Degenerate shards are clamped away rather than erroring: a tiny
         # smoke fit with shards > n still runs, one row per shard.
@@ -168,12 +181,14 @@ class _ShardedAssignMixin:
 
     def _assign(self, iteration: int) -> None:
         self._prepare_shards(iteration)
-        for counters in _run_shards(self):
+        shard_counters, self._blas_threads = _run_shards(self)
+        for counters in shard_counters:
             self.counters.merge(counters)
 
     def _extras(self) -> Dict[str, Any]:
         extras = dict(super()._extras())
         extras["shards"] = len(self._ranges)
+        extras["blas_threads"] = self._blas_threads
         return extras
 
     # ------------------------------------------------------------------

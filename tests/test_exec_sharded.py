@@ -12,7 +12,6 @@ concurrency, joins and failures.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import threading
 import time
@@ -23,6 +22,8 @@ import pytest
 
 from repro.analysis import load_project_from_paths
 from repro.analysis.interprocedural import _dispatch_sites
+from repro.common import blas
+from repro.common.blas import available_cores, get_blas_threads
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.core import VECTORIZED_ALGORITHMS, make_algorithm
 from repro.core.initialization import init_kmeans_plus_plus
@@ -161,7 +162,7 @@ class TestInlineRunner:
     """The shard threads: concurrency, joins, and failures."""
 
     @pytest.mark.skipif(
-        (os.cpu_count() or 1) < 2, reason="concurrent shards need >= 2 cores"
+        available_cores() < 2, reason="concurrent shards need >= 2 cores"
     )
     def test_inline_shards_run_concurrently(self, chaos_task, monkeypatch):
         # Each shard pass waits at a two-party barrier before running
@@ -262,6 +263,96 @@ class TestInlineRunner:
         )
         assert "ipc" not in result.extras
         assert "pool" not in result.extras
+
+
+class TestBlasBudget:
+    """The fan-out runs OpenBLAS at cores // shard threads, then restores."""
+
+    @pytest.fixture
+    def live(self):
+        before = get_blas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS with a thread-count setter is loaded")
+        return before
+
+    @pytest.mark.parametrize("shards, budget", ((2, 2), (4, 1)))
+    def test_fan_out_runs_at_the_budget(self, shards, budget, live, chaos_task, monkeypatch):
+        # Four usable cores: two shard threads get two BLAS threads each,
+        # four get one.
+        X, k, C0 = chaos_task
+        monkeypatch.setattr(sharded, "available_cores", lambda: 4)
+        cls = SHARDED_ALGORITHMS["lloyd"]
+        real = cls._assign_shard
+        seen = []
+
+        def spy(self, rank, counters):
+            seen.append(get_blas_threads())
+            return real(self, rank, counters)
+
+        monkeypatch.setattr(cls, "_assign_shard", spy)
+        got = cls(shards=shards).fit(X, k, initial_centroids=C0, max_iter=4)
+        want = VECTORIZED_ALGORITHMS["lloyd"]().fit(X, k, initial_centroids=C0, max_iter=4)
+        assert_results_identical(got, want, context=f"budget/shards={shards}")
+        assert seen and set(seen) == {budget}
+        assert got.extras["blas_threads"] == budget
+        assert get_blas_threads() == live
+
+    def test_one_shard_thread_keeps_the_setting(self, live, chaos_task, monkeypatch):
+        X, k, C0 = chaos_task
+        monkeypatch.setattr(sharded, "available_cores", lambda: 1)
+        result = SHARDED_ALGORITHMS["elkan"](shards=3).fit(
+            X, k, initial_centroids=C0, max_iter=4
+        )
+        assert result.extras["blas_threads"] is None
+        assert get_blas_threads() == live
+
+    @pytest.mark.parametrize("name", sorted(STEADY_KERNELS))
+    def test_count_restored_after_a_shard_raises(self, name, live, chaos_task, monkeypatch):
+        X, k, C0 = chaos_task
+
+        def spy(X_rows, *args):
+            raise RuntimeError("shard fails")
+
+        monkeypatch.setattr(sharded, STEADY_KERNELS[name], spy)
+        with pytest.raises(RuntimeError, match="shard fails"):
+            SHARDED_ALGORITHMS[name](shards=2).fit(X, k, initial_centroids=C0, max_iter=4)
+        assert get_blas_threads() == live
+        assert blas._holders == 0
+
+    def test_count_restored_after_concurrent_fits(self, live, task):
+        # Two sharded fits in two threads enter and leave the budget in
+        # whatever order their iterations fall.
+        X, k, C0, max_iter = task
+        want = VECTORIZED_ALGORITHMS["hamerly"]().fit(
+            X, k, initial_centroids=C0, max_iter=max_iter
+        )
+        results = [None, None]
+
+        def fit(slot):
+            results[slot] = SHARDED_ALGORITHMS["hamerly"](shards=2).fit(
+                X, k, initial_centroids=C0, max_iter=max_iter
+            )
+
+        threads = [threading.Thread(target=fit, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            assert_results_identical(got, want, context="concurrent fits")
+            assert "blas_threads" in got.extras
+        assert get_blas_threads() == live
+        assert blas._holders == 0
+
+    def test_no_settable_blas_reports_none(self, chaos_task, monkeypatch):
+        X, k, C0 = chaos_task
+        monkeypatch.setattr(blas, "_handle", blas._UNLOADED)
+        monkeypatch.setattr(blas, "_load", lambda: None)
+        got = SHARDED_ALGORITHMS["lloyd"](shards=2).fit(X, k, initial_centroids=C0, max_iter=4)
+        want = VECTORIZED_ALGORITHMS["lloyd"]().fit(X, k, initial_centroids=C0, max_iter=4)
+        assert_results_identical(got, want, context="no settable BLAS")
+        assert got.extras["blas_threads"] is None
 
 
 class TestWiring:
