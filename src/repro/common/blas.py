@@ -94,6 +94,7 @@ def _load() -> Optional[_Handle]:
     return None
 
 
+# repro: ignore[R007] — written only under _lock; the handle is per process
 def _library() -> Optional[_Handle]:
     """The loaded handle, loading it on first use; call with ``_lock`` held."""
     global _handle
@@ -110,6 +111,7 @@ def get_blas_threads() -> Optional[int]:
 
 
 @contextmanager
+# repro: ignore[R007] — the holder count and saved count change only under _lock
 def blas_threads(n: int) -> Iterator[Optional[int]]:
     """Run the body with OpenBLAS at ``n`` threads; yield the count applied.
 
