@@ -116,10 +116,14 @@ def blas_threads(n: int) -> Iterator[Optional[int]]:
     """Run the body with OpenBLAS at ``n`` threads; yield the count applied.
 
     Re-entrant and thread-safe: the first holder saves the count it
-    found, every holder sets ``n`` on entry, and the last holder to leave
-    restores the saved count, in whatever order the holders leave and
-    whether or not their bodies raise.  Without a settable BLAS the body
-    runs unchanged and the context yields ``None``.
+    found and sets ``n``; a holder that enters while others hold lowers
+    the count to ``n`` but never raises it, so overlapping holders run
+    at the smallest count any of them asked for.  The last holder to
+    leave restores the saved count, in whatever order the holders leave
+    and whether or not their bodies raise.  The yielded count is the one
+    in force on entry; a later overlapping holder may lower it further.
+    Without a settable BLAS the body runs unchanged and the context
+    yields ``None``.
     """
     global _holders, _original
     if int(n) < 1:
@@ -133,8 +137,10 @@ def blas_threads(n: int) -> Iterator[Optional[int]]:
     with _lock:
         if _holders == 0:
             _original = getter()
+            setter(int(n))
+        elif int(n) < getter():
+            setter(int(n))
         _holders += 1
-        setter(int(n))
         applied = getter()
     try:
         yield applied

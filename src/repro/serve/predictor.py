@@ -23,17 +23,13 @@ disk until touched, while the centroids — small and hit on every request
 construction, so the steady-state request path never faults a page or
 re-reads the manifest.
 
-A bulk request is split into contiguous row ranges of at least two GEMM
-blocks (:data:`~repro.common.distance.NEAREST_BLOCK_ROWS` rows each), one
-per thread, up to the usable cores, as the shard runner splits a fit
-(:mod:`repro.exec.sharded`); smaller requests run on the calling thread
-at the process's BLAS setting.  Each range runs the same certified op,
-whose labels do not depend on which rows share a call.  While the
-threads run, OpenBLAS runs ``cores // threads`` threads per call
-(:func:`repro.common.blas.blas_threads`), so the row threads and their
-BLAS threads together fit the cores.  The scoring GEMMs are skinny (the
-inner dimension is ``d``), so row threads parallelize them better than
-OpenBLAS's own threads do.
+A request of at least one GEMM block
+(:data:`~repro.common.distance.NEAREST_BLOCK_ROWS` rows) runs at one
+OpenBLAS thread (:func:`repro.common.blas.blas_threads`).  The scoring
+GEMMs are skinny (the inner dimension is ``d``), so a second OpenBLAS
+thread buys a few percent, while every multi-threaded call waits for a sleeping
+OpenBLAS worker, about 8 ms when that worker sleeps on the caller's core
+(docs/serving.md).  Smaller requests run at the process's BLAS setting.
 
 ``repro/serve/`` is in the analyzer's instrumented scope: R001 and R008
 hold this module to distance math through the counted kernels only.
@@ -41,41 +37,16 @@ hold this module to distance math through the counted kernels only.
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Dict, List, Optional
+from contextlib import nullcontext
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.common.blas import available_cores, blas_threads
+from repro.common.blas import blas_threads
 from repro.common.distance import NEAREST_BLOCK_ROWS, nearest_centroids, sq_norms
 from repro.common.exceptions import ValidationError
 from repro.instrumentation.counters import OpCounters
 from repro.serve.registry import MODEL_KIND, ModelRegistry, RegistryEntry
-
-
-def _predict_range(
-    X: np.ndarray,
-    C: np.ndarray,
-    c_sq: np.ndarray,
-    labels: np.ndarray,
-    bounds: List[int],
-    results: List[Any],
-    slot: int,
-) -> None:
-    """Label rows ``bounds[slot]:bounds[slot + 1]`` of ``X`` into ``labels``.
-
-    The bulk-predict threads' target.  The slot gets the range's counters
-    or the exception its call raised; each thread writes only its own
-    slot and its own rows of ``labels``.
-    """
-    lo, hi = bounds[slot], bounds[slot + 1]
-    counters = OpCounters()
-    try:
-        labels[lo:hi] = nearest_centroids(X[lo:hi], C, counters, c_sq=c_sq)
-    except Exception as exc:  # re-raised by Predictor._predict_bulk after the join
-        results[slot] = exc
-    else:
-        results[slot] = counters
 
 
 class Predictor:
@@ -153,59 +124,23 @@ class Predictor:
         One certified nearest-centroid pass: it charges ``len(X) * k``
         distances to the predictor's counters (or the caller's), and ties
         resolve to the first index — the same tie-break as every training
-        assignment path.
+        assignment path.  From one GEMM block of rows up, the pass runs
+        at one OpenBLAS thread; labels do not depend on the thread count.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValidationError(
                 f"query points have shape {X.shape}, expected (m, {self.d})"
             )
-        counters = self.counters if counters is None else counters
-        cores = available_cores()
-        width = min(cores, X.shape[0] // (2 * NEAREST_BLOCK_ROWS))
-        if width > 1:
-            labels = self._predict_bulk(X, counters, width, cores // width)
-        else:
-            labels = nearest_centroids(X, self._centroids, counters, c_sq=self._c_sq)
+        budget = blas_threads(1) if X.shape[0] >= NEAREST_BLOCK_ROWS else nullcontext()
+        with budget:
+            labels = nearest_centroids(
+                X, self._centroids,
+                self.counters if counters is None else counters,
+                c_sq=self._c_sq,
+            )
         self._requests += 1
         self._points += X.shape[0]
-        return labels
-
-    def _predict_bulk(
-        self, X: np.ndarray, counters: OpCounters, width: int, budget: int
-    ) -> np.ndarray:
-        """Label ``X`` on ``width`` threads, one contiguous row range each.
-
-        The calling thread takes the first range.  OpenBLAS runs at
-        ``budget`` threads from before the first thread starts until
-        after the last is joined; every thread is joined before this
-        returns or raises, and the lowest range's exception, if any, is
-        re-raised unchanged.  Counters merge in range order.
-        """
-        m = X.shape[0]
-        bounds = [m * slot // width for slot in range(width + 1)]
-        labels = np.empty(m, dtype=np.intp)
-        results: List[Any] = [None] * width
-        threads: List[threading.Thread] = []
-        with blas_threads(budget):
-            try:
-                for slot in range(1, width):
-                    thread = threading.Thread(
-                        target=_predict_range,
-                        args=(X, self._centroids, self._c_sq, labels, bounds, results, slot),
-                        name=f"repro-predict-{slot}",
-                    )
-                    thread.start()
-                    threads.append(thread)
-                _predict_range(X, self._centroids, self._c_sq, labels, bounds, results, 0)
-            finally:
-                for thread in threads:
-                    thread.join()
-        for outcome in results:
-            if isinstance(outcome, Exception):
-                raise outcome
-        for outcome in results:
-            counters.merge(outcome)
         return labels
 
     def predict_one(self, x: np.ndarray) -> int:

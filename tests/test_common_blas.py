@@ -91,6 +91,43 @@ class TestBlasThreads:
         assert fake.count == 4
         assert blas._holders == 0
 
+    @pytest.mark.parametrize("first_n, second_n", ((1, 2), (2, 1)))
+    def test_overlapping_holders_run_at_the_smallest_count(self, fake, first_n,
+                                                           second_n):
+        # a enters asking first_n, b enters asking second_n while a still
+        # holds: both run at the smaller count until both have left, then
+        # the count comes back to what a found.
+        entered = {name: threading.Event() for name in "ab"}
+        leave = threading.Event()
+        applied = {}
+        seen = {}
+
+        def holder(name, n):
+            with blas_threads(n) as count:
+                applied[name] = count
+                entered[name].set()
+                leave.wait(timeout=10.0)
+                seen[name] = fake.count
+
+        a = threading.Thread(target=holder, args=("a", first_n))
+        b = threading.Thread(target=holder, args=("b", second_n))
+        try:
+            a.start()
+            assert entered["a"].wait(timeout=10.0)
+            b.start()
+            assert entered["b"].wait(timeout=10.0)
+            count_while_both_hold = fake.count
+        finally:
+            leave.set()
+            for thread in (a, b):
+                thread.join(timeout=10.0)
+        assert not a.is_alive() and not b.is_alive()
+        assert count_while_both_hold == 1
+        assert applied == {"a": first_n, "b": 1}
+        assert seen == {"a": 1, "b": 1}
+        assert fake.count == 4
+        assert blas._holders == 0
+
     def test_many_holders_under_fast_switching(self, fake):
         # More holders than cores, entering and leaving at random points
         # of each other's bodies: a lost holder-count update leaves the

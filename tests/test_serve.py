@@ -298,8 +298,8 @@ class FakeBlas:
         self.count = n
 
 
-class TestBulkPredict:
-    """Bulk requests fan out over row threads at the BLAS budget."""
+class TestPredictBlasThreads:
+    """From one GEMM block of rows up, predict runs at one BLAS thread."""
 
     @pytest.fixture
     def fake(self, monkeypatch):
@@ -309,87 +309,51 @@ class TestBulkPredict:
         return lib
 
     @pytest.fixture
-    def spy(self, monkeypatch):
-        """Record (rows, BLAS count, thread) for every nearest_centroids call."""
-        calls = []
-        lock = threading.Lock()
+    def seen(self, fake, monkeypatch):
+        """The BLAS count in force at every nearest_centroids call."""
+        counts = []
 
         def record(X, C, counters=None, **kwargs):
-            with lock:
-                calls.append((len(X), blas.get_blas_threads(),
-                              threading.current_thread().name))
+            counts.append(fake.count)
             return nearest_centroids(X, C, counters, **kwargs)
 
         monkeypatch.setattr(predictor_module, "nearest_centroids", record)
-        return calls
+        return counts
 
     @staticmethod
-    def _queries(m, d=6, seed=3):
-        return np.random.default_rng(seed).normal(size=(m, d))
+    def _queries(m, d=6):
+        return np.random.default_rng(3).normal(size=(m, d))
 
-    @pytest.mark.parametrize("cores, ranges", ((2, 2), (3, 3), (8, 3)))
-    def test_labels_and_counters_match_one_call(self, cores, ranges, tmp_path,
-                                                 fake, spy, monkeypatch):
-        monkeypatch.setattr(predictor_module, "available_cores", lambda: cores)
+    def test_bulk_request_runs_at_one_thread(self, tmp_path, fake, seen):
         _, result, predictor = _make_predictor(tmp_path)
-        Q = self._queries(3 * 2 * NEAREST_BLOCK_ROWS + 5)
+        Q = self._queries(NEAREST_BLOCK_ROWS)
         labels = predictor.predict(Q)
+        assert seen == [1]
+        assert fake.count == 4
+        assert blas._holders == 0
         np.testing.assert_array_equal(
             labels, nearest_centroids(Q, np.asarray(predictor.centroids))
         )
         assert predictor.counters.distance_computations == len(Q) * result.k
-        assert sum(rows for rows, _, _ in spy) == len(Q)
-        assert len({thread for _, _, thread in spy}) == ranges
-        assert {count for _, count, _ in spy} == {max(1, cores // ranges)}
-        assert fake.count == 4
-        assert blas._holders == 0
 
-    def test_small_request_stays_on_the_calling_thread(self, tmp_path, fake, spy,
-                                                        monkeypatch):
-        monkeypatch.setattr(predictor_module, "available_cores", lambda: 4)
+    def test_smaller_request_keeps_the_process_setting(self, tmp_path, fake, seen):
         _, _, predictor = _make_predictor(tmp_path)
-        predictor.predict(self._queries(2 * NEAREST_BLOCK_ROWS - 1))
-        assert spy == [(2 * NEAREST_BLOCK_ROWS - 1, 4,
-                        threading.current_thread().name)]
+        predictor.predict(self._queries(NEAREST_BLOCK_ROWS - 1))
+        assert seen == [4]
+        assert fake.count == 4
 
-    def test_one_core_stays_on_the_calling_thread(self, tmp_path, fake, spy,
+    def test_count_restored_when_the_kernel_raises(self, tmp_path, fake,
                                                    monkeypatch):
-        monkeypatch.setattr(predictor_module, "available_cores", lambda: 1)
         _, _, predictor = _make_predictor(tmp_path)
-        predictor.predict(self._queries(4 * NEAREST_BLOCK_ROWS))
-        assert len(spy) == 1 and spy[0][1] == 4
 
-    def test_range_failure_is_raised_after_the_join(self, tmp_path, fake,
-                                                     monkeypatch):
-        monkeypatch.setattr(predictor_module, "available_cores", lambda: 2)
-        _, _, predictor = _make_predictor(tmp_path)
-        finished = []
+        def boom(*args, **kwargs):
+            raise RuntimeError("kernel fails")
 
-        def flaky(X, C, counters=None, **kwargs):
-            if threading.current_thread().name != "repro-predict-1":
-                raise RuntimeError("range fails")
-            out = nearest_centroids(X, C, counters, **kwargs)
-            finished.append(len(X))
-            return out
-
-        monkeypatch.setattr(predictor_module, "nearest_centroids", flaky)
-        with pytest.raises(RuntimeError, match="range fails"):
-            predictor.predict(self._queries(4 * NEAREST_BLOCK_ROWS))
-        assert finished == [2 * NEAREST_BLOCK_ROWS]
-        assert predictor.counters.distance_computations == 0
+        monkeypatch.setattr(predictor_module, "nearest_centroids", boom)
+        with pytest.raises(RuntimeError, match="kernel fails"):
+            predictor.predict(self._queries(NEAREST_BLOCK_ROWS))
         assert fake.count == 4
         assert blas._holders == 0
-
-    def test_batcher_bulk_batch_matches_offline(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(predictor_module, "available_cores", lambda: 2)
-        _, _, predictor = _make_predictor(tmp_path)
-        Q = self._queries(4 * NEAREST_BLOCK_ROWS)
-        offline = nearest_centroids(Q, np.asarray(predictor.centroids))
-        with MicroBatcher(predictor, max_batch=64, max_wait=0.05) as batcher:
-            size = len(Q) // 16
-            tickets = [batcher.submit(Q[lo:lo + size]) for lo in range(0, len(Q), size)]
-            served = np.concatenate([t.result(timeout=30.0) for t in tickets])
-        np.testing.assert_array_equal(served, offline)
 
 
 def _make_predictor(tmp_path):
