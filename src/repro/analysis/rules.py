@@ -248,8 +248,7 @@ class UninstrumentedDistanceRule(Rule):
                         node,
                         "same-operand batched matmul is a squared-distance "
                         "evaluation; use repro.common.distance "
-                        "(paired_sq_distances / block_sq_distances) so it is "
-                        "counted",
+                        "(paired_sq_distances) so it is counted",
                     )
                 elif resolved == "numpy.dot" and self._is_same_root_matmul(node):
                     yield module.finding(

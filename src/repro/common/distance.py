@@ -6,10 +6,10 @@ Four layers are provided:
   pointwise pruning loops of the sequential algorithms, each charging one
   distance computation to the supplied :class:`OpCounters`;
 * row-wise batch kernels (:func:`one_to_many_distances`,
-  :func:`paired_distances`, :func:`block_distances`) that evaluate many
-  scalar distances in one NumPy call while staying **bit-identical** to the
-  scalar helpers (see below) — these back the vectorized execution backend
-  of :mod:`repro.core.vectorized`;
+  :func:`paired_distances`) that evaluate many scalar distances in one
+  NumPy call while staying **bit-identical** to the scalar helpers (see
+  below) — these back the vectorized execution backend of
+  :mod:`repro.core.vectorized`;
 * bulk kernels (:func:`pairwise_sq_distances`, :func:`chunked_sq_distances`,
   :func:`distances_to_centroids`) used by bulk phases, charging the number
   of row-pairs evaluated;
@@ -52,11 +52,11 @@ the vectorized backend with the same kernel, or with
 :func:`gathered_sq_distances` on just the entries a bound keeps.  Every
 later distance — bound tightening, candidate scans, rescans — comes
 from the dot family: the reference calls the scalar helpers and the
-vectorized backend the row-wise kernels (:func:`paired_distances`,
-:func:`block_distances`).  This is what lets the vectorized backend
-reproduce the reference backend's labels, bounds, tie-breaking, and
-convergence trajectory exactly — ``tests/test_backend_conformance.py``
-and the hypothesis parity properties enforce it.  The expansion-based
+vectorized backend the row-wise kernel :func:`paired_distances`.  This
+is what lets the vectorized backend reproduce the reference backend's
+labels, bounds, tie-breaking, and convergence trajectory exactly —
+``tests/test_backend_conformance.py`` and the hypothesis parity
+properties enforce it.  The expansion-based
 bulk kernels (:func:`pairwise_sq_distances`,
 :func:`centroid_pairwise_distances`) trade exactness for speed and are
 only used where both backends share the same call site; the GEMM scores
@@ -195,33 +195,6 @@ def paired_distances(
     return np.sqrt(paired_sq_distances(A, B, counters))
 
 
-def block_sq_distances(
-    A: np.ndarray, B: np.ndarray, counters: Optional[OpCounters] = None
-) -> np.ndarray:
-    """All-pairs squared distances with scalar-identical numerics.
-
-    Returns the ``(len(A), len(B))`` block where entry ``(i, j)`` is
-    bit-identical to ``sq_euclidean(A[i], B[j])``; charges one distance per
-    entry.  Slower than :func:`pairwise_sq_distances` (no expansion trick)
-    but exact — the rescan kernel of the vectorized backend, where every
-    entry must reproduce the reference backend's pointwise loop.
-    """
-    A = np.atleast_2d(A)
-    B = np.atleast_2d(B)
-    if counters is not None:
-        counters.distance_computations += A.shape[0] * B.shape[0]
-    diff = A[:, None, :] - B[None, :, :]
-    flat = _rowwise_sq_norms(diff.reshape(-1, diff.shape[-1]))
-    return flat.reshape(A.shape[0], B.shape[0])
-
-
-def block_distances(
-    A: np.ndarray, B: np.ndarray, counters: Optional[OpCounters] = None
-) -> np.ndarray:
-    """All-pairs Euclidean distances, entry-identical to :func:`euclidean`."""
-    return np.sqrt(block_sq_distances(A, B, counters))
-
-
 def distances_to_centroids(
     x: np.ndarray, centroids: np.ndarray, counters: Optional[OpCounters] = None
 ) -> np.ndarray:
@@ -230,35 +203,18 @@ def distances_to_centroids(
 
 
 def centroid_pairwise_distances(
-    centroids: np.ndarray,
-    counters: Optional[OpCounters] = None,
-    *,
-    scratch: Optional[np.ndarray] = None,
+    centroids: np.ndarray, counters: Optional[OpCounters] = None
 ) -> np.ndarray:
     """Symmetric centroid-to-centroid distance matrix.
 
     Charges ``k(k-1)/2`` distance computations — the cost the paper assigns
     to Elkan's inter-bound (Section 4.1).
-
-    ``scratch`` optionally supplies a reusable ``(2, k, k)`` float64 buffer
-    (Gram matrix + result); per-iteration callers avoid two allocations and
-    the returned matrix aliases ``scratch[1]``.  The buffered path runs the
-    same operations in the same association order — ``(aa_i + aa_j)`` first,
-    then subtract ``2 * gram`` — so every entry is bit-identical to the
-    allocating path.
     """
     k = centroids.shape[0]
     if counters is not None:
         counters.distance_computations += k * (k - 1) // 2
     aa = np.einsum("ij,ij->i", centroids, centroids)
-    if scratch is None:
-        sq = aa[:, None] + aa[None, :] - 2.0 * (centroids @ centroids.T)
-    else:
-        gram, sq = scratch[0], scratch[1]
-        np.matmul(centroids, centroids.T, out=gram)
-        np.add(aa[:, None], aa[None, :], out=sq)
-        np.multiply(gram, 2.0, out=gram)
-        np.subtract(sq, gram, out=sq)
+    sq = aa[:, None] + aa[None, :] - 2.0 * (centroids @ centroids.T)
     np.maximum(sq, 0.0, out=sq)
     np.fill_diagonal(sq, 0.0)
     return np.sqrt(sq, out=sq)

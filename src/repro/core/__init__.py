@@ -5,10 +5,10 @@ builds instances by name, and :class:`KMeans` is the user-facing facade.
 
 Two execution backends exist (see ``docs/backends.md``): ``"reference"``
 (the pointwise scalar implementations, ground truth for counter semantics)
-and ``"vectorized"`` (NumPy-batched replacements — the sequential
-bound-based trio, Lloyd, and k-means++ seeding — that reproduce the
-reference labels, centroids, iteration counts and counter totals exactly —
-enforced by ``tests/test_backend_conformance.py``).
+and ``"vectorized"`` (NumPy-batched replacements — Lloyd, Yinyang and
+k-means++ seeding — that reproduce the reference labels, centroids,
+iteration counts and counter totals exactly — enforced by
+``tests/test_backend_conformance.py``).
 Select with ``make_algorithm(name, backend="vectorized")`` or
 ``KMeans(..., backend="vectorized")``.
 """
@@ -55,8 +55,6 @@ from repro.core.unik import UniKKMeans
 from repro.core.vector import VectorKMeans
 from repro.core.vectorized import (
     VECTORIZED_ALGORITHMS,
-    VectorizedElkanKMeans,
-    VectorizedHamerlyKMeans,
     VectorizedLloydKMeans,
     VectorizedYinyangKMeans,
 )
@@ -106,16 +104,16 @@ def make_algorithm(
     iteration counts and counter totals as the reference).  Extra keyword
     arguments go to the algorithm constructor, e.g.
     ``make_algorithm("index", index="kd-tree")`` or
-    ``make_algorithm("elkan", backend="vectorized", use_inter=False)``.
+    ``make_algorithm("yinyang", backend="vectorized", t=4)``.
 
     ``shards > 1`` selects the sharded execution engine
     (``repro.exec.sharded``): the assignment phase fans out across
     concurrent shard threads with deterministic rank-order merging —
     bit-identical to the single-process vectorized backend, and failing
     with the same exception it would.  Requires ``backend="vectorized"``
-    (the shard kernels *are* the vectorized kernels) and an algorithm
-    with a sharded implementation (docs/sharding.md).  ``shards < 1`` is
-    a :class:`ConfigurationError`.
+    (the shard kernels *are* the vectorized kernels) and an algorithm in
+    ``repro.exec.sharded.SHARDED_ALGORITHMS`` (docs/sharding.md).
+    ``shards < 1`` is a :class:`ConfigurationError`.
     """
     key = name.lower()
     if key not in ALGORITHMS:
@@ -133,9 +131,15 @@ def make_algorithm(
             )
         # Imported lazily: repro.exec.sharded itself imports this package's
         # vectorized module, and most callers never shard.
-        from repro.exec.sharded import make_sharded_algorithm
+        from repro.exec.sharded import SHARDED_ALGORITHMS
 
-        return make_sharded_algorithm(key, shards=int(shards), **kwargs)
+        if key not in SHARDED_ALGORITHMS:
+            known = ", ".join(sorted(SHARDED_ALGORITHMS))
+            raise ConfigurationError(
+                f"algorithm {name!r} has no sharded implementation; "
+                f"sharded execution supports: {known}"
+            )
+        return SHARDED_ALGORITHMS[key](shards=int(shards), **kwargs)
     if backend == "reference":
         cls = ALGORITHMS[key]
     elif backend == "vectorized":
@@ -253,8 +257,6 @@ __all__ = [
     "IndexKMeans",
     "UniKKMeans",
     "FullKMeans",
-    "VectorizedElkanKMeans",
-    "VectorizedHamerlyKMeans",
     "VectorizedLloydKMeans",
     "VectorizedYinyangKMeans",
     "SphereKMeans",

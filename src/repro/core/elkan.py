@@ -59,11 +59,7 @@ class ElkanKMeans(KMeansAlgorithm):
         self.counters.record_footprint(n * self.k + n)
 
     def _initial_scan(self) -> None:
-        """First-iteration full scan seeding ``ub`` and the ``lb`` matrix.
-
-        Shared with the vectorized backend (both backends take this exact
-        path, so iteration 0 is trivially identical between them).
-        """
+        """First-iteration full scan seeding ``ub`` and the ``lb`` matrix."""
         dists = self._full_scan_assign()
         self._lb = dists
         self._ub = dists[np.arange(len(self.X)), self._labels].copy()

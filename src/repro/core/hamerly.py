@@ -32,11 +32,7 @@ class HamerlyKMeans(KMeansAlgorithm):
         self.counters.record_footprint(2 * len(self.X))
 
     def _initial_scan(self) -> None:
-        """First-iteration full scan seeding ``ub`` and ``lb``.
-
-        Shared with the vectorized backend (both backends take this exact
-        path, so iteration 0 is trivially identical between them).
-        """
+        """First-iteration full scan seeding ``ub`` and ``lb``."""
         dists = self._full_scan_assign()
         n = len(self.X)
         idx = np.arange(n)

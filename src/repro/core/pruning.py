@@ -18,23 +18,11 @@ from repro.common.rng import SeedLike, ensure_rng
 from repro.instrumentation.counters import OpCounters
 
 
-def half_min_separation(
-    cc: np.ndarray, *, work: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``s(j) = 0.5 * min_{j' != j} d(c_j, c_j')`` from a distance matrix.
-
-    ``work`` optionally supplies a reusable ``(k, k)`` buffer for the
-    diagonal-masked copy (the vectorized backend preallocates it once per
-    fit instead of copying ``cc`` every iteration); values are identical
-    either way.
-    """
+def half_min_separation(cc: np.ndarray) -> np.ndarray:
+    """``s(j) = 0.5 * min_{j' != j} d(c_j, c_j')`` from a distance matrix."""
     if cc.shape[0] == 1:
         return np.full(1, np.inf)
-    if work is None:
-        masked = cc.copy()
-    else:
-        masked = work
-        np.copyto(masked, cc)
+    masked = cc.copy()
     np.fill_diagonal(masked, np.inf)
     return 0.5 * masked.min(axis=1)
 
@@ -141,19 +129,8 @@ class GroupView:
 
 
 def centroid_separations(
-    centroids: np.ndarray,
-    counters: Optional[OpCounters] = None,
-    *,
-    scratch: Optional[np.ndarray] = None,
-    work: Optional[np.ndarray] = None,
+    centroids: np.ndarray, counters: Optional[OpCounters] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Centroid distance matrix and the derived ``s(j)`` vector.
-
-    ``scratch`` (a ``(2, k, k)`` buffer) and ``work`` (a ``(k, k)`` buffer)
-    let per-iteration callers reuse allocations; results are bitwise
-    independent of whether buffers are supplied.  When ``scratch`` is given
-    the returned ``cc`` aliases ``scratch[1]`` and is only valid until the
-    next call with the same buffer.
-    """
-    cc = centroid_pairwise_distances(centroids, counters, scratch=scratch)
-    return cc, half_min_separation(cc, work=work)
+    """Centroid distance matrix and the derived ``s(j)`` vector."""
+    cc = centroid_pairwise_distances(centroids, counters)
+    return cc, half_min_separation(cc)

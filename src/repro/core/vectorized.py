@@ -1,29 +1,25 @@
-"""Vectorized NumPy backend: bound-based trio and Lloyd.
+"""Vectorized NumPy backend: Lloyd and Yinyang.
 
-The reference implementations in :mod:`repro.core.elkan`,
-:mod:`repro.core.hamerly` and :mod:`repro.core.yinyang` run their pruning
-loops point by point — faithful to the paper's pseudocode and easy to
-audit, but dominated by Python interpreter overhead, so the "accelerated"
-methods often lose to plain vectorized Lloyd on wall-clock.  Newling &
-Fleuret's and Raff's implementations show the fix: bound-based pruning only
-pays when the bound *bookkeeping* is batched too.  Likewise, plain Lloyd's
-chunked direct-differencing scan leaves the expansion trick's GEMM
-throughput on the table.
+The reference implementations run their assignment passes point by point
+— faithful to the paper's pseudocode and easy to audit, but dominated by
+Python interpreter overhead.  Plain Lloyd's chunked direct-differencing
+scan also leaves GEMM throughput on the table.  The classes here are
+drop-in replacements selected with ``backend="vectorized"`` (see
+:func:`repro.core.make_algorithm` and ``docs/backends.md``).  Each
+subclasses its reference implementation and replaces only the
+per-iteration assignment pass: the certified blocked GEMM scan with exact
+near-tie fallback for Lloyd, and array-held group bounds with masked
+batch updates for Yinyang, whose seeding and group scans pick their exact
+entries from certified GEMM scores.  Setup, initialization, refinement
+and drift correction are inherited unchanged (refinement is the shared
+scatter-add of :mod:`repro.core.refinement`, and k-means++ seeding
+batches its D² updates through the same bit-identical kernels, see
+:mod:`repro.core.initialization`).
 
-The classes here are drop-in replacements selected with
-``backend="vectorized"`` (see :func:`repro.core.make_algorithm` and
-``docs/backends.md``).  Each subclasses its reference implementation and
-replaces only the per-iteration assignment pass — array-held bounds and
-masked batch updates for the trio (Yinyang's seeding and group scans also
-pick their exact entries from certified GEMM scores), and the certified
-blocked GEMM scan with exact near-tie fallback for Lloyd; setup,
-initialization, refinement and drift correction are inherited unchanged
-(refinement itself is the shared scatter-add of
-:mod:`repro.core.refinement`, and k-means++ seeding batches its D²
-updates through the same bit-identical kernels, see
-:mod:`repro.core.initialization`).  Index k-means has no vectorized
-implementation: it was never the fastest exact method at any shape
-measured (``docs/backends.md``).
+Elkan, Hamerly and index k-means have no vectorized implementation: in
+2-core sweeps none of them was the fastest method in most runs at any
+shape measured, and certified-GEMM Lloyd beat them even where they
+computed a tenth of its distances (``docs/backends.md``).
 
 Exactness contract
 ------------------
@@ -41,21 +37,20 @@ Both follow from two invariants, enforced by
    :mod:`repro.common.distance`): full scans from the einsum family
    (:func:`~repro.common.distance.chunked_sq_distances`, or
    :func:`~repro.common.distance.gathered_sq_distances` on the entries a
-   bound keeps), every other distance from a dot-family batch kernel that
-   is bit-identical per row to the scalar helper the reference calls
-   (:func:`~repro.common.distance.paired_distances` for ``euclidean``,
-   :func:`~repro.common.distance.block_distances` for
-   ``one_to_many_distances``).  GEMM scores only choose which entries to
-   evaluate, and only under a rounding-error certificate
+   bound keeps), every other distance from
+   :func:`~repro.common.distance.paired_distances`, a dot-family batch
+   kernel that is bit-identical per row to the scalar ``euclidean`` the
+   reference calls.  GEMM scores only choose which entries to evaluate,
+   and only under a rounding-error certificate
    (:func:`~repro.common.distance.certified_argmin`), so every pruning
    test sees the same 64-bit float and takes the same branch;
 2. the per-point scan order is preserved by swapping loop nesting, never by
    changing the decision procedure: the reference iterates points outer /
-   candidates inner, the vectorized code iterates candidates outer / points
-   (as arrays) inner.  Per-point state (current best, upper bound) is held
-   in arrays and updated after each candidate column, which reproduces the
-   reference's sequential semantics exactly because points never interact
-   within an assignment pass.
+   groups inner, the vectorized code iterates groups outer / points (as
+   arrays) inner.  Per-point state (current best, upper bound) is held in
+   arrays and updated after each group, which reproduces the reference's
+   sequential semantics exactly because points never interact within an
+   assignment pass.
 
 Counters are charged per *pruning decision* — one distance per row-pair
 actually evaluated, one bound access per bound read by a test — never per
@@ -74,42 +69,28 @@ from typing import Dict, Tuple, Type
 import numpy as np
 
 from repro.common.distance import (
-    block_distances,
     centroid_scores,
     certificate_margin,
     certified_argmin,
-    chunked_sq_distances,
     nearest_and_group_minima,
     nearest_centroids,
     paired_distances,
     sq_norms,
 )
 from repro.core.base import KMeansAlgorithm
-from repro.core.elkan import ElkanKMeans
-from repro.core.hamerly import HamerlyKMeans
 from repro.core.lloyd import LloydKMeans
-from repro.core.pruning import GroupView, centroid_separations, group_centroids_kmeans
+from repro.core.pruning import GroupView, group_centroids_kmeans
 from repro.core.yinyang import YinyangKMeans
 
 
-# ----------------------------------------------------------------------
-# Row-subset assignment kernels.
-#
-# The per-point assignment logic of Lloyd/Elkan/Hamerly is independent
-# across points (points never interact within an assignment pass — the
-# module-docstring invariant), so each pass is exposed as a module-level
-# function over an arbitrary contiguous *row slice*: running it on
-# ``X[lo:hi]`` produces exactly the rows ``[lo, hi)`` of the full-matrix
-# pass, bitwise.  The classes below call them on the full matrix; the
-# sharded engine (``repro.exec.sharded``) calls them on each shard's row
-# range from the shard threads.  They keep no module-global state because
-# the R007 parallel-safety rule reaches them from those threads' target.
-#
-# Each kernel charges the slice's share of the per-iteration counters;
-# centroid-level work (``centroid_separations``) is *not* charged here —
-# it happens once per iteration in the caller, so sharded counter totals
-# equal single-process totals.
-# ----------------------------------------------------------------------
+# Lloyd's assignment is independent across points, so its pass is a
+# module-level function over an arbitrary contiguous *row slice*: running
+# it on ``X[lo:hi]`` produces exactly the rows ``[lo, hi)`` of the
+# full-matrix pass, bitwise.  :class:`VectorizedLloydKMeans` calls it on
+# the full matrix; the sharded engine (``repro.exec.sharded``) calls it on
+# each shard's row range from the shard threads.  It keeps no
+# module-global state because the R007 parallel-safety rule reaches it
+# from those threads' target.
 
 
 def lloyd_assign_rows(
@@ -129,292 +110,6 @@ def lloyd_assign_rows(
     """
     counters.add_point_accesses(len(X_rows) * len(centroids))
     return nearest_centroids(X_rows, centroids, counters, x_sq=x_sq_rows, c_sq=c_sq)
-
-
-def elkan_seed_rows(
-    X_rows: np.ndarray, centroids: np.ndarray, counters
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elkan iteration-0 full scan for one row slice.
-
-    Returns ``(labels, ub, lb)`` for the slice — the per-row restriction
-    of :meth:`repro.core.elkan.ElkanKMeans._initial_scan`
-    (:func:`chunked_sq_distances` is row-subset invariant), with the same
-    charges: ``n*k`` distances + point accesses, ``n*k + n`` bound writes.
-    """
-    sq = chunked_sq_distances(X_rows, centroids, counters)
-    counters.add_point_accesses(sq.size)
-    labels = np.argmin(sq, axis=1).astype(np.intp)
-    dists = np.sqrt(sq)
-    ub = dists[np.arange(len(X_rows)), labels].copy()
-    counters.add_bound_updates(dists.size + len(X_rows))
-    return labels, ub, dists
-
-
-def elkan_assign_rows(
-    X_rows: np.ndarray,
-    centroids: np.ndarray,
-    labels: np.ndarray,
-    ub: np.ndarray,
-    lb: np.ndarray,
-    half_cc,
-    s: np.ndarray,
-    counters,
-    *,
-    cand_buf=None,
-) -> None:
-    """Elkan assignment pass over one row slice, in place.
-
-    ``labels``/``ub``/``lb`` are the slice's bound state and are updated in
-    place.  ``half_cc`` (``0.5 * cc``, or None when inter-bounds are off)
-    and ``s`` are centroid-level context computed — and charged — once per
-    iteration by the caller.  ``cand_buf`` optionally supplies the
-    ``(n, k)`` candidate scratch; a fresh allocation is value-identical.
-    """
-    n = len(X_rows)
-    k = len(centroids)
-    # Global test (n bound reads), identical to the reference.
-    counters.add_bound_accesses(n)
-    active = np.flatnonzero(ub > s[labels])
-    if len(active) == 0:
-        return
-    # Candidate filter: both Elkan conditions over all j != a, one
-    # masked block instead of a per-point loop (k bound reads each).
-    a0 = labels[active]
-    u0 = ub[active]
-    counters.add_bound_accesses(len(active) * k)
-    if cand_buf is not None:
-        cand = np.less(lb[active], u0[:, None], out=cand_buf[: len(active)])
-    else:
-        cand = np.less(lb[active], u0[:, None])
-    if half_cc is not None:
-        cand &= half_cc[a0] < u0[:, None]
-    cand[np.arange(len(active)), a0] = False
-    has = cand.any(axis=1)
-    pts = active[has]
-    if len(pts) == 0:
-        return
-    cand = cand[has]
-    # Tighten ub to the exact distance for every surviving point.
-    a = labels[pts]
-    counters.add_point_accesses(len(pts))
-    d_a = paired_distances(X_rows[pts], centroids[a], counters)
-    ub[pts] = d_a
-    lb[pts, a] = d_a
-    counters.add_bound_updates(2 * len(pts))
-    u = d_a.copy()
-    # Candidate scan, column-major: ascending j preserves each point's
-    # reference scan order; u/labels update per column, so the running
-    # best a point carries into column j+1 matches the reference's
-    # sequential inner loop.
-    for j in range(k):
-        rows = np.flatnonzero(cand[:, j])
-        if len(rows) == 0:
-            continue
-        p = pts[rows]
-        counters.add_bound_accesses(2 * len(rows))
-        skip = lb[p, j] >= u[rows]
-        if half_cc is not None:
-            skip |= half_cc[labels[p], j] >= u[rows]
-        todo = rows[~skip]
-        if len(todo) == 0:
-            continue
-        q = pts[todo]
-        counters.add_point_accesses(len(q))
-        d_j = paired_distances(X_rows[q], centroids[j], counters)
-        lb[q, j] = d_j
-        counters.add_bound_updates(len(q))
-        better = d_j < u[todo]
-        if better.any():
-            moved = todo[better]
-            labels[pts[moved]] = j
-            ub[pts[moved]] = d_j[better]
-            u[moved] = d_j[better]
-            counters.add_bound_updates(int(better.sum()))
-
-
-def hamerly_seed_rows(
-    X_rows: np.ndarray, centroids: np.ndarray, counters
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hamerly iteration-0 full scan for one row slice.
-
-    Returns ``(labels, ub, lb)`` — the per-row restriction of
-    :meth:`repro.core.hamerly.HamerlyKMeans._initial_scan` with the same
-    charges (``n*k`` distances + point accesses, ``2n`` bound writes).
-    """
-    sq = chunked_sq_distances(X_rows, centroids, counters)
-    counters.add_point_accesses(sq.size)
-    labels = np.argmin(sq, axis=1).astype(np.intp)
-    dists = np.sqrt(sq)
-    n = len(X_rows)
-    idx = np.arange(n)
-    ub = dists[idx, labels].copy()
-    if len(centroids) > 1:
-        masked = dists.copy()
-        masked[idx, labels] = np.inf
-        lb = masked.min(axis=1)
-    else:
-        lb = np.full(n, np.inf)
-    counters.add_bound_updates(2 * n)
-    return labels, ub, lb
-
-
-def hamerly_assign_rows(
-    X_rows: np.ndarray,
-    centroids: np.ndarray,
-    labels: np.ndarray,
-    ub: np.ndarray,
-    lb: np.ndarray,
-    s: np.ndarray,
-    counters,
-    *,
-    thresh_buf=None,
-) -> None:
-    """Hamerly assignment pass over one row slice, in place.
-
-    ``s`` is the half-separation vector computed — and charged — once per
-    iteration by the caller; ``thresh_buf`` optionally supplies the length
-    ``n`` threshold scratch (fresh allocation is value-identical).
-    """
-    k = len(centroids)
-    # Global test over all points (2n bound reads), as in the reference.
-    if thresh_buf is not None:
-        thresholds = np.maximum(lb, s[labels], out=thresh_buf[: len(X_rows)])
-    else:
-        thresholds = np.maximum(lb, s[labels])
-    counters.add_bound_accesses(2 * len(X_rows))
-    active = np.flatnonzero(ub > thresholds)
-    if len(active) == 0:
-        return
-    # Tighten the upper bound with one exact distance per survivor.
-    counters.add_point_accesses(len(active))
-    d_a = paired_distances(X_rows[active], centroids[labels[active]], counters)
-    ub[active] = d_a
-    counters.add_bound_updates(len(active))
-    rescan = active[d_a > thresholds[active]]
-    if len(rescan) == 0:
-        return
-    # Full rescan block: every entry bit-identical to the reference's
-    # one_to_many_distances row, so argmin tie-breaking is preserved.
-    counters.add_point_accesses(len(rescan) * k)
-    dists = block_distances(X_rows[rescan], centroids, counters)
-    best = np.argmin(dists, axis=1)
-    d1 = dists[np.arange(len(rescan)), best]
-    if k > 1:
-        d2 = np.partition(dists, 1, axis=1)[:, 1]
-    else:
-        d2 = np.full(len(rescan), np.inf)
-    labels[rescan] = best
-    ub[rescan] = d1
-    lb[rescan] = d2
-    counters.add_bound_updates(2 * len(rescan))
-
-
-class VectorizedElkanKMeans(ElkanKMeans):
-    """Elkan's algorithm with batched bound tests (candidate-major order).
-
-    The reference scans each global-test survivor's candidate centroids in
-    ascending index order, tightening ``ub`` first.  Here the candidate
-    filter runs as one masked ``(survivors, k)`` comparison, tightening as
-    one paired-distance call, and the candidate scan as a loop over
-    centroid *columns* with the surviving point set shrinking per column —
-    the same decisions in the same per-point order, interpreted k times
-    instead of n times.
-    """
-
-    backend = "vectorized"
-
-    def _setup(self) -> None:
-        super()._setup()
-        # Per-fit scratch, reused every iteration: the (n, k) candidate
-        # matrix, the (2, k, k) + (k, k) center-center buffers, and the
-        # half-separation matrix shared by both pruning passes below.
-        n, k = len(self.X), self.k
-        self._cand_buf = np.empty((n, k), dtype=bool)
-        self._cc_scratch = np.empty((2, k, k)) if self.use_inter else None
-        self._cc_work = np.empty((k, k)) if self.use_inter else None
-        self._half_cc = np.empty((k, k)) if self.use_inter else None
-
-    def _assign(self, iteration: int) -> None:
-        if iteration == 0:
-            self._initial_scan()
-            return
-        half_cc, s = self._separation_context()
-        elkan_assign_rows(
-            self.X,
-            self._centroids,
-            self._labels,
-            self._ub,
-            self._lb,
-            half_cc,
-            s,
-            self.counters,
-            cand_buf=self._cand_buf,
-        )
-
-    def _separation_context(self):
-        """Per-iteration centroid-level context ``(half_cc, s)``.
-
-        Computed (and charged) once per iteration; the sharded engine calls
-        this in the supervisor before its shard threads start and every
-        shard reads the result, so counter totals match the single-process
-        pass.
-        """
-        if not self.use_inter:
-            return None, np.zeros(self.k)  # never prunes
-        cc, s = centroid_separations(
-            self._centroids,
-            self.counters,
-            scratch=self._cc_scratch,
-            work=self._cc_work,
-        )
-        # One center-center pass per iteration: the candidate filter and
-        # the per-column scan both test against 0.5 * cc; halving once
-        # (exact scaling, bit-invisible) replaces two full passes.
-        return np.multiply(cc, 0.5, out=self._half_cc), s
-
-
-class VectorizedHamerlyKMeans(HamerlyKMeans):
-    """Hamerly's algorithm with batched tighten-and-rescan.
-
-    One paired-distance call tightens every global-test survivor's upper
-    bound; the points that still fail rescan all ``k`` centroids in one
-    ``(rescans, k)`` block with a vectorized two-smallest reduction.
-    """
-
-    backend = "vectorized"
-
-    def _setup(self) -> None:
-        super()._setup()
-        n, k = len(self.X), self.k
-        self._thresh_buf = np.empty(n)
-        self._cc_scratch = np.empty((2, k, k))
-        self._cc_work = np.empty((k, k))
-
-    def _assign(self, iteration: int) -> None:
-        if iteration == 0:
-            self._initial_scan()
-            return
-        s = self._separation_context()
-        hamerly_assign_rows(
-            self.X,
-            self._centroids,
-            self._labels,
-            self._ub,
-            self._lb,
-            s,
-            self.counters,
-            thresh_buf=self._thresh_buf,
-        )
-
-    def _separation_context(self) -> np.ndarray:
-        """Per-iteration half-separation vector ``s`` (charged once)."""
-        _, s = centroid_separations(
-            self._centroids,
-            self.counters,
-            scratch=self._cc_scratch,
-            work=self._cc_work,
-        )
-        return s
 
 
 def exact_group_cells(
@@ -701,20 +396,12 @@ class VectorizedLloydKMeans(LloydKMeans):
 #: registry of vectorized implementations, keyed by algorithm name
 VECTORIZED_ALGORITHMS: Dict[str, Type[KMeansAlgorithm]] = {
     "lloyd": VectorizedLloydKMeans,
-    "elkan": VectorizedElkanKMeans,
-    "hamerly": VectorizedHamerlyKMeans,
     "yinyang": VectorizedYinyangKMeans,
 }
 
 __all__ = [
     "VECTORIZED_ALGORITHMS",
-    "VectorizedElkanKMeans",
-    "VectorizedHamerlyKMeans",
     "VectorizedLloydKMeans",
     "VectorizedYinyangKMeans",
-    "elkan_assign_rows",
-    "elkan_seed_rows",
-    "hamerly_assign_rows",
-    "hamerly_seed_rows",
     "lloyd_assign_rows",
 ]

@@ -12,7 +12,8 @@ conformance failure (it would silently change the paper's Table 3 metrics).
 The perf test at the bottom enforces the point of the backend: on the
 20k x 16 synthetic workload the vectorized backend must beat the reference
 by at least 2x wall-clock, and the measurement is recorded to
-``BENCH_backends.json`` at the repo root (the CI perf-smoke artifact).
+``BENCH_backends.json`` at the repo root (the CI perf-smoke artifact; the
+file is not tracked).
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ BENCH_PATH = REPO_ROOT / "BENCH_backends.json"
 
 #: wall-clock advantage the vectorized backend must demonstrate (ISSUE 3)
 MIN_SPEEDUP = 2.0
+
+
+def _read_report() -> dict:
+    """The report an earlier perf test wrote, or an empty one."""
+    if BENCH_PATH.exists():
+        return json.loads(BENCH_PATH.read_text())
+    return {"algorithms": {}}
 
 
 def _dataset(name: str) -> np.ndarray:
@@ -152,17 +160,6 @@ class TestBackendEdgeCases:
 
 class TestAlgorithmKnobs:
     """Constructor knobs must conform too, not just the defaults."""
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"use_inter": False}, {"use_drift": False}],
-        ids=["no-inter", "no-drift"],
-    )
-    def test_elkan_ablations(self, kwargs):
-        reference, vectorized = _run_pair(
-            "elkan", _DATASETS["blobs"], 8, seed=1, **kwargs
-        )
-        _assert_identical(reference, vectorized)
 
     @pytest.mark.parametrize("t", [1, 2, 5])
     def test_yinyang_group_counts(self, t):
@@ -406,7 +403,7 @@ class TestRefinementKernels:
 class TestBackendSelection:
     def test_backend_recorded_in_extras(self):
         X = _DATASETS["uniform"]
-        reference, vectorized = _run_pair("elkan", X, 4, seed=0, max_iter=5)
+        reference, vectorized = _run_pair("lloyd", X, 4, seed=0, max_iter=5)
         assert reference.extras["backend"] == "reference"
         assert vectorized.extras["backend"] == "vectorized"
 
@@ -414,7 +411,7 @@ class TestBackendSelection:
         with pytest.raises(ConfigurationError, match="unknown backend"):
             make_algorithm("elkan", backend="gpu")
 
-    @pytest.mark.parametrize("name", ["unik", "index"])
+    @pytest.mark.parametrize("name", ["unik", "index", "elkan", "hamerly"])
     def test_unvectorized_algorithm_rejected(self, name):
         with pytest.raises(ConfigurationError, match="no vectorized implementation"):
             make_algorithm(name, backend="vectorized")
@@ -423,13 +420,13 @@ class TestBackendSelection:
 
     def test_facade_threads_backend(self):
         X = _DATASETS["uniform"]
-        model = KMeans(k=4, algorithm="hamerly", backend="vectorized", seed=0)
+        model = KMeans(k=4, algorithm="yinyang", backend="vectorized", seed=0)
         result = model.fit(X)
         assert result.extras["backend"] == "vectorized"
 
     def test_registry_exposes_backends(self):
         assert BACKENDS == ("reference", "vectorized")
-        assert set(VECTORIZED_ALGORITHMS) == {"lloyd", "elkan", "hamerly", "yinyang"}
+        assert set(VECTORIZED_ALGORITHMS) == {"lloyd", "yinyang"}
 
 
 class TestShardedArrayBackend:
@@ -447,15 +444,14 @@ class TestShardedArrayBackend:
         assert result.centroids.tolist() == golden["final_centroids"]
         assert result.labels.tolist() == golden["iterations"][-1]["labels"]
 
-    @pytest.mark.parametrize("name", ("lloyd", "elkan"))
-    def test_sharded_numpy_cell_matches_single_process(self, name):
+    def test_sharded_numpy_cell_matches_single_process(self):
         X = _DATASETS["spatial"]
         C0 = init_kmeans_plus_plus(X, 9, seed=2)
-        single = make_algorithm(name, backend="vectorized").fit(
+        single = make_algorithm("lloyd", backend="vectorized").fit(
             X, 9, initial_centroids=C0, max_iter=MAX_ITER
         )
         sharded = make_algorithm(
-            name, backend="vectorized", shards=4
+            "lloyd", backend="vectorized", shards=4
         ).fit(X, 9, initial_centroids=C0, max_iter=MAX_ITER)
         assert np.array_equal(sharded.labels, single.labels)
         assert sharded.centroids.tobytes() == single.centroids.tobytes()
@@ -533,8 +529,8 @@ class TestShardedPerformance:
     """Shard-parallel assignment must beat single-process vectorized.
 
     Runs after :class:`TestBackendPerformance` (file order), which rewrites
-    ``BENCH_backends.json`` wholesale; this test re-reads the report and
-    adds ``sharded_lloyd`` / ``sharded_elkan`` entries.  The measurement
+    ``BENCH_backends.json`` wholesale; this test re-reads the report (or
+    starts an empty one) and adds a ``sharded_lloyd`` entry.  The measurement
     always runs and is always recorded — with the host's core count — but
     the >= 1.5x floor is only asserted on multi-core hosts: on a single
     core the shard threads serialize and the fan-out/merge overhead is
@@ -554,39 +550,32 @@ class TestShardedPerformance:
         shards = min(4, max(2, cores))
         X, _ = make_blobs(self.N, self.D, self.COMPONENTS, seed=5)
         C0 = init_kmeans_plus_plus(X, self.K, seed=0)
-        report = json.loads(BENCH_PATH.read_text())
-        failures = []
-        for name in ("lloyd", "elkan"):
-            single_s = self._best_of(
-                lambda: make_algorithm(name, backend="vectorized").fit(
-                    X, self.K, initial_centroids=C0, max_iter=self.ITERS
-                )
+        report = _read_report()
+        single_s = self._best_of(
+            lambda: make_algorithm("lloyd", backend="vectorized").fit(
+                X, self.K, initial_centroids=C0, max_iter=self.ITERS
             )
-            sharded_s = self._best_of(
-                lambda: SHARDED_ALGORITHMS[name](shards=shards).fit(
-                    X, self.K, initial_centroids=C0, max_iter=self.ITERS
-                )
+        )
+        sharded_s = self._best_of(
+            lambda: SHARDED_ALGORITHMS["lloyd"](shards=shards).fit(
+                X, self.K, initial_centroids=C0, max_iter=self.ITERS
             )
-            speedup = single_s / sharded_s
-            report["algorithms"][f"sharded_{name}"] = {
-                "single_process_s": round(single_s, 5),
-                "sharded_s": round(sharded_s, 5),
-                "speedup": round(speedup, 2),
-                "shards": shards,
-                "cores": cores,
-                "min_speedup": SHARDED_MIN_SPEEDUP,
-                "gated": cores >= 2,
-            }
-            if cores >= 2 and speedup < SHARDED_MIN_SPEEDUP:
-                failures.append(
-                    f"sharded_{name}: {speedup:.2f}x < {SHARDED_MIN_SPEEDUP}x "
-                    f"({shards} shards on {cores} cores)"
-                )
+        )
+        speedup = single_s / sharded_s
+        report["algorithms"]["sharded_lloyd"] = {
+            "single_process_s": round(single_s, 5),
+            "sharded_s": round(sharded_s, 5),
+            "speedup": round(speedup, 2),
+            "shards": shards,
+            "cores": cores,
+            "min_speedup": SHARDED_MIN_SPEEDUP,
+            "gated": cores >= 2,
+        }
         BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
-        assert not failures, (
+        assert cores < 2 or speedup >= SHARDED_MIN_SPEEDUP, (
             "shard-parallel assignment too slow on the 20k x 16 workload: "
-            + "; ".join(failures)
-            + f" (see {BENCH_PATH.name})"
+            f"sharded_lloyd: {speedup:.2f}x < {SHARDED_MIN_SPEEDUP}x "
+            f"({shards} shards on {cores} cores) (see {BENCH_PATH.name})"
         )
 
     @staticmethod
@@ -608,13 +597,13 @@ class TestServingPerformance:
     """Batched serving must beat a per-point assignment loop by >= 5x.
 
     Runs after the perf tests above (file order), re-reads
-    ``BENCH_backends.json`` and adds a gated ``serve_predict`` entry under
-    ``algorithms``.  The baseline is the obvious serving loop — one
-    ``one_to_many_distances`` call plus argmin per query point — against
-    :meth:`Predictor.predict` answering the same 20k queries in chunked
-    one-to-many batches.  Both paths use counted exact kernels with
-    first-index argmin, so the labels are asserted identical, not just the
-    timing (docs/serving.md).
+    ``BENCH_backends.json`` (or starts an empty report) and adds a gated
+    ``serve_predict`` entry under ``algorithms``.  The baseline is the
+    obvious serving loop — one ``one_to_many_distances`` call plus argmin
+    per query point — against :meth:`Predictor.predict` answering the
+    same 20k queries in chunked one-to-many batches.  Both paths use
+    counted exact kernels with first-index argmin, so the labels are
+    asserted identical, not just the timing (docs/serving.md).
     """
 
     N, D, K, ITERS, COMPONENTS = 20_000, 16, 16, 5, 12
@@ -651,7 +640,7 @@ class TestServingPerformance:
         np.testing.assert_array_equal(batched_labels, loop_labels)
 
         speedup = per_point_s / batched_s
-        report = json.loads(BENCH_PATH.read_text())
+        report = _read_report()
         report["algorithms"]["serve_predict"] = {
             "per_point_s": round(per_point_s, 5),
             "batched_s": round(batched_s, 5),

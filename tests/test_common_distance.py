@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.common.distance import (
-    block_distances,
-    block_sq_distances,
     centroid_pairwise_distances,
     chunked_sq_distances,
     distances_to_centroids,
@@ -189,19 +187,6 @@ class TestRowwiseExactKernels:
         counters = OpCounters()
         paired_sq_distances(rng.normal(size=(8, 5)), rng.normal(size=5), counters)
         assert counters.distance_computations == 8
-
-    def test_block_bitwise_scalar_parity(self, rng):
-        A = rng.normal(size=(6, 4))
-        B = rng.normal(size=(5, 4))
-        block = block_sq_distances(A, B)
-        for i in range(6):
-            for j in range(5):
-                assert block[i, j] == sq_euclidean(A[i], B[j])
-
-    def test_block_distances_counts_all_pairs(self, rng):
-        counters = OpCounters()
-        block_distances(rng.normal(size=(6, 4)), rng.normal(size=(5, 4)), counters)
-        assert counters.distance_computations == 30
 
     def test_gathered_rows_keep_parity(self, rng):
         # Fancy-indexed (gathered) operands are the common case inside the

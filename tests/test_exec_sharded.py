@@ -31,11 +31,7 @@ from repro.datasets import make_blobs
 from repro.eval.harness import run_algorithm
 from repro.eval.parallel import parallel_compare
 from repro.exec import sharded
-from repro.exec.sharded import (
-    SHARDED_ALGORITHMS,
-    make_sharded_algorithm,
-    shard_bounds,
-)
+from repro.exec.sharded import SHARDED_ALGORITHMS, shard_bounds
 
 from tests.trace_utils import golden_path, golden_task, traced_class
 
@@ -118,7 +114,7 @@ class TestBitIdentity:
 class TestGoldenReplay:
     """The sharded engine must replay the committed golden trajectories."""
 
-    @pytest.mark.parametrize("name", ("lloyd", "elkan", "hamerly"))
+    @pytest.mark.parametrize("name", sorted(SHARDED_ALGORITHMS))
     def test_sharded_replays_golden_trace(self, name):
         golden = json.loads(golden_path(name, 0).read_text())
         X, k, C0, max_iter = golden_task(0)
@@ -149,15 +145,6 @@ def chaos_task():
     return X, 4, C0
 
 
-#: each sharded algorithm's steady-state row kernel, by the name
-#: ``repro.exec.sharded`` calls it under
-STEADY_KERNELS = {
-    "lloyd": "lloyd_assign_rows",
-    "elkan": "elkan_assign_rows",
-    "hamerly": "hamerly_assign_rows",
-}
-
-
 class TestInlineRunner:
     """The shard threads: concurrency, joins, and failures."""
 
@@ -186,17 +173,13 @@ class TestInlineRunner:
         )
         assert_results_identical(got, want, context="inline/barrier")
 
-    @pytest.mark.parametrize("name", sorted(STEADY_KERNELS))
-    def test_inline_joins_every_shard_before_raising(
-        self, name, chaos_task, monkeypatch
-    ):
-        # Shard 0's steady-state kernel fails at once while the others
-        # are still in theirs: the fit may only raise after every shard
-        # has finished, so no thread writes state once the fit is over,
-        # and it raises the shard's own exception, as the unsharded fit
-        # would.
+    def test_inline_joins_every_shard_before_raising(self, chaos_task, monkeypatch):
+        # Shard 0's kernel fails at once while the others are still in
+        # theirs: the fit may only raise after every shard has finished,
+        # so no thread writes state once the fit is over, and it raises
+        # the shard's own exception, as the unsharded fit would.
         X, k, C0 = chaos_task
-        real = getattr(sharded, STEADY_KERNELS[name])
+        real = sharded.lloyd_assign_rows
         finished = []
 
         def spy(X_rows, *args):
@@ -207,8 +190,8 @@ class TestInlineRunner:
             finished.append(len(X_rows))
             return out
 
-        monkeypatch.setattr(sharded, STEADY_KERNELS[name], spy)
-        algorithm = SHARDED_ALGORITHMS[name](shards=3)
+        monkeypatch.setattr(sharded, "lloyd_assign_rows", spy)
+        algorithm = SHARDED_ALGORITHMS["lloyd"](shards=3)
         with pytest.raises(RuntimeError, match="shard 0 fails first") as excinfo:
             algorithm.fit(X, k, initial_centroids=C0, max_iter=4)
         assert type(excinfo.value) is RuntimeError
@@ -243,13 +226,13 @@ class TestInlineRunner:
         # result slot or a torn row range shows as a diverging model or
         # counter total.
         X, k, C0, max_iter = task
-        want = VECTORIZED_ALGORITHMS["hamerly"]().fit(
+        want = VECTORIZED_ALGORITHMS["lloyd"]().fit(
             X, k, initial_centroids=C0, max_iter=max_iter
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = SHARDED_ALGORITHMS["hamerly"](shards=8).fit(
+            got = SHARDED_ALGORITHMS["lloyd"](shards=8).fit(
                 X, k, initial_centroids=C0, max_iter=max_iter
             )
         finally:
@@ -300,22 +283,21 @@ class TestBlasBudget:
     def test_one_shard_thread_keeps_the_setting(self, live, chaos_task, monkeypatch):
         X, k, C0 = chaos_task
         monkeypatch.setattr(sharded, "available_cores", lambda: 1)
-        result = SHARDED_ALGORITHMS["elkan"](shards=3).fit(
+        result = SHARDED_ALGORITHMS["lloyd"](shards=3).fit(
             X, k, initial_centroids=C0, max_iter=4
         )
         assert result.extras["blas_threads"] is None
         assert get_blas_threads() == live
 
-    @pytest.mark.parametrize("name", sorted(STEADY_KERNELS))
-    def test_count_restored_after_a_shard_raises(self, name, live, chaos_task, monkeypatch):
+    def test_count_restored_after_a_shard_raises(self, live, chaos_task, monkeypatch):
         X, k, C0 = chaos_task
 
         def spy(X_rows, *args):
             raise RuntimeError("shard fails")
 
-        monkeypatch.setattr(sharded, STEADY_KERNELS[name], spy)
+        monkeypatch.setattr(sharded, "lloyd_assign_rows", spy)
         with pytest.raises(RuntimeError, match="shard fails"):
-            SHARDED_ALGORITHMS[name](shards=2).fit(X, k, initial_centroids=C0, max_iter=4)
+            SHARDED_ALGORITHMS["lloyd"](shards=2).fit(X, k, initial_centroids=C0, max_iter=4)
         assert get_blas_threads() == live
         assert blas._holders == 0
 
@@ -323,13 +305,13 @@ class TestBlasBudget:
         # Two sharded fits in two threads enter and leave the budget in
         # whatever order their iterations fall.
         X, k, C0, max_iter = task
-        want = VECTORIZED_ALGORITHMS["hamerly"]().fit(
+        want = VECTORIZED_ALGORITHMS["lloyd"]().fit(
             X, k, initial_centroids=C0, max_iter=max_iter
         )
         results = [None, None]
 
         def fit(slot):
-            results[slot] = SHARDED_ALGORITHMS["hamerly"](shards=2).fit(
+            results[slot] = SHARDED_ALGORITHMS["lloyd"](shards=2).fit(
                 X, k, initial_centroids=C0, max_iter=max_iter
             )
 
@@ -361,12 +343,13 @@ class TestWiring:
             make_algorithm("lloyd", shards=2)
 
     def test_make_algorithm_rejects_unsharded_algorithms(self):
-        with pytest.raises(ConfigurationError):
-            make_algorithm("yinyang", backend="vectorized", shards=2)
+        for name in ("yinyang", "elkan", "hamerly"):
+            with pytest.raises(ConfigurationError, match="no sharded implementation"):
+                make_algorithm(name, backend="vectorized", shards=2)
 
-    def test_make_sharded_algorithm_unknown_name(self):
-        with pytest.raises(ConfigurationError):
-            make_sharded_algorithm("annulus")
+    def test_make_algorithm_sharded_unknown_name(self):
+        with pytest.raises(ConfigurationError, match="unknown algorithm"):
+            make_algorithm("annulus", backend="vectorized", shards=2)
 
     def test_make_algorithm_builds_sharded_instance(self):
         algorithm = make_algorithm("lloyd", backend="vectorized", shards=4)
@@ -392,8 +375,8 @@ class TestWiring:
 
     def test_shard_threads_reach_every_row_kernel(self):
         # R007 lints what the shard threads run by walking the live call
-        # graph, fuzzy edges included, from their Thread target; every
-        # row kernel a shard pass calls must be on that walk.
+        # graph, fuzzy edges included, from their Thread target; the row
+        # kernel a shard pass calls must be on that walk.
         project, graph, _ = load_project_from_paths(
             [REPO_ROOT / "src"], root=REPO_ROOT
         )
@@ -402,17 +385,7 @@ class TestWiring:
             if site.module == "repro.exec.sharded"
         ]
         reached = graph.reachable([site.root], fuzzy=True)
-        kernels = {
-            f"repro.core.vectorized.{name}"
-            for name in (
-                "lloyd_assign_rows",
-                "elkan_seed_rows",
-                "elkan_assign_rows",
-                "hamerly_seed_rows",
-                "hamerly_assign_rows",
-            )
-        }
-        assert kernels <= set(reached)
+        assert {"repro.core.vectorized.lloyd_assign_rows"} <= set(reached)
 
 
 class TestHarnessIntegration:
@@ -433,12 +406,12 @@ class TestHarnessIntegration:
     def test_parallel_compare_sharded_matches_serial(self, chaos_task):
         X, k, _ = chaos_task
         want = run_algorithm(
-            "elkan", X, k, repeats=1, max_iter=5, seed=0, backend="vectorized"
+            "lloyd", X, k, repeats=1, max_iter=5, seed=0, backend="vectorized"
         )
         # Inside a daemonic pool worker the shards run on threads and
         # still produce identical results.
         (got,) = parallel_compare(
-            ["elkan"], X, k, repeats=1, max_iter=5, seed=0,
+            ["lloyd"], X, k, repeats=1, max_iter=5, seed=0,
             backend="vectorized", shards=3,
         )
         assert got.sse == want.sse

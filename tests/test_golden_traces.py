@@ -4,7 +4,8 @@ The files under ``tests/golden/`` pin the *full* observable trajectory of
 Lloyd/Elkan/Hamerly/Yinyang/index k-means on two fixed seeds: per-iteration
 labels, per-iteration counter deltas, final centroids, SSE, and convergence.
 The reference backend must reproduce every file exactly, and the vectorized
-backend every file of an algorithm in ``VECTORIZED_ALGORITHMS`` — so a
+backend every file of an algorithm in ``VECTORIZED_ALGORITHMS`` (Lloyd and
+Yinyang; Elkan, Hamerly and index replay on the reference only) — so a
 future refactor cannot silently change a convergence path, re-charge a
 counter, or drift a centroid by one ulp, even if it still lands on the same
 clustering.

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.common.distance import (
-    block_sq_distances,
     chunked_sq_distances,
     euclidean,
     one_to_many_distances,
@@ -190,18 +189,6 @@ def test_paired_kernels_bitwise_equal_scalar_loop(X, seed):
 
 
 @settings(**SETTINGS)
-@given(X=datasets(min_n=2, max_n=30, min_d=1), seed=st.integers(0, 10_000))
-def test_block_sq_distances_entrywise_equals_scalar(X, seed):
-    rng = np.random.default_rng(seed)
-    A = X[: max(1, len(X) // 3)]
-    B = X[rng.integers(0, len(X), size=1 + int(rng.integers(8)))]
-    block = block_sq_distances(A, B)
-    for i in range(len(A)):
-        for j in range(len(B)):
-            assert block[i, j] == sq_euclidean(A[i], B[j])
-
-
-@settings(**SETTINGS)
 @given(
     dists=arrays(
         np.float64,
@@ -266,10 +253,9 @@ def test_kernel_counter_charges_are_batch_invariant(X, chunk):
     """Every kernel charges per pruning-model distance, never per BLAS call."""
     A, B = X[: len(X) // 2], X[len(X) // 2 :]
     expected = len(A) * len(B)
-    for kernel in (pairwise_sq_distances, block_sq_distances):
-        counters = OpCounters()
-        kernel(A, B, counters)
-        assert counters.distance_computations == expected
+    counters = OpCounters()
+    pairwise_sq_distances(A, B, counters)
+    assert counters.distance_computations == expected
     counters = OpCounters()
     chunked_sq_distances(A, B, counters, chunk=chunk)
     assert counters.distance_computations == expected

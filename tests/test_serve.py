@@ -87,10 +87,10 @@ class TestModelRegistry:
 
     def test_latest_and_meta_filters(self, tmp_path):
         _, lloyd = _fit(algorithm="lloyd")
-        _, elkan = _fit(algorithm="elkan")
+        _, yinyang = _fit(algorithm="yinyang")
         registry = ModelRegistry(tmp_path / "reg")
         registry.save_model(lloyd, dataset="toy")
-        latest_key = registry.save_model(elkan, dataset="toy")
+        latest_key = registry.save_model(yinyang, dataset="toy")
         assert registry.latest().key == latest_key
         assert registry.latest(algorithm="lloyd").meta["algorithm"] == "lloyd"
         with pytest.raises(RegistryError):
@@ -478,7 +478,7 @@ class TestHarnessIntegration:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(120, 4))
         records = parallel_compare(
-            ["lloyd", "hamerly"], X, 3, repeats=1, max_iter=40, seed=0,
+            ["lloyd", "yinyang"], X, 3, repeats=1, max_iter=40, seed=0,
             backend="vectorized", save_model=str(tmp_path / "reg"),
             dataset="toy",
         )

@@ -27,7 +27,8 @@ from repro.core.base import KMeansAlgorithm
 from repro.core.initialization import init_kmeans_plus_plus
 from repro.datasets import make_uniform
 
-#: the algorithms with golden traces (every vectorized algorithm, plus index)
+#: the algorithms with golden traces (every vectorized algorithm, plus the
+#: reference-only elkan, hamerly and index)
 GOLDEN_ALGORITHMS = ("elkan", "hamerly", "yinyang", "lloyd", "index")
 #: the two fixed seeds each algorithm is traced on
 GOLDEN_SEEDS = (0, 1)
