@@ -17,10 +17,14 @@ per-file.  This module builds the shared substrate:
     classes, then same module), or an explicit ``Class.method`` /
     ``Class(...)`` constructor reference;
   - **fuzzy** — an attribute call ``obj.m(...)`` on an object of unknown
-    type resolves to *every* project method named ``m``.  Sound for
-    may-reach questions (R007 must not miss a mutation behind duck-typed
-    dispatch), far too coarse for must-style rules (R008/R010 stay on the
-    direct tier; see docs/static_analysis.md).
+    type resolves to *every* project method named ``m``; and a call
+    ``p(...)`` on a parameter ``p`` resolves to every function any call
+    site passes as ``p``, followed through parameters that pass it on
+    (a callable argument, e.g. a per-rank ``work`` handed to a thread
+    target).  Sound for may-reach questions (R007 must not miss a
+    mutation behind duck-typed dispatch), far too coarse for must-style
+    rules (R008/R010 stay on the direct tier; see
+    docs/static_analysis.md).
 
 Everything here is deterministic by construction: modules, functions and
 edges are kept in sorted containers so two builds over the same sources
@@ -323,19 +327,127 @@ def resolve_call(
     return out
 
 
+def _own_calls(info: FunctionInfo) -> Iterable[ast.Call]:
+    """The calls in ``info``'s body, nested defs excluded (their own nodes)."""
+    for node in ast.walk(info.node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not info.node:
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+
+
+def _bound_arguments(
+    project: Project, module_name: str, caller: FunctionInfo, call: ast.Call
+) -> Iterable[Tuple[str, str, ast.AST]]:
+    """``(callee, parameter, argument)`` for each argument ``call`` binds.
+
+    A ``Thread``/``Process(target=f, args=(...))`` binds its ``args``
+    tuple to ``f``'s parameters; any other call binds its own arguments
+    to those of every callee it resolves to.  A bound-method or
+    constructor call skips the callee's ``self``; binding stops at a
+    starred argument.
+    """
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    keywords = {kw.arg: kw.value for kw in call.keywords if kw.arg is not None}
+    if name in ("Thread", "Process") and "target" in keywords:
+        dispatched = ast.Call(func=keywords["target"], args=[], keywords=[])
+        args = keywords.get("args")
+        positional = list(args.elts) if isinstance(args, ast.Tuple) else []
+        callees = resolve_call(project, module_name, caller, dispatched)
+        keywords = {}
+    else:
+        positional = list(call.args)
+        callees = resolve_call(project, module_name, caller, call)
+    for callee, _tier in callees:
+        info = project.functions[callee]
+        params = list(info.param_names)
+        skip_self = info.is_method and (
+            info.name == "__init__" or isinstance(func, ast.Attribute)
+        )
+        if skip_self and params and params[0] in ("self", "cls"):
+            params = params[1:]
+        for param, arg in zip(params, positional):
+            if isinstance(arg, ast.Starred):
+                break
+            yield callee, param, arg
+        for param, arg in keywords.items():
+            if param in info.param_names:
+                yield callee, param, arg
+
+
+def _callable_targets(
+    project: Project, module_name: str, caller: FunctionInfo, expr: ast.AST
+) -> Set[str]:
+    """Project functions an argument expression may refer to as a callable."""
+    if isinstance(expr, ast.Lambda):
+        return {
+            callee
+            for node in ast.walk(expr.body) if isinstance(node, ast.Call)
+            for callee, _tier in resolve_call(project, module_name, caller, node)
+        }
+    if isinstance(expr, ast.Name):
+        nested = f"{caller.qualname}.<locals>.{expr.id}"
+        if nested in project.functions:
+            return {nested}
+    if not isinstance(expr, (ast.Name, ast.Attribute)):
+        return set()
+    reference = ast.Call(func=expr, args=[], keywords=[])
+    return {callee for callee, _tier in resolve_call(project, module_name, caller, reference)}
+
+
+def _parameter_call_edges(project: Project) -> Dict[str, Set[str]]:
+    """Fuzzy edges for calls on parameters: caller -> functions passed in.
+
+    Every argument a call site binds to a parameter contributes the
+    functions it may refer to; a parameter passed on as another call's
+    argument forwards what it receives, to a fixpoint.  Context-
+    insensitive, like the fuzzy tier it feeds.
+    """
+    received: Dict[Tuple[str, str], Set[str]] = {}
+    forwards: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
+    called: Dict[str, Set[str]] = {}
+    for qualname in sorted(project.functions):
+        info = project.functions[qualname]
+        for call in _own_calls(info):
+            if isinstance(call.func, ast.Name) and call.func.id in info.param_names:
+                called.setdefault(qualname, set()).add(call.func.id)
+            for callee, param, arg in _bound_arguments(project, info.module, info, call):
+                slot = (callee, param)
+                if isinstance(arg, ast.Name) and arg.id in info.param_names:
+                    forwards.setdefault((qualname, arg.id), set()).add(slot)
+                else:
+                    targets = _callable_targets(project, info.module, info, arg)
+                    received.setdefault(slot, set()).update(targets)
+    changed = True
+    while changed:
+        changed = False
+        for source, slots in sorted(forwards.items()):
+            passed = received.get(source, set())
+            for slot in sorted(slots):
+                have = received.setdefault(slot, set())
+                if not passed <= have:
+                    have.update(passed)
+                    changed = True
+    return {
+        qualname: set().union(*(received.get((qualname, p), set()) for p in params))
+        for qualname, params in called.items()
+    }
+
+
 def build_call_graph(project: Project) -> CallGraph:
     """Derive the conservative call graph for ``project``."""
     edges: Dict[str, Set[Tuple[str, str]]] = {}
+    passed_in = _parameter_call_edges(project)
     for qualname in sorted(project.functions):
         info = project.functions[qualname]
-        collected: Set[Tuple[str, str]] = set()
-        for node in ast.walk(info.node):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not info.node:
-                continue  # nested defs are their own graph nodes
-            if isinstance(node, ast.Call):
-                for callee, tier in resolve_call(project, info.module, info, node):
-                    if callee != qualname:
-                        collected.add((callee, tier))
+        collected: Set[Tuple[str, str]] = {
+            (callee, FUZZY) for callee in passed_in.get(qualname, ()) if callee != qualname
+        }
+        for node in _own_calls(info):
+            for callee, tier in resolve_call(project, info.module, info, node):
+                if callee != qualname:
+                    collected.add((callee, tier))
         # A direct edge subsumes a fuzzy edge to the same callee.
         directs = {callee for callee, tier in collected if tier == DIRECT}
         collected = {

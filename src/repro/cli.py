@@ -40,7 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.common.exceptions import ConfigurationError
 from repro.core import ALGORITHMS, BACKENDS, make_algorithm
@@ -59,10 +59,29 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=1,
-                        help="split the assignment phase across this many "
-                             "shards, run on threads in-process; requires "
+                        help="split the fit's row work (seeding, assignment, "
+                             "refinement) across this many shards, run on "
+                             "threads in-process; requires "
                              "--backend vectorized and results stay "
                              "bit-identical (see docs/sharding.md)")
+
+
+#: ``--algorithms`` defaults, before filtering by --backend and --shards
+COMPARE_ALGORITHMS = ("lloyd", "yinyang", "index", "unik")
+BENCH_ALGORITHMS = ("lloyd", "hamerly", "yinyang")
+
+
+def _algorithm_names(args: argparse.Namespace, default: Sequence[str]) -> List[str]:
+    """The ``--algorithms`` list, else the names of ``default`` that
+    ``make_algorithm`` builds under ``--backend`` and ``--shards``.
+
+    When it builds none of them (a bad shard count), the whole default
+    comes back, so the argument check reports ``make_algorithm``'s error.
+    """
+    if args.algorithms is not None:
+        return [name.strip() for name in args.algorithms.split(",") if name.strip()]
+    names = [name for name in default if _check_algorithm_arguments(args, [name]) is None]
+    return names or list(default)
 
 
 def _check_algorithm_arguments(args: argparse.Namespace, names) -> Optional[str]:
@@ -142,7 +161,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
+    names = _algorithm_names(args, COMPARE_ALGORITHMS)
     if "lloyd" not in names:
         # speedup_table needs the Lloyd baseline; it runs on the selected
         # backend like everything else, so vectorized comparisons measure
@@ -230,7 +249,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.eval.parallel import parallel_compare
     from repro.eval.runtime import is_failed_record
 
-    names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
+    names = _algorithm_names(args, BENCH_ALGORITHMS)
     if args.resume and not args.log:
         print("--resume requires --log (the checkpoint to resume from)",
               file=sys.stderr)
@@ -467,7 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="compare algorithms on one dataset")
     _add_data_arguments(compare)
-    compare.add_argument("--algorithms", default="lloyd,yinyang,index,unik")
+    compare.add_argument("--algorithms", default=None,
+                         help="comma-separated names; default: those of "
+                              f"{','.join(COMPARE_ALGORITHMS)} that --backend "
+                              "and --shards support")
     _add_backend_argument(compare)
     _add_shard_arguments(compare)
     compare.add_argument("--k", type=int, default=10)
@@ -498,7 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--datasets", default="Skin",
                        help="comma-separated registry dataset names")
-    bench.add_argument("--algorithms", default="lloyd,hamerly,yinyang")
+    bench.add_argument("--algorithms", default=None,
+                       help="comma-separated names; default: those of "
+                            f"{','.join(BENCH_ALGORITHMS)} that --backend "
+                            "and --shards support")
     _add_backend_argument(bench)
     _add_shard_arguments(bench)
     bench.add_argument("--ks", default="4", help="comma-separated k values")

@@ -107,8 +107,8 @@ def make_algorithm(
     ``make_algorithm("yinyang", backend="vectorized", t=4)``.
 
     ``shards > 1`` selects the sharded execution engine
-    (``repro.exec.sharded``): the assignment phase fans out across
-    concurrent shard threads with deterministic rank-order merging —
+    (``repro.exec.sharded``): seeding, assignment and refinement fan out
+    across concurrent shard threads, each split exactly —
     bit-identical to the single-process vectorized backend, and failing
     with the same exception it would.  Requires ``backend="vectorized"``
     (the shard kernels *are* the vectorized kernels) and an algorithm in

@@ -56,8 +56,10 @@ class KMeansAlgorithm(abc.ABC):
     Subclasses implement :meth:`_assign` (one assignment pass over the data
     given ``self._centroids``, writing ``self._labels``) and may override
     :meth:`_setup` (precomputation: index build, norm tables, ...),
-    :meth:`_update_bounds` (drift-correct stored bounds after refinement)
-    and :meth:`_refine` (only UniK replaces it, for sum-vector refinement).
+    :meth:`_seed` (initial centroids), :meth:`_update_bounds`
+    (drift-correct stored bounds after refinement), :meth:`_cluster_sums`
+    (the ``rescan`` scatter-add) and :meth:`_refine` (only UniK replaces
+    it, for sum-vector refinement).
     """
 
     #: registry name, overridden by subclasses
@@ -144,13 +146,7 @@ class KMeansAlgorithm(abc.ABC):
                         f"got {centroids.shape}"
                     )
             else:
-                # Seeding runs on the algorithm's own backend; the vectorized
-                # initializer is bit-identical under the same RNG stream
-                # (docs/backends.md, "seeding parity"), so both backends
-                # still start from the same centroids.
-                centroids = initialize_centroids(
-                    self.X, self.k, init, seed=rng, backend=self.backend
-                )
+                centroids = self._seed(init, rng)
         self._centroids = centroids
         self._labels = np.full(n, -1, dtype=np.intp)
         self._sums = np.zeros((self.k, d))
@@ -223,6 +219,16 @@ class KMeansAlgorithm(abc.ABC):
     def _setup(self) -> None:
         """Pre-clustering work: index construction, norm tables, bounds."""
 
+    def _seed(self, init: str, rng: np.random.Generator) -> np.ndarray:
+        """Initial ``(k, d)`` centroids drawn by method ``init`` from ``rng``.
+
+        Seeding runs on the algorithm's own backend; the vectorized
+        initializer is bit-identical under the same RNG stream
+        (docs/backends.md, "seeding parity"), so both backends still start
+        from the same centroids.
+        """
+        return initialize_centroids(self.X, self.k, init, seed=rng, backend=self.backend)
+
     @abc.abstractmethod
     def _assign(self, iteration: int) -> None:
         """One assignment pass: update ``self._labels`` in place."""
@@ -243,7 +249,7 @@ class KMeansAlgorithm(abc.ABC):
         if self.refinement == "rescan":
             # Zero-base scatter-add: bincount is bitwise-identical to the
             # previous fill(0) + np.add.at and ~3x faster (repro.core.refinement).
-            self._sums[:] = accumulate_cluster_sums(self.X, self._labels, self.k)
+            self._sums[:] = self._cluster_sums()
             self._counts = np.bincount(self._labels, minlength=self.k).astype(np.intp)
             self.counters.add_point_accesses(len(self.X))
         elif self.refinement == "delta":
@@ -269,6 +275,14 @@ class KMeansAlgorithm(abc.ABC):
         nonempty = self._counts > 0
         new_centroids[nonempty] = self._sums[nonempty] / self._counts[nonempty, None]
         return new_centroids
+
+    def _cluster_sums(self) -> np.ndarray:
+        """Zero-base per-cluster sums of every row, for ``rescan`` refinement.
+
+        Any override must be bitwise equal to
+        :func:`~repro.core.refinement.accumulate_cluster_sums`.
+        """
+        return accumulate_cluster_sums(self.X, self._labels, self.k)
 
     # ------------------------------------------------------------------
     # Shared helpers for subclasses.

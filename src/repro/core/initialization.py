@@ -40,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.common.distance import (
+    NEAREST_BLOCK_ROWS,
     centroid_scores,
     certificate_margin,
     paired_sq_distances,
@@ -80,6 +81,8 @@ def init_kmeans_plus_plus(
     seed: SeedLike = None,
     counters: Optional[OpCounters] = None,
     backend: str = "reference",
+    *,
+    update_rows: Optional[Callable[..., None]] = None,
 ) -> np.ndarray:
     """k-means++ seeding: each next centroid sampled ∝ squared distance.
 
@@ -88,6 +91,13 @@ def init_kmeans_plus_plus(
     product and evaluates exactly only the rows the score cannot clear;
     picks, centroids and counter totals are identical to the reference
     under the same seed (see module docstring).
+
+    ``update_rows`` is an internal seam for the sharded engine
+    (``repro.exec.sharded``): it replaces the vectorized D² update over
+    the whole row range, with the signature of
+    :func:`_update_closest_sq_certified`, and must leave ``closest_sq``
+    as that kernel would.  The sampling stays here, on the caller's
+    thread.  ``None`` (the default) runs the whole row range inline.
     """
     _check_backend(backend)
     X = check_data_matrix(X)
@@ -97,7 +107,7 @@ def init_kmeans_plus_plus(
     centroids = np.empty((k, X.shape[1]))
     first = int(rng.integers(0, n))
     centroids[0] = X[first]
-    update = _closest_sq_update(X, backend)
+    update = _closest_sq_update(X, backend, update_rows)
     closest_sq = np.full(n, np.inf)
     update(X, centroids[0], closest_sq, counters)
     for j in range(1, k):
@@ -113,14 +123,21 @@ def init_kmeans_plus_plus(
     return centroids
 
 
-def _closest_sq_update(X: np.ndarray, backend: str) -> Callable[..., None]:
-    """The D² update of ``backend``: ``update(X, centroid, closest_sq, counters)``."""
+def _closest_sq_update(
+    X: np.ndarray, backend: str, certified: Optional[Callable[..., None]] = None
+) -> Callable[..., None]:
+    """The D² update of ``backend``: ``update(X, centroid, closest_sq, counters)``.
+
+    The vectorized backend runs ``certified`` (default
+    :func:`_update_closest_sq_certified`; the sharded engine passes a
+    fan-out of it over row ranges) with the per-row norm bound.
+    """
     if backend == "reference":
         return _update_closest_sq_reference
     x_sq = sq_norms(X)
     with np.errstate(invalid="ignore"):  # an overflowed |x|² gives NaN
         x_lower = x_sq - certificate_margin(x_sq, 0.0, X.shape[1])
-    return partial(_update_closest_sq_certified, x_lower=x_lower)
+    return partial(certified or _update_closest_sq_certified, x_lower=x_lower)
 
 
 def _update_closest_sq_reference(
@@ -168,6 +185,11 @@ def _update_closest_sq_certified(
     The scores are numerics of the skip, not the paper's cost model, so
     they are uncounted; the charge stays ``n`` distances and ``n`` point
     accesses per update, as for the reference.
+
+    The exact rows are evaluated in blocks of ``NEAREST_BLOCK_ROWS``, so
+    the gathered rows and their differences stay two block-sized arrays
+    even when every row is evaluated (the first update); each row's bits
+    do not depend on its block.
     """
     if counters is not None:
         counters.add_point_accesses(len(X))
@@ -178,9 +200,11 @@ def _update_closest_sq_certified(
         lower += x_lower
         lower -= certificate_margin(0.0, c_sq, X.shape[1])
         rows = np.flatnonzero(~((lower >= closest_sq) & (lower < np.inf)))
-    new_sq = paired_sq_distances(X[rows], centroid)
-    better = new_sq < closest_sq[rows]
-    closest_sq[rows[better]] = new_sq[better]
+    for start in range(0, len(rows), NEAREST_BLOCK_ROWS):
+        block = rows[start:start + NEAREST_BLOCK_ROWS]
+        new_sq = paired_sq_distances(X[block], centroid)
+        better = new_sq < closest_sq[block]
+        closest_sq[block[better]] = new_sq[better]
 
 
 _INIT_METHODS = {
@@ -206,11 +230,16 @@ def initialize_centroids(
     backend: str = "reference",
 ) -> np.ndarray:
     """Dispatch to an initialization method by name."""
+    func = initialization_method(method)
+    return func(X, k, seed=seed, counters=counters, backend=backend)
+
+
+def initialization_method(method: str) -> Callable[..., np.ndarray]:
+    """The initializer registered under ``method`` (case-insensitive)."""
     try:
-        func = _INIT_METHODS[method.lower()]
+        return _INIT_METHODS[method.lower()]
     except KeyError:
         known = ", ".join(sorted(set(_INIT_METHODS)))
         raise ConfigurationError(
             f"unknown initialization {method!r}; known methods: {known}"
         ) from None
-    return func(X, k, seed=seed, counters=counters, backend=backend)

@@ -6,6 +6,9 @@ backends (and UniK's incremental variant) share one implementation:
 
 * :func:`accumulate_cluster_sums` — per-cluster point sums via a flattened
   ``np.bincount`` scatter-add;
+* :func:`accumulate_column_sums` — the same sums for a block of columns,
+  from a transposed copy of the points, which lets the sharded engine
+  split the scatter-add by column;
 * :func:`centroid_drifts` — per-centroid movement after refinement (the
   quantity every bound-update rule of Section 4 consumes).
 
@@ -45,6 +48,24 @@ def accumulate_cluster_sums(
     flat_idx = (labels[:, None] * d + np.arange(d)).ravel()
     flat = np.bincount(flat_idx, weights=X.ravel(), minlength=k * d)
     return flat.reshape(k, d)
+
+
+def accumulate_column_sums(
+    xt_cols: np.ndarray, labels: np.ndarray, k: int, out: np.ndarray
+) -> None:
+    """Per-cluster sums of a block of columns, written into ``out``.
+
+    ``xt_cols`` is a ``(c, n)`` block of rows of the contiguous
+    transposed point matrix, ``out`` a ``(k, c)`` view of the matching
+    columns of the sums.  Each column is one ``np.bincount`` over the
+    labels, which folds every bucket in ascending row order from zero:
+    ``out[:, j]`` is bitwise equal to column ``j`` of
+    :func:`accumulate_cluster_sums` (and of ``np.add.at``).  A split of
+    the columns is therefore exact, unlike a merge of partial sums over
+    row ranges.
+    """
+    for j, column in enumerate(xt_cols):
+        out[:, j] = np.bincount(labels, weights=column, minlength=k)
 
 
 def centroid_drifts(new_centroids: np.ndarray, old_centroids: np.ndarray) -> np.ndarray:

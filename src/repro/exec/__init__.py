@@ -1,9 +1,10 @@
 """Execution engines layered above the core algorithms.
 
-``repro.exec.sharded`` runs vectorized Lloyd's assignment phase
-concurrently on shard threads against the fitting process's own arrays,
-with deterministic bit-identical merging; a failing shard fails the fit
-exactly as the single-process fit would.  See docs/sharding.md.
+``repro.exec.sharded`` runs vectorized Lloyd's row work — k-means++
+D² updates, assignment and the ``rescan`` scatter-add — concurrently on
+shard threads against the fitting process's own arrays, split so the fit
+stays bit-identical; a failing shard fails the fit exactly as the
+single-process fit would.  See docs/sharding.md.
 """
 
 from repro.exec.sharded import (

@@ -91,3 +91,63 @@ class TestDirectEffects:
         # Effects are direct: the caller in the cycle is not labeled.
         assert not direct.get("repro.core.a.mutate_again")
         assert not direct.get("repro.core.b.helper")
+
+
+_CALLABLE_ARGUMENTS = {
+    "src/repro/exec/fan.py": """\
+        import threading
+
+        def stride(work, first):
+            work(first)
+
+        def run(work):
+            thread = threading.Thread(target=stride, args=(work, 1))
+            thread.start()
+            stride(work, 0)
+            thread.join()
+
+        def by_thread_only(work):
+            threading.Thread(target=stride, args=(work, 1)).start()
+
+        def kernel(rank):
+            return rank
+
+        def lone(rank):
+            return rank
+
+        class Fit:
+            def go(self):
+                run(self.part)
+                by_thread_only(lambda rank: kernel(rank))
+
+            def part(self, rank):
+                return rank
+        """,
+}
+
+
+class TestCallableArguments:
+    """A call on a parameter reaches every function passed in for it."""
+
+    def _graph(self):
+        modules = {
+            path: ParsedModule.parse(path, textwrap.dedent(source))
+            for path, source in _CALLABLE_ARGUMENTS.items()
+        }
+        return build_call_graph(load_project(modules))
+
+    def test_forwarded_arguments_reach_the_caller_of_the_parameter(self):
+        graph = self._graph()
+        callees = set(graph.callees("repro.exec.fan.stride", fuzzy=True))
+        # self.part through run's parameter; kernel through a lambda
+        # handed over in a Thread's args.
+        assert callees == {"repro.exec.fan.Fit.part", "repro.exec.fan.kernel"}
+
+    def test_edges_are_fuzzy_only(self):
+        graph = self._graph()
+        assert graph.callees("repro.exec.fan.stride") == []
+
+    def test_functions_never_passed_stay_unreached(self):
+        graph = self._graph()
+        reached = graph.reachable(["repro.exec.fan.stride"], fuzzy=True)
+        assert "repro.exec.fan.lone" not in reached

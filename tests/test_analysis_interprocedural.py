@@ -214,6 +214,45 @@ class TestParallelSafety:
         assert "'remember'" in finding.message
         assert "DirtyShards._assign_shard" in finding.message
 
+    def test_work_callable_handed_to_the_target_is_followed(self, tmp_path):
+        # The target calls a per-rank ``work`` callable it was handed
+        # through the runner's parameter: R007 follows the argument back
+        # to the bound methods passed in and flags the one that mutates.
+        report = run_fixture(tmp_path, {
+            "src/repro/exec/work.py": """\
+                import threading
+
+                SEEN = []
+
+                def remember(rows):
+                    SEEN.append(rows)
+
+                def stride(work, first):
+                    work(first, None)
+
+                def run_shards(work):
+                    thread = threading.Thread(target=stride, args=(work, 1))
+                    thread.start()
+                    stride(work, 0)
+                    thread.join()
+
+                class Fit:
+                    def fit(self):
+                        run_shards(self._clean_pass)
+                        run_shards(self._dirty_pass)
+
+                    def _clean_pass(self, rank, counters):
+                        return rank
+
+                    def _dirty_pass(self, rank, counters):
+                        remember(rank)
+                """,
+        }, ["R007"])
+        assert len(report.findings) == 1
+        finding = report.findings[0]
+        assert "'remember'" in finding.message
+        assert "Fit._dirty_pass" in finding.message
+
 
 # ----------------------------------------------------------------------
 # R008 — transitive-uncounted-distance

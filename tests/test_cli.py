@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import ALGORITHMS
 from repro.datasets.loaders import read_jsonl, save_points_csv
 
 
@@ -107,6 +108,22 @@ class TestCompareCommand:
             err = capsys.readouterr().err
             assert f"algorithm {name!r} has no vectorized implementation" in err
 
+    @pytest.mark.parametrize(
+        "backend_args, ran",
+        (
+            (["--backend", "vectorized"], {"lloyd", "yinyang"}),
+            (["--backend", "vectorized", "--shards", "2"], {"lloyd"}),
+        ),
+        ids=("vectorized", "sharded"),
+    )
+    def test_default_algorithms_follow_backend(self, backend_args, ran, capsys):
+        code = main(["compare", "--dataset", "Skin", "--n", "200", "--k", "3",
+                     "--max-iter", "2", "--repeats", "1", *backend_args])
+        assert code == 0
+        rows = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if line.split() and line.split()[0] in ALGORITHMS}
+        assert rows == ran
+
     def test_vectorized_backend_runs_lloyd_baseline(self, capsys):
         # Lloyd is vectorized now: the implicit baseline runs on the
         # selected backend, and the header names that backend.
@@ -158,6 +175,19 @@ class TestBenchCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "2 ok" in out and "0 failed" in out
+
+    @pytest.mark.parametrize(
+        "backend_args, ran",
+        (
+            (["--backend", "vectorized"], 2),
+            (["--backend", "vectorized", "--shards", "2"], 1),
+        ),
+        ids=("vectorized", "sharded"),
+    )
+    def test_default_algorithms_follow_backend(self, backend_args, ran, capsys):
+        code = main(self.BASE + backend_args)
+        assert code == 0
+        assert f"{ran} ok" in capsys.readouterr().out
 
     def test_unknown_algorithm_exits_two(self, capsys):
         code = main(self.BASE + ["--algorithms", "lloyd,nope"])

@@ -27,6 +27,7 @@ from repro.common.blas import available_cores, get_blas_threads
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.core import VECTORIZED_ALGORITHMS, make_algorithm
 from repro.core.initialization import init_kmeans_plus_plus
+from repro.core.refinement import accumulate_cluster_sums, accumulate_column_sums
 from repro.datasets import make_blobs
 from repro.eval.harness import run_algorithm
 from repro.eval.parallel import parallel_compare
@@ -103,12 +104,102 @@ class TestBitIdentity:
         assert_results_identical(got, want, context=f"{name}/shards={shards}")
         assert got.extras["shards"] == shards
 
+    @pytest.mark.parametrize("shards", (2, 3, 4, 5))
+    def test_seeded_fit_matches_vectorized(self, shards, seeded_task, monkeypatch):
+        # k-means++ on the shard threads: every D² update runs once per
+        # shard, and n = 2003 splits unevenly for every shard count.
+        X, k = seeded_task
+        real = sharded._update_closest_sq_certified
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sharded, "_update_closest_sq_certified", spy)
+        want = VECTORIZED_ALGORITHMS["lloyd"]().fit(X, k, seed=4, max_iter=30)
+        got = SHARDED_ALGORITHMS["lloyd"](shards=shards).fit(X, k, seed=4, max_iter=30)
+        assert_results_identical(got, want, context=f"seeded/shards={shards}")
+        assert len(calls) == k * shards
+
+    @pytest.mark.parametrize(
+        "knobs, fit_kwargs",
+        (({"refinement": "delta"}, {}), ({}, {"init": "random"})),
+        ids=("delta", "random-init"),
+    )
+    def test_seeded_variants_match_vectorized(self, knobs, fit_kwargs, seeded_task):
+        X, k = seeded_task
+        want = VECTORIZED_ALGORITHMS["lloyd"](**knobs).fit(
+            X, k, seed=9, max_iter=30, **fit_kwargs
+        )
+        got = SHARDED_ALGORITHMS["lloyd"](shards=3, **knobs).fit(
+            X, k, seed=9, max_iter=30, **fit_kwargs
+        )
+        assert_results_identical(got, want, context=f"seeded/{knobs}/{fit_kwargs}")
+
+    def test_fewer_columns_than_shards(self):
+        # d = 2 columns over 5 shards: three shards sum no column.
+        X, _ = make_blobs(301, 2, 3, seed=2)
+        want = VECTORIZED_ALGORITHMS["lloyd"]().fit(X, 4, seed=1, max_iter=20)
+        got = SHARDED_ALGORITHMS["lloyd"](shards=5).fit(X, 4, seed=1, max_iter=20)
+        assert_results_identical(got, want, context="d < shards")
+
     def test_more_shards_than_rows_clamps(self):
         X, _ = make_blobs(6, 2, 2, seed=1)
         result = SHARDED_ALGORITHMS["lloyd"](shards=50).fit(
             X, 2, max_iter=5, seed=0
         )
         assert result.extras["shards"] == 6
+
+
+class TestColumnSums:
+    """The column-split scatter-add equals the flat kernel bitwise."""
+
+    @staticmethod
+    def column_split(X, labels, k, ranks):
+        xt = np.ascontiguousarray(X.T)
+        sums = np.full((k, X.shape[1]), np.nan)
+        for lo, hi in shard_bounds(X.shape[1], ranks):
+            accumulate_column_sums(xt[lo:hi], labels, k, sums[:, lo:hi])
+        return sums
+
+    @staticmethod
+    def add_at(X, labels, k):
+        out = np.zeros((k, X.shape[1]))
+        np.add.at(out, labels, X)
+        return out
+
+    @pytest.mark.parametrize("ranks", (1, 2, 3, 8))
+    def test_matches_flat_kernel_and_add_at(self, ranks):
+        # ranks = 8 leaves ranks with no column at every d below.
+        rng = np.random.default_rng(11)
+        for n, d, k in [(1000, 7, 9), (257, 1, 3), (64, 16, 64)]:
+            X = rng.normal(size=(n, d)) * rng.lognormal(size=(n, 1))
+            labels = rng.integers(0, k, size=n)
+            got = self.column_split(X, labels, k, ranks)
+            assert got.tobytes() == accumulate_cluster_sums(X, labels, k).tobytes()
+            assert got.tobytes() == self.add_at(X, labels, k).tobytes()
+
+    def test_row_order_fold(self):
+        # docs/sharding.md's example: the full fold of [1.0, 1.0, 1e16]
+        # keeps both ones; a merge of the partial sums [1.0] | [1.0, 1e16]
+        # would lose them.  One column over two ranks: rank 1 gets none.
+        X = np.array([[1.0], [1.0], [1e16]])
+        labels = np.zeros(3, dtype=np.intp)
+        got = self.column_split(X, labels, 1, 2)
+        assert got.tobytes() == accumulate_cluster_sums(X, labels, 1).tobytes()
+        assert got.tobytes() == self.add_at(X, labels, 1).tobytes()
+        assert got[0, 0] == 1.0000000000000002e16
+        assert X[0, 0] + (X[1, 0] + X[2, 0]) == 1e16
+
+    def test_empty_clusters_are_zero(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 5))
+        labels = rng.choice(np.array([0, 2, 5]), size=200)
+        got = self.column_split(X, labels, 7, 2)
+        assert got.tobytes() == accumulate_cluster_sums(X, labels, 7).tobytes()
+        assert got.tobytes() == self.add_at(X, labels, 7).tobytes()
+        assert not got[[1, 3, 4, 6]].any()
 
 
 class TestGoldenReplay:
@@ -139,10 +230,45 @@ class TestGoldenReplay:
 
 
 @pytest.fixture(scope="module")
+def seeded_task():
+    X, _ = make_blobs(2003, 5, 6, seed=11)
+    return X, 8
+
+
+@pytest.fixture(scope="module")
 def chaos_task():
     X, _ = make_blobs(120, 4, 4, seed=7)
     C0 = init_kmeans_plus_plus(X, 4, seed=0)
     return X, 4, C0
+
+
+#: per fit phase on the shard threads: the kernel its pass calls, and
+#: whether the fit seeds (k-means++) or starts from given centroids
+PHASES = {
+    "seed": ("_update_closest_sq_certified", True),
+    "assign": ("lloyd_assign_rows", False),
+    "refine": ("accumulate_column_sums", False),
+}
+
+
+def phase_fit(algorithm, phase, task, max_iter=4):
+    X, k, C0 = task
+    if PHASES[phase][1]:
+        return algorithm.fit(X, k, seed=0, max_iter=max_iter)
+    return algorithm.fit(X, k, initial_centroids=C0, max_iter=max_iter)
+
+
+def shard_rank(phase, X, rows, shards):
+    """The rank whose slice ``rows`` is: rows of X, or (refine) of X.T."""
+    whole, n = (rows.base, X.shape[1]) if phase == "refine" else (X, len(X))
+    offset = (
+        rows.__array_interface__["data"][0] - whole.__array_interface__["data"][0]
+    ) // whole.strides[0]
+    (rank,) = [
+        r for r, (lo, hi) in enumerate(shard_bounds(n, shards))
+        if lo == offset and hi - lo == len(rows)
+    ]
+    return rank
 
 
 class TestInlineRunner:
@@ -173,61 +299,63 @@ class TestInlineRunner:
         )
         assert_results_identical(got, want, context="inline/barrier")
 
-    def test_inline_joins_every_shard_before_raising(self, chaos_task, monkeypatch):
+    @pytest.mark.parametrize("phase", sorted(PHASES))
+    def test_inline_joins_every_shard_before_raising(self, phase, chaos_task, monkeypatch):
         # Shard 0's kernel fails at once while the others are still in
         # theirs: the fit may only raise after every shard has finished,
         # so no thread writes state once the fit is over, and it raises
         # the shard's own exception, as the unsharded fit would.
-        X, k, C0 = chaos_task
-        real = sharded.lloyd_assign_rows
+        X = chaos_task[0]
+        kernel = PHASES[phase][0]
+        real = getattr(sharded, kernel)
         finished = []
 
-        def spy(X_rows, *args):
-            if np.shares_memory(X_rows, X[:40]):
+        def spy(rows, *args, **kwargs):
+            if shard_rank(phase, X, rows, 3) == 0:
                 raise RuntimeError("shard 0 fails first")
             time.sleep(0.2)
-            out = real(X_rows, *args)
-            finished.append(len(X_rows))
+            out = real(rows, *args, **kwargs)
+            finished.append(len(rows))
             return out
 
-        monkeypatch.setattr(sharded, "lloyd_assign_rows", spy)
+        monkeypatch.setattr(sharded, kernel, spy)
         algorithm = SHARDED_ALGORITHMS["lloyd"](shards=3)
         with pytest.raises(RuntimeError, match="shard 0 fails first") as excinfo:
-            algorithm.fit(X, k, initial_centroids=C0, max_iter=4)
+            phase_fit(algorithm, phase, chaos_task)
         assert type(excinfo.value) is RuntimeError
-        assert finished == [40, 40]
+        assert finished == ([1, 1] if phase == "refine" else [40, 40])
         assert not any(
             t.name.startswith("repro-shard") for t in threading.enumerate()
         )
 
-    def test_inline_lowest_rank_failure_is_raised(self, chaos_task, monkeypatch):
+    @pytest.mark.parametrize("phase", sorted(PHASES))
+    def test_inline_lowest_rank_failure_is_raised(self, phase, chaos_task, monkeypatch):
         # Every shard fails, shard 0 last in time: the fit raises shard
         # 0's exception, not the first one to happen.
-        X, k, C0 = chaos_task
-        ranges = shard_bounds(len(X), 3)
+        X = chaos_task[0]
 
-        def spy(X_rows, *args):
-            (rank,) = [
-                r for r, (lo, hi) in enumerate(ranges)
-                if np.shares_memory(X_rows, X[lo:hi])
-            ]
+        def spy(rows, *args, **kwargs):
+            rank = shard_rank(phase, X, rows, 3)
             if rank == 0:
                 time.sleep(0.2)
             raise RuntimeError(f"shard {rank} fails")
 
-        monkeypatch.setattr(sharded, "lloyd_assign_rows", spy)
+        monkeypatch.setattr(sharded, PHASES[phase][0], spy)
         with pytest.raises(RuntimeError, match="shard 0 fails"):
-            SHARDED_ALGORITHMS["lloyd"](shards=3).fit(
-                X, k, initial_centroids=C0, max_iter=4
-            )
+            phase_fit(SHARDED_ALGORITHMS["lloyd"](shards=3), phase, chaos_task)
 
-    def test_inline_many_shards_under_fast_switching(self, task):
+    def test_inline_many_shards_under_fast_switching(self, task, seeded_task):
         # More shards than cores with a tiny switch interval: a lost
-        # result slot or a torn row range shows as a diverging model or
+        # result slot or a torn row or column range, in seeding,
+        # assignment or refinement, shows as a diverging model or
         # counter total.
         X, k, C0, max_iter = task
+        X_seeded, k_seeded = seeded_task
         want = VECTORIZED_ALGORITHMS["lloyd"]().fit(
             X, k, initial_centroids=C0, max_iter=max_iter
+        )
+        want_seeded = VECTORIZED_ALGORITHMS["lloyd"]().fit(
+            X_seeded, k_seeded, seed=2, max_iter=max_iter
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -235,9 +363,13 @@ class TestInlineRunner:
             got = SHARDED_ALGORITHMS["lloyd"](shards=8).fit(
                 X, k, initial_centroids=C0, max_iter=max_iter
             )
+            got_seeded = SHARDED_ALGORITHMS["lloyd"](shards=8).fit(
+                X_seeded, k_seeded, seed=2, max_iter=max_iter
+            )
         finally:
             sys.setswitchinterval(interval)
         assert_results_identical(got, want, context="inline/switching")
+        assert_results_identical(got_seeded, want_seeded, context="inline/switching/seeded")
 
     def test_inline_runner_reports_no_ipc(self, task):
         X, k, C0, _ = task
@@ -289,17 +421,19 @@ class TestBlasBudget:
         assert result.extras["blas_threads"] is None
         assert get_blas_threads() == live
 
-    def test_count_restored_after_a_shard_raises(self, live, chaos_task, monkeypatch):
-        X, k, C0 = chaos_task
-
-        def spy(X_rows, *args):
+    @pytest.mark.parametrize("phase", sorted(PHASES))
+    def test_count_restored_after_a_shard_raises(self, phase, live, chaos_task, monkeypatch):
+        def spy(*args, **kwargs):
             raise RuntimeError("shard fails")
 
-        monkeypatch.setattr(sharded, "lloyd_assign_rows", spy)
+        monkeypatch.setattr(sharded, PHASES[phase][0], spy)
         with pytest.raises(RuntimeError, match="shard fails"):
-            SHARDED_ALGORITHMS["lloyd"](shards=2).fit(X, k, initial_centroids=C0, max_iter=4)
+            phase_fit(SHARDED_ALGORITHMS["lloyd"](shards=2), phase, chaos_task)
         assert get_blas_threads() == live
         assert blas._holders == 0
+        assert not any(
+            t.name.startswith("repro-shard") for t in threading.enumerate()
+        )
 
     def test_count_restored_after_concurrent_fits(self, live, task):
         # Two sharded fits in two threads enter and leave the budget in
@@ -375,8 +509,9 @@ class TestWiring:
 
     def test_shard_threads_reach_every_row_kernel(self):
         # R007 lints what the shard threads run by walking the live call
-        # graph, fuzzy edges included, from their Thread target; the row
-        # kernel a shard pass calls must be on that walk.
+        # graph, fuzzy edges included, from their Thread target; the
+        # kernel each shard pass calls must be on that walk, through the
+        # per-rank ``work`` callable the target is handed.
         project, graph, _ = load_project_from_paths(
             [REPO_ROOT / "src"], root=REPO_ROOT
         )
@@ -385,7 +520,11 @@ class TestWiring:
             if site.module == "repro.exec.sharded"
         ]
         reached = graph.reachable([site.root], fuzzy=True)
-        assert {"repro.core.vectorized.lloyd_assign_rows"} <= set(reached)
+        assert {
+            "repro.core.vectorized.lloyd_assign_rows",
+            "repro.core.initialization._update_closest_sq_certified",
+            "repro.core.refinement.accumulate_column_sums",
+        } <= set(reached)
 
 
 class TestHarnessIntegration:
