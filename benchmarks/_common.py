@@ -68,6 +68,5 @@ def guarded_compare(specs, X, k, **kwargs):
     from repro.eval.runtime import is_failed_record
 
     kwargs.setdefault("timeout", CELL_TIMEOUT)
-    kwargs.setdefault("retries", 1)
     records = parallel_compare(specs, X, k, **kwargs)
     return [record for record in records if not is_failed_record(record)]

@@ -18,9 +18,8 @@ Commands
     against the BDT baseline, and print per-task predictions.
 ``bench``
     Run a fault-tolerant benchmark campaign over datasets × k values ×
-    algorithms with per-run timeouts, transient-failure retries,
-    checkpoint/resume against a JSONL log, and an optional deterministic
-    chaos mode (``--inject-faults``); failed cells are recorded, not
+    algorithms with per-run timeouts, crash containment and
+    checkpoint/resume against a JSONL log; failed cells are recorded, not
     fatal (see docs/robustness.md).
 ``lint``
     Run the repo-contract static analyzer (R001–R010) over source trees
@@ -48,6 +47,30 @@ from repro.datasets import dataset_names, get_dataset_spec, load_dataset
 from repro.datasets.loaders import append_jsonl, load_points_csv
 from repro.eval import compare_algorithms, format_table, speedup_table
 from repro.eval.tables import format_speedup_rows
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=`` for durations that must be > 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse ``type=`` for durations that may be 0."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
@@ -104,7 +127,7 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
                         help="registry dataset name, or a CSV path with --csv")
     parser.add_argument("--csv", action="store_true",
                         help="treat --dataset as a CSV file of points")
-    parser.add_argument("--n", type=int, default=None,
+    parser.add_argument("--n", type=_positive_int, default=None,
                         help="surrogate point count (registry datasets only)")
     parser.add_argument("--seed", type=int, default=0)
 
@@ -243,8 +266,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.common.exceptions import ReproError
-    from repro.eval.faults import FaultPlan, corrupt_jsonl_tail
     from repro.eval.logdb import EvaluationLog
     from repro.eval.parallel import parallel_compare
     from repro.eval.runtime import is_failed_record
@@ -259,10 +280,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     try:
-        plan = FaultPlan.parse(args.inject_faults) if args.inject_faults else None
         datasets = [d.strip() for d in args.datasets.split(",") if d.strip()]
         ks = [int(k) for k in args.ks.split(",")]
-    except (ReproError, ValueError) as exc:
+        if min(ks) < 1:
+            raise ValueError(f"--ks values must be >= 1, got {args.ks!r}")
+    except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return 2
     log = EvaluationLog(args.log) if args.log else EvaluationLog()
@@ -275,16 +297,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 names, X, k,
                 repeats=args.repeats, max_iter=args.max_iter, seed=args.seed,
                 max_workers=args.max_workers, timeout=args.timeout,
-                retries=args.retries, dataset=dataset, log=log,
-                resume=args.resume, fault_plan=plan, backend=args.backend,
-                shards=args.shards, save_model=args.save_model,
+                dataset=dataset, log=log, resume=args.resume,
+                backend=args.backend, shards=args.shards,
+                save_model=args.save_model,
             )
             for record in records:
                 if is_failed_record(record):
                     failed_count += 1
                     rows.append([
                         dataset, k, record.key.algorithm, "FAILED",
-                        f"{record.error_type} x{record.attempts}",
+                        record.error_type,
                     ])
                 else:
                     resumed = bool(record.extras.get("resumed"))
@@ -295,12 +317,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                         "resumed" if resumed else "ok",
                         round(record.total_time, 4),
                     ])
-    if plan is not None and plan.wants_log_corruption() and log.path is not None:
-        # Log-level chaos: truncate the tail like a crash mid-append would,
-        # to exercise the quarantine/recovery path on the next load.
-        corrupt_jsonl_tail(log.path)
-        print(f"injected log corruption: truncated tail of {log.path}",
-              file=sys.stderr)
     print(format_table(
         ["dataset", "k", "algorithm", "status", "time/error"], rows,
         title=(f"bench: {ok_count} ok ({resumed_count} resumed), "
@@ -308,7 +324,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     ))
     if failed_count and args.log:
         print(f"{failed_count} cell(s) failed; rerun with --resume --log "
-              f"{args.log} to retry only those", file=sys.stderr)
+              f"{args.log} to re-run only those", file=sys.stderr)
     return 1 if (args.strict and failed_count) else 0
 
 
@@ -476,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--algorithm", default="unik", choices=sorted(ALGORITHMS))
     _add_backend_argument(cluster)
     _add_shard_arguments(cluster)
-    cluster.add_argument("--k", type=int, default=10)
-    cluster.add_argument("--max-iter", type=int, default=10)
+    cluster.add_argument("--k", type=_positive_int, default=10)
+    cluster.add_argument("--max-iter", type=_positive_int, default=10)
     cluster.add_argument("--json", action="store_true", help="JSON output")
     cluster.add_argument("--log", default=None, help="append summary to a JSONL log")
     cluster.add_argument("--save-model", default=None, metavar="DIR",
@@ -492,17 +508,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "and --shards support")
     _add_backend_argument(compare)
     _add_shard_arguments(compare)
-    compare.add_argument("--k", type=int, default=10)
-    compare.add_argument("--max-iter", type=int, default=10)
-    compare.add_argument("--repeats", type=int, default=2)
+    compare.add_argument("--k", type=_positive_int, default=10)
+    compare.add_argument("--max-iter", type=_positive_int, default=10)
+    compare.add_argument("--repeats", type=_positive_int, default=2)
     compare.add_argument("--log", default=None)
 
     tune = sub.add_parser("tune", help="train and evaluate the UTune selector")
     tune.add_argument("--datasets", default=None, help="comma-separated registry names")
     tune.add_argument("--ks", default="5,15")
-    tune.add_argument("--n", type=int, default=600)
+    tune.add_argument("--n", type=_positive_int, default=600)
     tune.add_argument("--seed", type=int, default=0)
-    tune.add_argument("--max-iter", type=int, default=5)
+    tune.add_argument("--max-iter", type=_positive_int, default=5)
     tune.add_argument("--model", default="dt",
                       choices=["dt", "rf", "knn", "svm", "rc", "ranker"])
     tune.add_argument("--metric", default="total_time",
@@ -516,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="fault-tolerant benchmark campaign (timeouts, retries, resume, chaos)",
+        help="fault-tolerant benchmark campaign (timeouts, crash "
+             "containment, resume)",
     )
     bench.add_argument("--datasets", default="Skin",
                        help="comma-separated registry dataset names")
@@ -527,23 +544,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_argument(bench)
     _add_shard_arguments(bench)
     bench.add_argument("--ks", default="4", help="comma-separated k values")
-    bench.add_argument("--n", type=int, default=300,
+    bench.add_argument("--n", type=_positive_int, default=300,
                        help="surrogate point count per dataset")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeats", type=int, default=1)
-    bench.add_argument("--max-iter", type=int, default=5)
-    bench.add_argument("--timeout", type=float, default=None,
+    bench.add_argument("--repeats", type=_positive_int, default=1)
+    bench.add_argument("--max-iter", type=_positive_int, default=5)
+    bench.add_argument("--timeout", type=_positive_float, default=None,
                        help="wall-clock seconds per run; hung workers are killed")
-    bench.add_argument("--retries", type=int, default=0,
-                       help="extra attempts for transient failures")
-    bench.add_argument("--max-workers", type=int, default=None)
+    bench.add_argument("--max-workers", type=_positive_int, default=None)
     bench.add_argument("--log", default=None,
                        help="JSONL evaluation log (checkpoint for --resume)")
     bench.add_argument("--resume", action="store_true",
                        help="skip cells already completed in --log")
-    bench.add_argument("--inject-faults", default=None, metavar="PLAN",
-                       help="deterministic chaos, e.g. "
-                            "'transient:hamerly:1,hang:lloyd,kill:elkan'")
     bench.add_argument("--strict", action="store_true",
                        help="exit 1 when any cell failed (default: exit 0, "
                             "failures recorded)")
@@ -565,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(ALGORITHMS))
     _add_backend_argument(reg_save)
     _add_shard_arguments(reg_save)
-    reg_save.add_argument("--k", type=int, default=10)
-    reg_save.add_argument("--max-iter", type=int, default=50)
+    reg_save.add_argument("--k", type=_positive_int, default=10)
+    reg_save.add_argument("--max-iter", type=_positive_int, default=50)
     reg_list = registry_sub.add_parser("list", help="list stored entries")
     reg_list.add_argument("root", help="registry directory")
     reg_list.add_argument("--kind", default="all",
@@ -593,13 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--points", default=None, metavar="CSV",
                        help="CSV of query points (default: the --dataset "
                             "surrogate)")
-    serve.add_argument("--request-size", type=int, default=64,
+    serve.add_argument("--request-size", type=_positive_int, default=64,
                        help="points per simulated client request")
-    serve.add_argument("--batch", type=int, default=256,
+    serve.add_argument("--batch", type=_positive_int, default=256,
                        help="max requests coalesced into one kernel call")
-    serve.add_argument("--max-wait", type=float, default=0.002,
+    serve.add_argument("--max-wait", type=_non_negative_float, default=0.002,
                        help="seconds the batcher lingers for batchmates")
-    serve.add_argument("--deadline", type=float, default=None,
+    serve.add_argument("--deadline", type=_positive_float, default=None,
                        help="per-request deadline in seconds (expired "
                             "requests degrade to FailedRequest)")
     serve.add_argument("--output", default=None, metavar="FILE",

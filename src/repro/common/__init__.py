@@ -11,7 +11,6 @@ from repro.common.exceptions import (
     NotFittedError,
     ReproError,
     RunTimeoutError,
-    TransientError,
     ValidationError,
     WorkerCrashError,
 )
@@ -23,13 +22,17 @@ from repro.common.validation import (
     check_probability,
 )
 
+#: status literal that marks a failed record: a harness cell's
+#: ``FailedRun`` in the evaluation log and a serving ``FailedRequest``
+FAILED_STATUS = "failed"
+
 __all__ = [
+    "FAILED_STATUS",
     "ReproError",
     "ValidationError",
     "ConfigurationError",
     "DatasetError",
     "NotFittedError",
-    "TransientError",
     "RunTimeoutError",
     "WorkerCrashError",
     "ensure_rng",

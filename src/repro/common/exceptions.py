@@ -26,25 +26,19 @@ class NotFittedError(ReproError, RuntimeError):
     """Raised when a model is used before ``fit`` has been called."""
 
 
-class TransientError(ReproError, RuntimeError):
-    """A failure expected to clear on retry (resource pressure, injected
-    chaos, flaky I/O).  The evaluation runtime retries these with
-    exponential backoff; every other :class:`ReproError` is treated as
-    deterministic and fails the run immediately."""
-
-
 class RunTimeoutError(ReproError, TimeoutError):
     """A harness run exceeded its wall-clock budget and was cancelled.
 
-    Timeouts are *not* retried by default: a hang is almost always a
+    The evaluation runtime kills the worker, records the run and moves
+    on.  Timeouts are never retried: a hang is almost always a
     config-dependent pathology (e.g. a degenerate index build) that would
-    hang again, so the runtime records it and moves on."""
+    hang again."""
 
 
 class WorkerCrashError(ReproError, RuntimeError):
     """A worker process died (signal, ``os._exit``, unpicklable result)
-    before reporting a result.  The supervising pool survives and the
-    remaining runs continue."""
+    before reporting a result.  The run is recorded, never retried, and
+    the supervising pool keeps running the remaining runs."""
 
 
 class RegistryError(ReproError, RuntimeError):

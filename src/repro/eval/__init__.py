@@ -6,18 +6,15 @@ accesses, footprint); :mod:`repro.eval.leaderboard` aggregates ranks
 (Figure 12); :mod:`repro.eval.tables` renders the report tables;
 :mod:`repro.eval.sweeps` drives parameter sweeps (Figures 14/17/18);
 :mod:`repro.eval.runtime` supplies the fault-tolerant execution layer
-(timeouts, retries, graceful degradation, checkpoint/resume keys) and
-:mod:`repro.eval.faults` its deterministic chaos injection — see
-``docs/robustness.md``.
+(timeouts, crash containment, graceful degradation, checkpoint/resume
+keys) — see ``docs/robustness.md``.
 """
 
-from repro.eval.faults import FaultPlan
 from repro.eval.harness import RunRecord, compare_algorithms, run_algorithm, speedup_table
 from repro.eval.leaderboard import Leaderboard
 from repro.eval.logdb import EvaluationLog
 from repro.eval.parallel import parallel_compare
 from repro.eval.runtime import (
-    ExecutionPolicy,
     FailedRun,
     RunKey,
     is_failed_record,
@@ -39,10 +36,8 @@ __all__ = [
     "render_circles",
     "sweep_parameter",
     "format_table",
-    "ExecutionPolicy",
     "FailedRun",
     "RunKey",
-    "FaultPlan",
     "is_failed_record",
     "supervised_map",
 ]

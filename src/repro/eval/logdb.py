@@ -21,9 +21,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Union
 
+from repro.common import FAILED_STATUS
 from repro.datasets.loaders import append_jsonl, read_jsonl
 from repro.eval.harness import RunRecord
-from repro.eval.runtime import FAILED_STATUS, FailedRun, RunKey, is_failed_record
+from repro.eval.runtime import FailedRun, RunKey, is_failed_record
 
 PathLike = Union[str, Path]
 
@@ -87,7 +88,7 @@ class EvaluationLog:
         return {key for key, status in self._statuses.items() if status == "ok"}
 
     def failed_keys(self) -> Set[RunKey]:
-        """Run keys whose every attempt so far failed — resume re-runs these."""
+        """Run keys with failures and no success — resume re-runs these."""
         return {key for key, status in self._statuses.items() if status == FAILED_STATUS}
 
     def has_completed(self, key: RunKey) -> bool:

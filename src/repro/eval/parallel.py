@@ -11,10 +11,9 @@ noise differs; counters are deterministic).
 Unlike a plain ``ProcessPoolExecutor`` (which dies with
 ``BrokenProcessPool`` on any worker fault), execution goes through
 :func:`repro.eval.runtime.supervised_map`: hung workers are killed at the
-``timeout`` deadline, crashed workers don't take the pool down, transient
-failures are retried with deterministic backoff, and terminal failures
-degrade to :class:`~repro.eval.runtime.FailedRun` entries so the sweep
-always completes.  With an :class:`~repro.eval.logdb.EvaluationLog`
+``timeout`` deadline, crashed workers don't take the pool down, and every
+failure degrades to a :class:`~repro.eval.runtime.FailedRun` entry so the
+sweep always completes.  With an :class:`~repro.eval.logdb.EvaluationLog`
 attached, every outcome is checkpointed and ``resume=True`` skips cells
 the log already holds — re-running only failures.
 """
@@ -30,23 +29,16 @@ from repro.core import BACKENDS
 from repro.core.initialization import initialize_centroids
 from repro.core.knobs import KnobConfig
 from repro.eval.harness import RunRecord, _spec_label, run_algorithm
-from repro.eval.runtime import (
-    ExecutionPolicy,
-    FailedRun,
-    RunKey,
-    supervised_map,
-)
+from repro.eval.runtime import FailedRun, RunKey, supervised_map
 
 SpecLike = Union[str, KnobConfig]
 
 RunOutcome = Union[RunRecord, FailedRun]
 
 
-def _worker(item: Tuple, attempt: int) -> RunRecord:
-    (spec, X, k, initial_centroids, repeats, max_iter, seed, key, fault_plan,
+def _worker(item: Tuple) -> RunRecord:
+    (spec, X, k, initial_centroids, repeats, max_iter, seed,
      backend, shards, save_model, dataset) = item
-    if fault_plan is not None:
-        fault_plan.apply(key, attempt)
     # A sharded fit runs its shards on threads inside this worker, with
     # the same rank-order merge, so results stay bit-identical to the
     # serial harness.  Registry saves from concurrent workers are safe:
@@ -70,12 +62,9 @@ def parallel_compare(
     seed: int = 0,
     max_workers: Optional[int] = None,
     timeout: Optional[float] = None,
-    retries: int = 0,
-    policy: Optional[ExecutionPolicy] = None,
     dataset: str = "",
     log=None,
     resume: bool = False,
-    fault_plan=None,
     backend: str = "reference",
     shards: int = 1,
     save_model=None,
@@ -91,16 +80,13 @@ def parallel_compare(
 
     * ``timeout`` — wall-clock budget per run; a hung worker is killed and
       the cell recorded as timed out.
-    * ``retries`` — extra attempts for :class:`TransientError` failures,
-      with deterministic exponential backoff (``policy`` overrides both).
-    * A failed cell degrades to a :class:`FailedRun` entry in the
-      returned list, with a warning.
+    * A failed cell (timeout, crashed worker, or exception) degrades to a
+      :class:`FailedRun` entry in the returned list, with a warning.  It
+      is not retried: its run key pins its inputs, so it would fail again.
     * ``log`` / ``resume`` — with an :class:`EvaluationLog`, every outcome
       is appended as it lands; ``resume=True`` loads already-completed
       cells from the log (marked ``extras["resumed"]``) instead of
       re-running them, so a restarted campaign re-runs only failures.
-    * ``fault_plan`` — a :class:`~repro.eval.faults.FaultPlan` applied
-      inside each worker (chaos mode / recovery tests).
     * ``backend`` — execution backend for string specs (``"reference"`` or
       ``"vectorized"``; see ``docs/backends.md``).  Counters and
       trajectories are backend-invariant, so cells are resumable across
@@ -134,8 +120,8 @@ def parallel_compare(
     k = check_k(k, X.shape[0])
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    if policy is None:
-        policy = ExecutionPolicy(timeout=timeout, retries=retries)
+    if max_workers is not None and max_workers < 1:
+        raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
     n, d = X.shape
     keys = [
         RunKey(
@@ -162,13 +148,13 @@ def parallel_compare(
             for r in range(repeats)
         ]
         items = [
-            (specs[i], X, k, initial_centroids, repeats, max_iter, seed, keys[i],
-             fault_plan, backend, shards, save_model, dataset)
+            (specs[i], X, k, initial_centroids, repeats, max_iter, seed,
+             backend, shards, save_model, dataset)
             for i in todo
         ]
         outcomes = supervised_map(
             _worker, items, [keys[i] for i in todo],
-            policy=policy, max_workers=max_workers,
+            timeout=timeout, max_workers=max_workers,
         )
         for index, outcome in zip(todo, outcomes):
             results[index] = outcome
@@ -179,8 +165,8 @@ def parallel_compare(
                     log.add(outcome, dataset=dataset, seed=seed, max_iter=max_iter)
             if isinstance(outcome, FailedRun):
                 warnings.warn(
-                    f"run {outcome.key} failed after {outcome.attempts} "
-                    f"attempt(s): {outcome.error_type}: {outcome.message}",
+                    f"run {outcome.key} failed: "
+                    f"{outcome.error_type}: {outcome.message}",
                     RuntimeWarning,
                     stacklevel=2,
                 )

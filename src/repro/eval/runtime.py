@@ -7,47 +7,40 @@ cell hangs or crashes.  This module supplies the machinery:
 
 * :class:`RunKey` — the identity of one harness cell
   ``(algorithm, dataset, n, d, k, seed, max_iter)``.  Because the run key
-  pins the k-means++ seeds, re-running a cell (retry or resume) reproduces
-  it bit-for-bit; the key doubles as the checkpoint/resume dedup index in
+  pins the k-means++ seeds, re-running a cell (resume) reproduces it
+  bit-for-bit, and a cell that raised raises again; the key doubles as
+  the checkpoint/resume dedup index in
   :class:`repro.eval.logdb.EvaluationLog`.
-* :class:`ExecutionPolicy` — wall-clock timeout, retry budget, and
-  exponential backoff with *deterministic* jitter (hashed from the run key
-  and attempt number; no RNG state is touched, so the determinism contract
-  holds even on the retry path).
 * :class:`FailedRun` — the structured record a failed cell degrades into.
-  It carries the run key, error class, message, attempt count, and elapsed
-  time, and serializes next to successful records so downstream consumers
+  It carries the run key, error class, message, and elapsed time, and
+  serializes next to successful records so downstream consumers
   (leaderboard, tables, UTune training) can recognise and skip it.
 * :func:`supervised_map` — a process-pool replacement that survives what
-  ``concurrent.futures`` cannot: a hung worker is killed at its deadline
-  (``RunTimeoutError``), a dead worker (signal/``os._exit``) is detected
-  (``WorkerCrashError``), a :class:`~repro.common.exceptions.TransientError`
-  is retried with backoff, and any terminal failure becomes a
+  ``concurrent.futures`` cannot: a hung worker is killed at its
+  ``timeout`` (``RunTimeoutError``), a dead worker (signal/``os._exit``)
+  is detected (``WorkerCrashError``), and any failure becomes a
   :class:`FailedRun` while the remaining tasks keep running.
 
-Failure taxonomy, retry semantics, and the resume keying are documented in
+The failure taxonomy and the resume keying are documented in
 ``docs/robustness.md``.
 """
 
 from __future__ import annotations
 
 import time
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.common import FAILED_STATUS
 from repro.common.blas import available_cores
-from repro.common.exceptions import TransientError, ValidationError
+from repro.common.exceptions import ValidationError
 
 #: the fields that identify one harness cell; together they pin the
 #: k-means++ initializations, so equal keys imply bit-identical reruns
 RUN_KEY_FIELDS = ("algorithm", "dataset", "n", "d", "k", "seed", "max_iter")
-
-#: status literal stored on failed records in the evaluation log
-FAILED_STATUS = "failed"
 
 #: how often :func:`supervised_map` polls worker pipes and deadlines
 #: (seconds)
@@ -100,54 +93,6 @@ class RunKey:
         )
 
 
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """Timeout/retry/backoff contract for one batch of harness runs.
-
-    ``retries`` is the number of *additional* attempts after the first, so
-    a policy with ``retries=2`` runs a transiently-failing cell at most
-    three times.  Backoff for attempt ``a`` is
-    ``min(cap, base * 2**(a-1)) * (1 + jitter * u)`` where ``u`` in [0, 1)
-    is hashed deterministically from the run key and attempt — repeated
-    campaigns sleep identically, and no global RNG state is touched.
-
-    ``max_total_time`` is a *batch-level* deadline: measured from the
-    moment :func:`supervised_map` starts, no new attempt (first run or
-    retry) is launched at or after the deadline, running workers are
-    killed when it passes, and every unfinished item degrades to a
-    ``RunTimeoutError`` :class:`FailedRun`.  This caps a retry storm
-    across many cells at the campaign budget regardless
-    of per-item ``timeout``/``retries`` settings.
-    """
-
-    timeout: Optional[float] = None
-    retries: int = 0
-    backoff_base: float = 0.05
-    backoff_cap: float = 5.0
-    jitter: float = 0.5
-    retry_on_timeout: bool = False
-    retry_on_crash: bool = False
-    max_total_time: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValidationError(f"timeout must be > 0 (or None), got {self.timeout}")
-        if self.max_total_time is not None and self.max_total_time <= 0:
-            raise ValidationError(
-                f"max_total_time must be > 0 (or None), got {self.max_total_time}"
-            )
-        if self.retries < 0:
-            raise ValidationError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_base < 0 or self.backoff_cap < 0 or self.jitter < 0:
-            raise ValidationError("backoff_base, backoff_cap and jitter must be >= 0")
-
-    def backoff_delay(self, key: str, attempt: int) -> float:
-        """Deterministic backoff before retry number ``attempt``."""
-        base = min(self.backoff_cap, self.backoff_base * (2 ** max(0, attempt - 1)))
-        draw = zlib.crc32(f"{key}#{attempt}".encode()) % 10_000 / 10_000.0
-        return base * (1.0 + self.jitter * draw)
-
-
 @dataclass
 class FailedRun:
     """Structured degradation record for one failed harness cell.
@@ -161,7 +106,6 @@ class FailedRun:
     key: RunKey
     error_type: str
     message: str
-    attempts: int
     elapsed: float
     status: str = FAILED_STATUS
 
@@ -175,7 +119,6 @@ class FailedRun:
             status=self.status,
             error_type=self.error_type,
             message=self.message,
-            attempts=self.attempts,
             elapsed=self.elapsed,
         )
         return record
@@ -193,7 +136,7 @@ def is_failed_record(record: Any) -> bool:
 # ----------------------------------------------------------------------
 
 
-def default_mp_context():
+def _default_context():
     """The project-wide worker start method.
 
     fork keeps the parent's loaded dataset pages shared and is the cheap,
@@ -203,15 +146,12 @@ def default_mp_context():
     return get_context("fork" if "fork" in methods else "spawn")
 
 
-_default_context = default_mp_context
-
-
-def _child_main(conn, fn: Callable[[Any, int], Any], item: Any, attempt: int) -> None:
+def _child_main(conn, fn: Callable[[Any], Any], item: Any) -> None:
     """Worker entry: run one item and report exactly one message."""
     try:
-        outcome: Tuple = ("ok", fn(item, attempt))
+        outcome: Tuple = ("ok", fn(item))
     except BaseException as exc:  # the process boundary reports, never hides
-        outcome = ("error", type(exc).__name__, str(exc), isinstance(exc, TransientError))
+        outcome = ("error", type(exc).__name__, str(exc))
     try:
         conn.send(outcome)
     finally:
@@ -225,56 +165,45 @@ class _Task:
     index: int
     item: Any
     key: RunKey
-    attempt: int = 1
-    first_start: float = 0.0
+    start: float = 0.0
     deadline: Optional[float] = None
-    not_before: float = 0.0
     proc: Any = None
     conn: Any = None
 
 
-def terminate_process(proc, conn=None) -> None:
-    """Tear down one worker process and its pipe (terminate, then kill).
-
-    The escalation ladder :func:`supervised_map` uses: SIGTERM with a
-    grace period, then SIGKILL.
-    """
+def _reap(task: _Task) -> None:
+    """Tear down a task's process and pipe: SIGTERM with a grace period,
+    then SIGKILL."""
+    proc = task.proc
     if proc is not None and proc.is_alive():
         proc.terminate()
         proc.join(1.0)
         if proc.is_alive():
             proc.kill()
             proc.join(1.0)
-    if conn is not None:
-        conn.close()
-
-
-def _reap(task: _Task) -> None:
-    """Tear down a task's process and pipe (terminate, then kill)."""
-    terminate_process(task.proc, task.conn)
+    if task.conn is not None:
+        task.conn.close()
     task.proc = None
     task.conn = None
 
 
 def supervised_map(
-    fn: Callable[[Any, int], Any],
+    fn: Callable[[Any], Any],
     items: Sequence[Any],
     keys: Sequence[RunKey],
     *,
-    policy: Optional[ExecutionPolicy] = None,
+    timeout: Optional[float] = None,
     max_workers: Optional[int] = None,
-    mp_context=None,
 ) -> List[Union[Any, FailedRun]]:
-    """Run ``fn(item, attempt)`` for every item in supervised worker
-    processes; failures degrade to :class:`FailedRun` entries in place.
+    """Run ``fn(item)`` for every item in supervised worker processes;
+    failures degrade to :class:`FailedRun` entries in place.
 
-    Unlike ``ProcessPoolExecutor.map``, a hung worker is killed at its
-    deadline, a crashed worker does not break the pool, and
-    :class:`TransientError` failures are retried per ``policy`` — each
-    retry re-runs the *same* item, so successful results are identical to
-    a failure-free run.  ``policy.max_total_time`` additionally bounds the
-    whole batch: when it expires, running workers are killed and every
-    unfinished item fails with ``RunTimeoutError``.
+    Unlike ``ProcessPoolExecutor.map``, a worker still running
+    ``timeout`` seconds after it started is killed (``RunTimeoutError``),
+    a crashed worker does not break the pool (``WorkerCrashError``), and
+    an exception raised by ``fn`` is recorded under its class name.  No
+    failure is retried: a cell is pinned by its run key, so it would fail
+    the same way again.  Results come back in input order.
 
     Invariant: every slot of the returned list is either ``fn``'s result
     for that item or a :class:`FailedRun` — never an unfinished
@@ -285,101 +214,51 @@ def supervised_map(
     propagates, so callers that catch it still see a fully-settled list
     (a worker returning ``None`` is a *result*, not a placeholder).
     """
-    policy = policy or ExecutionPolicy()
+    if timeout is not None and timeout <= 0:
+        raise ValidationError(f"timeout must be > 0 (or None), got {timeout}")
+    if max_workers is not None and max_workers < 1:
+        raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
     items = list(items)
     keys = list(keys)
     if len(items) != len(keys):
         raise ValidationError(f"{len(items)} items but {len(keys)} run keys")
     if not items:
         return []
-    ctx = mp_context or _default_context()
-    workers = max(1, max_workers or min(len(items), available_cores()))
+    ctx = _default_context()
+    workers = max_workers or min(len(items), available_cores())
     results: List[Union[Any, FailedRun]] = [_PENDING] * len(items)
     tasks = [
         _Task(index=i, item=item, key=key)
         for i, (item, key) in enumerate(zip(items, keys))
     ]
-    ready_queue = deque(tasks)
-    backoff_wait: List[_Task] = []
+    waiting = deque(tasks)
     running: List[_Task] = []
     batch_start = time.monotonic()
-    batch_deadline = (
-        None if policy.max_total_time is None else batch_start + policy.max_total_time
-    )
 
-    def settle(task: _Task, error_type: str, message: str, retryable: bool) -> None:
-        """Retry the task if the policy allows, else record a FailedRun."""
-        if retryable and task.attempt <= policy.retries:
-            not_before = time.monotonic() + policy.backoff_delay(
-                str(task.key), task.attempt
-            )
-            # A retry that could not start before the batch deadline is a
-            # failure now, not a zombie in the backoff queue.
-            if batch_deadline is None or not_before < batch_deadline:
-                task.not_before = not_before
-                task.attempt += 1
-                backoff_wait.append(task)
-                return
+    def fail(task: _Task, error_type: str, message: str) -> None:
         results[task.index] = FailedRun(
             key=task.key,
             error_type=error_type,
             message=message,
-            attempts=task.attempt,
-            elapsed=time.monotonic() - (task.first_start or batch_start),
+            elapsed=time.monotonic() - (task.start or batch_start),
         )
-
-    def expire_batch() -> None:
-        """Batch deadline passed: kill workers, fail all unfinished items."""
-        message = (
-            f"batch exceeded the {policy.max_total_time:.3g}s "
-            "max_total_time budget"
-        )
-        for task in list(running):
-            _reap(task)
-        running.clear()
-        ready_queue.clear()
-        backoff_wait.clear()
-        for task in tasks:
-            if results[task.index] is _PENDING:
-                results[task.index] = FailedRun(
-                    key=task.key,
-                    error_type="RunTimeoutError",
-                    message=message,
-                    attempts=task.attempt,
-                    elapsed=time.monotonic() - (task.first_start or batch_start),
-                )
 
     try:
-        while ready_queue or backoff_wait or running:
-            now = time.monotonic()
-            if batch_deadline is not None and now >= batch_deadline:
-                expire_batch()
-                break
-            for task in [t for t in backoff_wait if t.not_before <= now]:
-                backoff_wait.remove(task)
-                ready_queue.append(task)
-            while ready_queue and len(running) < workers:
-                task = ready_queue.popleft()
+        while waiting or running:
+            while waiting and len(running) < workers:
+                task = waiting.popleft()
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_child_main,
-                    args=(child_conn, fn, task.item, task.attempt),
+                    args=(child_conn, fn, task.item),
                     daemon=True,
                 )
                 proc.start()
                 child_conn.close()
-                started = time.monotonic()
-                if not task.first_start:
-                    task.first_start = started
-                task.deadline = (
-                    None if policy.timeout is None else started + policy.timeout
-                )
+                task.start = time.monotonic()
+                task.deadline = None if timeout is None else task.start + timeout
                 task.proc, task.conn = proc, parent_conn
                 running.append(task)
-            if not running:
-                soonest = min(task.not_before for task in backoff_wait)
-                time.sleep(max(0.0, min(soonest - time.monotonic(), _POLL_INTERVAL)))
-                continue
             ready = _wait_connections(
                 [task.conn for task in running], timeout=_POLL_INTERVAL
             )
@@ -393,53 +272,35 @@ def supervised_map(
                     _reap(task)
                     finished.append(task)
                     if message is None:
-                        settle(
-                            task,
-                            "WorkerCrashError",
-                            "worker died before reporting a result",
-                            policy.retry_on_crash,
-                        )
+                        fail(task, "WorkerCrashError",
+                             "worker died before reporting a result")
                     elif message[0] == "ok":
                         results[task.index] = message[1]
                     else:
-                        _, error_type, text, transient = message
-                        settle(task, error_type, text, transient)
+                        fail(task, message[1], message[2])
                 elif task.deadline is not None and time.monotonic() >= task.deadline:
                     _reap(task)
                     finished.append(task)
-                    settle(
-                        task,
-                        "RunTimeoutError",
-                        f"exceeded the {policy.timeout:.3g}s wall-clock budget",
-                        policy.retry_on_timeout,
-                    )
+                    fail(task, "RunTimeoutError",
+                         f"exceeded the {timeout:.3g}s wall-clock budget")
                 elif not task.proc.is_alive() and not task.conn.poll(0):
                     # Died without a message (signal / os._exit); a racy
                     # final send would have satisfied poll(0) above.
                     exitcode = task.proc.exitcode
                     _reap(task)
                     finished.append(task)
-                    settle(
-                        task,
-                        "WorkerCrashError",
-                        f"worker exited with code {exitcode} before reporting",
-                        policy.retry_on_crash,
-                    )
+                    fail(task, "WorkerCrashError",
+                         f"worker exited with code {exitcode} before reporting")
             if finished:
                 running = [task for task in running if task not in finished]
     finally:
         for task in running:
             _reap(task)
-        # The no-None-placeholder invariant (docstring): if the loop above
+        # The no-placeholder invariant (docstring): if the loop above
         # died mid-batch, settle every still-pending slot so callers never
         # see an unfinished placeholder.
         for task in tasks:
             if results[task.index] is _PENDING:
-                results[task.index] = FailedRun(
-                    key=task.key,
-                    error_type="SupervisorAborted",
-                    message="supervisor aborted before this item finished",
-                    attempts=task.attempt,
-                    elapsed=time.monotonic() - (task.first_start or batch_start),
-                )
+                fail(task, "SupervisorAborted",
+                     "supervisor aborted before this item finished")
     return results

@@ -6,8 +6,8 @@ holding everything else fixed, and runs a set of algorithms at each setting.
 
 Long sweeps are exactly the campaigns a single hung or crashed cell used to
 destroy, so :func:`sweep_parameter` optionally routes through the
-fault-tolerant runtime: pass ``timeout``/``retries`` (and optionally a
-``log`` with ``resume=True``) and each setting runs under
+fault-tolerant runtime: pass ``timeout`` (and optionally a ``log`` with
+``resume=True``) and each setting runs under
 :func:`repro.eval.parallel.parallel_compare` — failed cells degrade to
 :class:`~repro.eval.runtime.FailedRun` entries, completed cells are
 checkpointed under their run keys, and a restarted sweep re-runs only what
@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.eval.harness import AlgorithmSpec, RunRecord, compare_algorithms
-from repro.eval.runtime import ExecutionPolicy, is_failed_record
+from repro.eval.runtime import is_failed_record
 
 
 def sweep_parameter(
@@ -34,12 +34,9 @@ def sweep_parameter(
     max_iter: int = 10,
     seed: int = 0,
     timeout: Optional[float] = None,
-    retries: int = 0,
-    policy: Optional[ExecutionPolicy] = None,
     max_workers: Optional[int] = None,
     log=None,
     resume: bool = False,
-    fault_plan=None,
     dataset: str = "sweep",
 ) -> Dict[Any, List[RunRecord]]:
     """Run ``specs`` for every parameter value.
@@ -51,14 +48,7 @@ def sweep_parameter(
     ``f"{dataset}[{value}]"`` so run keys distinguish sweep points.
     """
     specs = list(specs)
-    fault_tolerant = (
-        timeout is not None
-        or retries > 0
-        or policy is not None
-        or log is not None
-        or resume
-        or fault_plan is not None
-    )
+    fault_tolerant = timeout is not None or log is not None or resume
     out: Dict[Any, List[RunRecord]] = {}
     for value in values:
         X, k = make_task(value)
@@ -68,9 +58,8 @@ def sweep_parameter(
             out[value] = parallel_compare(
                 specs, np.asarray(X), k,
                 repeats=repeats, max_iter=max_iter, seed=seed,
-                max_workers=max_workers, timeout=timeout, retries=retries,
-                policy=policy, dataset=f"{dataset}[{value}]",
-                log=log, resume=resume, fault_plan=fault_plan,
+                max_workers=max_workers, timeout=timeout,
+                dataset=f"{dataset}[{value}]", log=log, resume=resume,
             )
         else:
             out[value] = compare_algorithms(

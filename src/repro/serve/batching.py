@@ -33,8 +33,8 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.common import FAILED_STATUS
 from repro.common.exceptions import ValidationError
-from repro.eval.runtime import FAILED_STATUS
 from repro.serve.predictor import Predictor
 
 #: how long the worker sleeps when the queue is empty (seconds)

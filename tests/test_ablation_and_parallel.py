@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common.exceptions import ConfigurationError
+from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.core.elkan import ElkanKMeans
 from repro.core.lloyd import LloydKMeans
 from repro.datasets import make_blobs
@@ -86,3 +86,8 @@ class TestParallelHarness:
     def test_rejects_unpicklable_specs(self, data):
         with pytest.raises(TypeError, match="names or KnobConfig"):
             parallel_compare([lambda: LloydKMeans()], data, 3)
+
+    @pytest.mark.parametrize("max_workers", (0, -3))
+    def test_rejects_max_workers_below_one(self, data, max_workers):
+        with pytest.raises(ValidationError, match="max_workers"):
+            parallel_compare(["lloyd"], data, 3, max_workers=max_workers)

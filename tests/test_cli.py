@@ -1,13 +1,37 @@
 """Tests for the command-line interface."""
 
 import json
+from multiprocessing import get_all_start_methods
 
 import numpy as np
 import pytest
 
+import repro.eval.parallel as parallel
 from repro.cli import build_parser, main
 from repro.core import ALGORITHMS
 from repro.datasets.loaders import read_jsonl, save_points_csv
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in get_all_start_methods(),
+    reason="failures are planted by patching run_algorithm in the parent, "
+           "which only forked bench workers inherit",
+)
+
+
+class PlantedFault(RuntimeError):
+    """The exception a planted bench cell raises."""
+
+
+def _plant_failure(monkeypatch, algorithm):
+    """Make every bench cell of ``algorithm`` raise :class:`PlantedFault`."""
+    real = parallel.run_algorithm
+
+    def run_algorithm(spec, *args, **kwargs):
+        if spec == algorithm:
+            raise PlantedFault(f"planted failure for {spec}")
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_algorithm", run_algorithm)
 
 
 class TestParser:
@@ -199,52 +223,41 @@ class TestBenchCommand:
         assert code == 2
         assert "--resume requires --log" in capsys.readouterr().err
 
-    def test_malformed_fault_spec_exits_two(self, capsys):
-        code = main(self.BASE + ["--inject-faults", "meteor:lloyd"])
-        assert code == 2
-        assert "bad arguments" in capsys.readouterr().err
-
-    def test_key_value_fault_fields_exit_two(self, capsys):
-        code = main(self.BASE + [
-            "--algorithms", "lloyd", "--backend", "vectorized", "--shards", "2",
-            "--inject-faults", "raise:lloyd:shard=1:iter=1", "--strict",
-        ])
-        assert code == 2
-        assert "bad arguments" in capsys.readouterr().err
-
-    def test_chaos_records_failures_but_exits_zero(self, tmp_path, capsys):
+    @needs_fork
+    def test_chaos_records_failures_but_exits_zero(self, tmp_path, capsys,
+                                                   monkeypatch):
+        _plant_failure(monkeypatch, "lloyd")
         log = tmp_path / "chaos.jsonl"
         with pytest.warns(RuntimeWarning):
             code = main(self.BASE + [
-                "--algorithms", "lloyd,hamerly",
-                "--inject-faults", "transient:hamerly:1,raise:lloyd",
-                "--retries", "2", "--log", str(log),
+                "--algorithms", "lloyd,hamerly", "--log", str(log),
             ])
         assert code == 0
         captured = capsys.readouterr()
         assert "1 ok" in captured.out and "1 failed" in captured.out
-        assert "FAILED" in captured.out
-        assert "--resume" in captured.err  # hint to retry failed cells
+        assert "FAILED" in captured.out and "PlantedFault" in captured.out
+        assert "--resume" in captured.err  # hint to re-run failed cells
         records = read_jsonl(log)
         statuses = {r["algorithm"]: r.get("status", "ok") for r in records}
         assert statuses == {"hamerly": "ok", "lloyd": "failed"}
 
-    def test_strict_turns_failures_into_exit_one(self, capsys):
+    @needs_fork
+    def test_strict_turns_failures_into_exit_one(self, capsys, monkeypatch):
+        _plant_failure(monkeypatch, "lloyd")
         with pytest.warns(RuntimeWarning):
-            code = main(self.BASE + [
-                "--algorithms", "lloyd",
-                "--inject-faults", "raise:lloyd", "--strict",
-            ])
+            code = main(self.BASE + ["--algorithms", "lloyd", "--strict"])
         assert code == 1
         assert "1 failed" in capsys.readouterr().out
 
-    def test_resume_reruns_only_failures(self, tmp_path, capsys):
+    @needs_fork
+    def test_resume_reruns_only_failures(self, tmp_path, capsys, monkeypatch):
         log = tmp_path / "campaign.jsonl"
-        with pytest.warns(RuntimeWarning):
-            main(self.BASE + [
-                "--algorithms", "lloyd,hamerly",
-                "--inject-faults", "raise:lloyd", "--log", str(log),
-            ])
+        with monkeypatch.context() as patch:
+            _plant_failure(patch, "lloyd")
+            with pytest.warns(RuntimeWarning):
+                main(self.BASE + [
+                    "--algorithms", "lloyd,hamerly", "--log", str(log),
+                ])
         capsys.readouterr()
         code = main(self.BASE + [
             "--algorithms", "lloyd,hamerly", "--log", str(log), "--resume",
@@ -254,3 +267,57 @@ class TestBenchCommand:
         assert "2 ok (1 resumed)" in out and "0 failed" in out
         statuses = [r.get("status", "ok") for r in read_jsonl(log)]
         assert statuses.count("ok") == 2 and statuses.count("failed") == 1
+
+    def test_resume_of_a_complete_log_runs_nothing(self, tmp_path, capsys):
+        log = tmp_path / "campaign.jsonl"
+        argv = self.BASE + ["--algorithms", "lloyd,hamerly", "--log", str(log)]
+        assert main(argv) == 0
+        lines = log.read_text()
+        capsys.readouterr()
+        assert main(argv + ["--resume", "--strict"]) == 0
+        assert "2 ok (2 resumed), 0 failed" in capsys.readouterr().out
+        assert log.read_text() == lines
+
+
+def _exit_code(argv):
+    """``main``'s return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestNumericFlags:
+    """Out-of-range numbers exit 2 ("bad arguments"), never 1, the code
+    ``--strict`` gives a failed cell or request."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        (
+            (["bench", "--timeout", "0"], "--timeout"),
+            (["bench", "--repeats", "0"], "--repeats"),
+            (["bench", "--ks", "4,0"], "--ks"),
+            (["bench", "--n", "0"], "--n"),
+            (["bench", "--max-workers", "0"], "--max-workers"),
+            (["bench", "--max-workers", "-3"], "--max-workers"),
+            (["cluster", "--k", "0"], "--k"),
+            (["cluster", "--max-iter", "0"], "--max-iter"),
+            (["serve", "reg", "--request-size", "0"], "--request-size"),
+            (["serve", "reg", "--batch", "0"], "--batch"),
+            (["serve", "reg", "--max-wait", "-1"], "--max-wait"),
+            (["serve", "reg", "--deadline", "0"], "--deadline"),
+        ),
+        ids=(
+            "bench-timeout", "bench-repeats", "bench-ks", "bench-n",
+            "bench-max-workers-zero", "bench-max-workers-negative",
+            "cluster-k", "cluster-max-iter", "serve-request-size",
+            "serve-batch", "serve-max-wait", "serve-deadline",
+        ),
+    )
+    def test_out_of_range_exits_two(self, argv, flag, tmp_path, capsys):
+        if argv[0] == "serve":
+            argv = ["serve", str(tmp_path / "reg"), *argv[2:]]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err

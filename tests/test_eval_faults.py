@@ -1,36 +1,83 @@
-"""Fault injection and end-to-end recovery tests.
+"""Failure containment and recovery through the evaluation harness.
 
-Covers the acceptance scenario for the fault-tolerant runtime: a chaos
-campaign with a hanging spec, a crashing spec, and a transiently-failing
-spec completes every healthy cell, retries the transient one to success,
-records the other two as ``FailedRun`` entries, and a resume of the same
-campaign re-runs only the failed cells.  Successful records are
-bit-identical (counters and SSE) to the serial harness.
+Covers the acceptance scenario for the fault-tolerant runtime: one
+campaign in which one spec hangs, one kills its worker and one raises
+completes every healthy cell, records the other three as ``FailedRun``
+entries carrying their error types, and a resume of the same campaign
+re-runs only the failed cells.  Successful records are bit-identical
+(counters and SSE) to the serial harness.
+
+Failures are planted by replacing ``repro.eval.parallel.run_algorithm``
+in the parent before the workers fork, so each worker inherits the faulty
+function.  Under a start method other than fork the workers would import
+the real one, so those tests skip.
 """
 
+import json
+import os
+import shutil
+import time
 import warnings
+from contextlib import contextmanager
+from multiprocessing import get_all_start_methods
 
-import numpy as np
 import pytest
 
-from repro.common.exceptions import TransientError, ValidationError
+import repro.eval.parallel as parallel
 from repro.datasets import make_blobs
 from repro.datasets.loaders import read_jsonl
-from repro.eval.faults import (
-    FAULT_KINDS,
-    Fault,
-    FaultPlan,
-    InjectedFaultError,
-    corrupt_jsonl_tail,
-)
 from repro.eval.harness import compare_algorithms
 from repro.eval.logdb import EvaluationLog
 from repro.eval.parallel import parallel_compare
 from repro.eval.runtime import FailedRun, RunKey, is_failed_record
 from repro.eval.sweeps import series, sweep_parameter
 
-KEY = RunKey(algorithm="lloyd", dataset="toy", n=100, d=4, k=5, seed=0, max_iter=10)
-OTHER = RunKey(algorithm="hamerly", dataset="toy", n=100, d=4, k=5, seed=0, max_iter=10)
+needs_fork = pytest.mark.skipif(
+    "fork" not in get_all_start_methods(),
+    reason="faults are planted by patching run_algorithm in the parent, "
+           "which only forked workers inherit",
+)
+
+SPECS = ["lloyd", "hamerly", "elkan", "yinyang", "drake"]
+HANG, CRASH, RAISE = "elkan", "yinyang", "drake"
+
+#: per-cell budget; the hung cell costs this much wall-clock time
+TIMEOUT = 10.0
+
+
+class PlantedFault(RuntimeError):
+    """The exception the campaign's raising spec throws."""
+
+
+def _faulty(real):
+    def run_algorithm(spec, *args, **kwargs):
+        if spec == HANG:
+            while True:  # the supervisor must kill us
+                time.sleep(60.0)
+        if spec == CRASH:
+            os._exit(97)  # dies without reporting, like an OOM kill
+        if spec == RAISE:
+            raise PlantedFault(f"planted failure for {spec}")
+        return real(spec, *args, **kwargs)
+
+    return run_algorithm
+
+
+@contextmanager
+def planted_faults():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "run_algorithm", _faulty(parallel.run_algorithm))
+        yield
+
+
+def _run(X, specs=SPECS, log=None, resume=False, dataset="chaos"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return parallel_compare(
+            specs, X, 4,
+            repeats=1, max_iter=3, seed=0, timeout=TIMEOUT,
+            dataset=dataset, log=log, resume=resume,
+        )
 
 
 @pytest.fixture(scope="module")
@@ -39,151 +86,42 @@ def data():
     return X
 
 
-class TestFault:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            Fault(kind="meteor")
-
-    def test_bad_times_rejected(self):
-        with pytest.raises(ValidationError):
-            Fault(kind="transient", times=0)
-
-    def test_matches_wildcard_algorithm_and_substring(self):
-        assert Fault(kind="raise").matches(KEY)
-        assert Fault(kind="raise", match="lloyd").matches(KEY)
-        assert Fault(kind="raise", match="toy").matches(KEY)
-        assert not Fault(kind="raise", match="elkan").matches(KEY)
-
-    def test_triggers_respects_times(self):
-        fault = Fault(kind="transient", times=2)
-        assert fault.triggers(1) and fault.triggers(2) and not fault.triggers(3)
-        always = Fault(kind="raise")
-        assert always.triggers(99)
+@pytest.fixture(scope="module")
+def campaign(data, tmp_path_factory):
+    """The faulty campaign, run once for the module (the hung cell waits
+    out the whole timeout); returns its outcomes and its log's path."""
+    log_path = tmp_path_factory.mktemp("campaign") / "campaign.jsonl"
+    with planted_faults():
+        results = _run(data, log=EvaluationLog(log_path))
+    return results, log_path
 
 
-class TestFaultPlanParse:
-    def test_parse_full_spec(self):
-        plan = FaultPlan.parse("transient:hamerly:2,hang:lloyd,kill:elkan,rate:0.1,seed:7")
-        assert [f.kind for f in plan.faults] == ["transient", "hang", "kill"]
-        assert plan.faults[0].match == "hamerly" and plan.faults[0].times == 2
-        assert plan.rate == pytest.approx(0.1)
-        assert plan.seed == 7
-
-    def test_parse_delay_seconds(self):
-        plan = FaultPlan.parse("delay:*:0.25")
-        assert plan.faults[0].seconds == pytest.approx(0.25)
-
-    def test_parse_empty_items_skipped(self):
-        assert FaultPlan.parse("") == FaultPlan()
-        assert FaultPlan.parse(" , ,") == FaultPlan()
-
-    def test_parse_rejects_key_value_fields(self):
-        # A shard=/iter= field fails the parse instead of yielding a rule
-        # that never fires.
-        with pytest.raises(ValidationError, match="shard=1"):
-            FaultPlan.parse("raise:lloyd:shard=1:iter=1")
-
-    def test_parse_malformed_rejected(self):
-        with pytest.raises(ValidationError):
-            FaultPlan.parse("transient:hamerly:soon")
-        with pytest.raises(ValidationError):
-            FaultPlan.parse("meteor:lloyd")
-        with pytest.raises(ValidationError):
-            FaultPlan.parse("rate:lots")
-
-    def test_rate_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            FaultPlan(rate=1.5)
-
-
-class TestFaultPlanApply:
-    def test_transient_then_clean(self):
-        plan = FaultPlan(faults=(Fault(kind="transient", match="lloyd", times=1),))
-        with pytest.raises(TransientError):
-            plan.apply(KEY, attempt=1)
-        plan.apply(KEY, attempt=2)  # second attempt passes
-
-    def test_raise_is_not_transient(self):
-        plan = FaultPlan(faults=(Fault(kind="raise", match="lloyd"),))
-        with pytest.raises(InjectedFaultError):
-            plan.apply(KEY, attempt=1)
-        plan.apply(OTHER, attempt=1)  # unmatched key untouched
-
-    def test_rate_draws_are_deterministic(self):
-        plan = FaultPlan(rate=0.5, seed=3)
-        draws = [plan.rate_triggers(KEY, a) for a in range(1, 30)]
-        again = [plan.rate_triggers(KEY, a) for a in range(1, 30)]
-        assert draws == again
-        assert any(draws) and not all(draws)  # rate=0.5 hits some, not all
-
-    def test_rate_zero_never_triggers(self):
-        assert not FaultPlan().rate_triggers(KEY, 1)
-
-    def test_corrupt_is_log_level_only(self):
-        plan = FaultPlan(faults=(Fault(kind="corrupt"),))
-        plan.apply(KEY, attempt=1)  # no-op inside workers
-        assert plan.wants_log_corruption()
-        assert not FaultPlan().wants_log_corruption()
-
-    def test_all_kinds_are_parseable(self):
-        for kind in FAULT_KINDS:
-            plan = FaultPlan.parse(f"{kind}:lloyd")
-            assert plan.faults[0].kind == kind
-
-
-class TestCorruptJsonlTail:
-    def test_truncates_and_reports_size(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.write_text('{"a": 1}\n{"b": 2}\n')
-        size = corrupt_jsonl_tail(path, drop_bytes=5)
-        assert size == path.stat().st_size
-        assert path.read_text() == '{"a": 1}\n{"b"'
-
-
+@needs_fork
 class TestChaosCampaign:
-    """The acceptance scenario from the robustness issue."""
+    """The acceptance scenario: hang + crash + raise in one campaign."""
 
-    PLAN = FaultPlan(faults=(
-        Fault(kind="hang", match="elkan"),
-        Fault(kind="kill", match="yinyang"),
-        Fault(kind="transient", match="hamerly", times=1),
-    ))
-    SPECS = ["lloyd", "hamerly", "elkan", "yinyang"]
-
-    def _run(self, X, log=None, resume=False, plan=PLAN):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return parallel_compare(
-                self.SPECS, X, 4,
-                repeats=1, max_iter=3, seed=0,
-                timeout=15.0, retries=2,
-                dataset="chaos", log=log, resume=resume, fault_plan=plan,
-            )
-
-    def test_chaos_sweep_completes_with_failures_recorded(self, data):
-        results = self._run(data)
-        by_algo = {getattr(r, "algorithm", None) or r.key.algorithm: r
-                   for r in results}
-        # Healthy spec and the retried-transient spec both succeed.
+    def test_chaos_sweep_completes_with_failures_recorded(self, campaign):
+        results, _ = campaign
+        # One outcome per cell, in input order.
+        assert [r.algorithm for r in results] == SPECS
+        by_algo = {r.algorithm: r for r in results}
         assert not is_failed_record(by_algo["lloyd"])
         assert not is_failed_record(by_algo["hamerly"])
-        # Hanging and killed specs degrade to FailedRun entries.
-        assert isinstance(by_algo["elkan"], FailedRun)
-        assert by_algo["elkan"].error_type == "RunTimeoutError"
-        assert isinstance(by_algo["yinyang"], FailedRun)
-        assert by_algo["yinyang"].error_type == "WorkerCrashError"
+        hung, crashed, raised = by_algo[HANG], by_algo[CRASH], by_algo[RAISE]
+        assert isinstance(hung, FailedRun)
+        assert hung.error_type == "RunTimeoutError"
+        assert isinstance(crashed, FailedRun)
+        assert crashed.error_type == "WorkerCrashError"
+        assert isinstance(raised, FailedRun)
+        assert raised.error_type == "PlantedFault"
+        assert "planted failure for drake" in raised.message
 
-    def test_transient_spec_was_actually_retried(self, data):
-        results = self._run(data)
-        hamerly = next(r for r in results
-                       if getattr(r, "algorithm", "") == "hamerly")
-        assert not is_failed_record(hamerly)
-
-    def test_survivors_bit_identical_to_serial_harness(self, data):
+    def test_survivors_bit_identical_to_serial_harness(self, campaign, data):
+        results, _ = campaign
         serial = compare_algorithms(["lloyd", "hamerly"], data, 4,
                                     repeats=1, max_iter=3, seed=0)
-        chaos = [r for r in self._run(data) if not is_failed_record(r)]
-        by_algo = {r.algorithm: r for r in chaos}
+        by_algo = {r.algorithm: r for r in results if not is_failed_record(r)}
+        assert set(by_algo) == {"lloyd", "hamerly"}
         for reference in serial:
             survivor = by_algo[reference.algorithm]
             assert survivor.sse == reference.sse
@@ -191,25 +129,24 @@ class TestChaosCampaign:
             assert survivor.point_accesses == reference.point_accesses
             assert survivor.n_iter == reference.n_iter
 
-    def test_resume_reruns_only_failed_cells(self, data, tmp_path):
+    def test_resume_reruns_only_failed_cells(self, campaign, data, tmp_path):
+        _, campaign_log = campaign
         log_path = tmp_path / "campaign.jsonl"
+        shutil.copy(campaign_log, log_path)
         log = EvaluationLog(log_path)
-        self._run(data, log=log)
         assert len(log.completed_keys()) == 2
-        assert len(log.failed_keys()) == 2
+        assert len(log.failed_keys()) == 3
         lines_before = len(read_jsonl(log_path))
 
-        # Resume without faults: only elkan and yinyang re-run.
-        log2 = EvaluationLog(log_path)
-        results = self._run(data, log=log2, resume=True, plan=None)
+        # Resume without faults: only the three failed cells re-run.
+        results = _run(data, log=log, resume=True)
         assert all(not is_failed_record(r) for r in results)
         by_algo = {r.algorithm: r for r in results}
         assert by_algo["lloyd"].extras.get("resumed") is True
         assert by_algo["hamerly"].extras.get("resumed") is True
-        assert "resumed" not in by_algo["elkan"].extras
-        assert "resumed" not in by_algo["yinyang"].extras
-        # Exactly the two failed cells were re-run and appended.
-        assert len(read_jsonl(log_path)) == lines_before + 2
+        for name in (HANG, CRASH, RAISE):
+            assert "resumed" not in by_algo[name].extras
+        assert len(read_jsonl(log_path)) == lines_before + 3
         assert len(EvaluationLog(log_path).failed_keys()) == 0
 
 
@@ -217,14 +154,12 @@ class TestCrashRecovery:
     def test_log_survives_truncated_tail(self, data, tmp_path):
         log_path = tmp_path / "crashy.jsonl"
         log = EvaluationLog(log_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            parallel_compare(["lloyd", "hamerly"], data, 4, repeats=1,
-                             max_iter=3, seed=0, dataset="crash", log=log)
+        _run(data, specs=["lloyd", "hamerly"], log=log, dataset="crash")
         intact = len(read_jsonl(log_path))
         assert intact == 2
 
-        corrupt_jsonl_tail(log_path, drop_bytes=9)
+        # A crash mid-append leaves a truncated final line.
+        os.truncate(log_path, log_path.stat().st_size - 9)
         with pytest.warns(RuntimeWarning, match="truncated"):
             recovered = EvaluationLog(log_path, truncated="quarantine")
         # One record lost to the crash artifact, the rest intact.
@@ -243,19 +178,50 @@ class TestCrashRecovery:
         reloaded = read_jsonl(log_path, truncated="raise")
         assert [r["algorithm"] for r in reloaded] == ["lloyd", "elkan"]
 
+    def test_log_with_attempts_fields_still_resumes(self, data, tmp_path):
+        # Logs written while the runtime still retried cells carry an
+        # ``attempts`` field on failed records; they load and resume.
+        (lloyd,) = compare_algorithms(["lloyd"], data, 4, repeats=1,
+                                      max_iter=3, seed=0)
+        context = {"dataset": "legacy", "seed": 0, "max_iter": 3}
+        hamerly = RunKey(algorithm="hamerly", n=data.shape[0], d=data.shape[1],
+                         k=4, **context)
+        lines = [
+            {**lloyd.as_dict(), **context},
+            {**hamerly.as_dict(), "status": "failed",
+             "error_type": "RunTimeoutError",
+             "message": "exceeded the 60s wall-clock budget",
+             "attempts": 3, "elapsed": 180.2},
+        ]
+        log_path = tmp_path / "legacy.jsonl"
+        log_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+        log = EvaluationLog(log_path)
+        (failure,) = log.failures()
+        assert failure["attempts"] == 3
+        assert log.failed_keys() == {hamerly}
+
+        results = _run(data, specs=["lloyd", "hamerly"], log=log, resume=True,
+                       dataset="legacy")
+        assert [r.algorithm for r in results] == ["lloyd", "hamerly"]
+        assert results[0].extras.get("resumed") is True
+        assert "resumed" not in results[1].extras
+        assert not is_failed_record(results[1])
+        assert len(read_jsonl(log_path)) == 3
+        assert EvaluationLog(log_path).failed_keys() == set()
+
 
 class TestFaultTolerantSweep:
+    @needs_fork
     def test_sweep_records_failures_and_series_skips_them(self, data):
-        plan = FaultPlan(faults=(Fault(kind="raise", match="hamerly"),))
-        with warnings.catch_warnings():
+        with planted_faults(), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             sweep = sweep_parameter(
-                [2, 3], lambda k: (data, k), ["lloyd", "hamerly"],
-                repeats=1, max_iter=3, seed=0,
-                timeout=15.0, fault_plan=plan,
+                [2, 3], lambda k: (data, k), ["lloyd", RAISE],
+                repeats=1, max_iter=3, seed=0, timeout=TIMEOUT,
             )
         assert len(series(sweep, "lloyd", "sse")) == 2
-        assert series(sweep, "hamerly", "sse") == []
+        assert series(sweep, RAISE, "sse") == []
 
     def test_serial_sweep_unchanged_without_runtime_knobs(self, data):
         sweep = sweep_parameter(
@@ -263,15 +229,3 @@ class TestFaultTolerantSweep:
             repeats=1, max_iter=3, seed=0,
         )
         assert len(series(sweep, "lloyd", "sse")) == 2
-
-
-def test_injected_faults_do_not_perturb_results(data):
-    """A delay fault changes timing only — counters and SSE stay identical."""
-    plan = FaultPlan(faults=(Fault(kind="delay", match="lloyd", seconds=0.05),))
-    delayed = parallel_compare(["lloyd"], data, 4, repeats=1, max_iter=3,
-                               seed=0, fault_plan=plan)[0]
-    serial = compare_algorithms(["lloyd"], data, 4, repeats=1, max_iter=3,
-                                seed=0)[0]
-    assert delayed.sse == serial.sse
-    assert delayed.distance_computations == serial.distance_computations
-    assert np.isfinite(delayed.total_time)

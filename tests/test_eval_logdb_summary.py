@@ -180,7 +180,7 @@ class TestCheckpointIndex:
         key = RunKey(algorithm=name, dataset="toy", n=100, d=4, k=5,
                      seed=0, max_iter=10)
         return FailedRun(key=key, error_type="RunTimeoutError",
-                         message="hung", attempts=2, elapsed=1.5)
+                         message="hung", elapsed=1.5)
 
     def _key_of(self, name):
         return RunKey(algorithm=name, dataset="toy", n=100, d=4, k=5,
@@ -225,7 +225,7 @@ class TestCheckpointIndex:
         assert reloaded.failed_keys() == {self._key_of("elkan")}
         (failure,) = reloaded.failures()
         assert failure["error_type"] == "RunTimeoutError"
-        assert failure["attempts"] == 2
+        assert failure["elapsed"] == pytest.approx(1.5)
 
     def test_records_without_keys_are_queryable_not_indexed(self):
         log = EvaluationLog()
@@ -239,7 +239,7 @@ class TestAggregatesTolerateFailures:
         key = RunKey(algorithm=name, dataset="toy", n=100, d=4, k=5,
                      seed=0, max_iter=10)
         return FailedRun(key=key, error_type="WorkerCrashError",
-                         message="died", attempts=1, elapsed=0.1)
+                         message="died", elapsed=0.1)
 
     def test_ratings_skip_failed_cells(self):
         tasks = [

@@ -12,7 +12,10 @@ asserts the same thing across a real process boundary.
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -453,6 +456,22 @@ class TestMicroBatcher:
                 batcher.submit(X[0], deadline=-1.0)
             with pytest.raises(ValidationError):
                 batcher.submit(np.zeros((2, predictor.d + 1)))
+
+
+class TestImportSurface:
+    def test_serving_does_not_load_the_harness(self):
+        # FailedRequest's status literal lives in repro.common, so a
+        # serving process never imports repro.eval or multiprocessing.
+        code = (
+            "import sys\n"
+            "import repro.serve\n"
+            "loaded = sorted(name for name in sys.modules\n"
+            "                if name == 'repro.eval' or name.startswith('repro.eval.')\n"
+            "                or name == 'multiprocessing')\n"
+            "assert not loaded, loaded\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestHarnessIntegration:
