@@ -65,12 +65,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _non_negative_float(text: str) -> float:
-    """argparse ``type=`` for durations that may be 0."""
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _k_list(text: str) -> List[int]:
+    """argparse ``type=`` for ``--ks``: comma-separated k values, each >= 1."""
+    try:
+        ks = [int(k) for k in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if min(ks) < 1:
+        raise argparse.ArgumentTypeError(f"values must be >= 1, got {text!r}")
+    return ks
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
@@ -138,6 +142,15 @@ def _load(args: argparse.Namespace):
     return load_dataset(args.dataset, n=args.n, seed=args.seed)
 
 
+def _k_exceeds_points(ks: Sequence[int], X, dataset: str) -> bool:
+    """Report on stderr, and return True, when a k exceeds ``len(X)``."""
+    if max(ks) <= len(X):
+        return False
+    print(f"k={max(ks)} exceeds the {len(X)} points loaded from {dataset}",
+          file=sys.stderr)
+    return True
+
+
 def _cmd_datasets(args: argparse.Namespace) -> int:
     rows = []
     for name in dataset_names():
@@ -157,6 +170,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     X = _load(args)
+    if _k_exceeds_points([args.k], X, args.dataset):
+        return 2
     algorithm = make_algorithm(
         args.algorithm, backend=args.backend, shards=args.shards
     )
@@ -195,6 +210,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     X = _load(args)
+    if _k_exceeds_points([args.k], X, args.dataset):
+        return 2
     records = compare_algorithms(
         names, X, args.k,
         repeats=args.repeats, max_iter=args.max_iter,
@@ -223,11 +240,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         if args.datasets
         else dataset_names()[:6]
     )
-    ks = [int(k) for k in args.ks.split(",")]
     tasks = []
     for name in names:
         X = load_dataset(name, n=args.n, seed=args.seed)
-        for k in ks:
+        if _k_exceeds_points(args.ks, X, name):
+            return 2
+        for k in args.ks:
             tasks.append((name, X, k))
     print(f"labeling {len(tasks)} tasks (selective={not args.full}) ...")
     records = generate_ground_truth(
@@ -279,20 +297,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if error:
         print(error, file=sys.stderr)
         return 2
-    try:
-        datasets = [d.strip() for d in args.datasets.split(",") if d.strip()]
-        ks = [int(k) for k in args.ks.split(",")]
-        if min(ks) < 1:
-            raise ValueError(f"--ks values must be >= 1, got {args.ks!r}")
-    except ValueError as exc:
-        print(f"bad arguments: {exc}", file=sys.stderr)
+    datasets = {
+        name: load_dataset(name, n=args.n, seed=args.seed)
+        for name in (d.strip() for d in args.datasets.split(",")) if name
+    }
+    if any(_k_exceeds_points(args.ks, X, name) for name, X in datasets.items()):
         return 2
     log = EvaluationLog(args.log) if args.log else EvaluationLog()
     rows = []
     ok_count = failed_count = resumed_count = 0
-    for dataset in datasets:
-        X = load_dataset(dataset, n=args.n, seed=args.seed)
-        for k in ks:
+    for dataset, X in datasets.items():
+        for k in args.ks:
             records = parallel_compare(
                 names, X, k,
                 repeats=args.repeats, max_iter=args.max_iter, seed=args.seed,
@@ -364,6 +379,8 @@ def _cmd_registry(args: argparse.Namespace) -> int:
             print(error, file=sys.stderr)
             return 2
         X = _load(args)
+        if _k_exceeds_points([args.k], X, args.dataset):
+            return 2
         algorithm = make_algorithm(
             args.algorithm, backend=args.backend, shards=args.shards
         )
@@ -435,8 +452,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     begin = time.perf_counter()
     failed = 0
     outputs = []
-    with MicroBatcher(predictor, max_batch=args.batch,
-                      max_wait=args.max_wait) as batcher:
+    with MicroBatcher(predictor, max_batch=args.batch) as batcher:
         tickets = [
             batcher.submit(X[start:start + args.request_size],
                            deadline=args.deadline)
@@ -515,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser("tune", help="train and evaluate the UTune selector")
     tune.add_argument("--datasets", default=None, help="comma-separated registry names")
-    tune.add_argument("--ks", default="5,15")
+    tune.add_argument("--ks", type=_k_list, default="5,15",
+                      help="comma-separated k values")
     tune.add_argument("--n", type=_positive_int, default=600)
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--max-iter", type=_positive_int, default=5)
@@ -543,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "and --shards support")
     _add_backend_argument(bench)
     _add_shard_arguments(bench)
-    bench.add_argument("--ks", default="4", help="comma-separated k values")
+    bench.add_argument("--ks", type=_k_list, default="4",
+                       help="comma-separated k values")
     bench.add_argument("--n", type=_positive_int, default=300,
                        help="surrogate point count per dataset")
     bench.add_argument("--seed", type=int, default=0)
@@ -608,9 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--request-size", type=_positive_int, default=64,
                        help="points per simulated client request")
     serve.add_argument("--batch", type=_positive_int, default=256,
-                       help="max requests coalesced into one kernel call")
-    serve.add_argument("--max-wait", type=_non_negative_float, default=0.002,
-                       help="seconds the batcher lingers for batchmates")
+                       help="max requests coalesced into one kernel call; "
+                            "the batcher serves what is queued as soon as "
+                            "it is free, without waiting for batchmates")
     serve.add_argument("--deadline", type=_positive_float, default=None,
                        help="per-request deadline in seconds (expired "
                             "requests degrade to FailedRequest)")

@@ -2,8 +2,12 @@
 
 Concurrent callers submit small queries; a single worker thread coalesces
 whatever is pending into one vectorized :meth:`Predictor.predict` call.
-Batching amortizes the per-call kernel overhead — ``TestServingPerformance``
-in ``tests/test_backend_conformance.py`` gates the batched path at ≥5x over
+The worker never lingers: as soon as it is free it takes up to
+``max_batch`` queued requests and serves them, so an idle server answers
+a lone request at once, and under load the next batch is whatever queued
+while the previous kernel call ran.  Batching amortizes the per-call
+kernel overhead — ``TestServingPerformance`` in
+``tests/test_backend_conformance.py`` gates the batched path at ≥5x over
 the per-point loop on the 20k×16 smoke workload.
 
 Failure semantics follow ``repro.eval.runtime``: a request never takes
@@ -36,9 +40,6 @@ import numpy as np
 from repro.common import FAILED_STATUS
 from repro.common.exceptions import ValidationError
 from repro.serve.predictor import Predictor
-
-#: how long the worker sleeps when the queue is empty (seconds)
-_IDLE_WAIT = 0.05
 
 
 @dataclass
@@ -107,7 +108,7 @@ class Ticket:
 
 
 def _batch_worker(batcher: "MicroBatcher") -> None:
-    """Worker loop: drain, coalesce, serve, resolve.
+    """Worker loop: take what is queued, serve it, resolve, repeat.
 
     Module-level so R007 can treat it as a dispatch root; all state it
     touches belongs to the batcher instance it is handed.
@@ -116,8 +117,7 @@ def _batch_worker(batcher: "MicroBatcher") -> None:
         batch = batcher._collect_batch()
         if batch is None:
             return
-        if batch:
-            batcher._serve_batch(batch)
+        batcher._serve_batch(batch)
 
 
 class MicroBatcher:
@@ -125,14 +125,14 @@ class MicroBatcher:
 
     Usage::
 
-        with MicroBatcher(predictor, max_batch=256, max_wait=0.002) as mb:
+        with MicroBatcher(predictor, max_batch=256) as mb:
             ticket = mb.submit(points, deadline=0.5)
             labels = ticket.result()        # ndarray, or FailedRequest
 
-    ``max_wait`` bounds how long the worker lingers for batchmates after
-    the first request of a batch arrives; ``max_batch`` bounds coalesced
-    size (a single oversized submit is still served whole — the predictor
-    chunks internally).
+    A batch is every request queued when the worker comes free, up to
+    ``max_batch`` of them (a single oversized submit is still served
+    whole — the predictor chunks internally).  The worker does not wait
+    for batchmates.
     """
 
     def __init__(
@@ -140,15 +140,11 @@ class MicroBatcher:
         predictor: Predictor,
         *,
         max_batch: int = 256,
-        max_wait: float = 0.002,
     ) -> None:
         if max_batch <= 0:
             raise ValidationError(f"max_batch must be > 0, got {max_batch}")
-        if max_wait < 0:
-            raise ValidationError(f"max_wait must be >= 0, got {max_wait}")
         self.predictor = predictor
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self._lock = threading.Lock()
         self._has_work = threading.Condition(self._lock)
         self._queue: List[Ticket] = []
@@ -216,25 +212,17 @@ class MicroBatcher:
     # ------------------------------------------------------------------
 
     def _collect_batch(self) -> Optional[List[Ticket]]:
-        """Next coalesced batch; ``None`` means shut down (queue drained).
+        """Next batch; ``None`` means shut down (queue drained).
 
-        Blocks until at least one request is pending, then lingers up to
-        ``max_wait`` for batchmates before cutting the batch at
-        ``max_batch`` requests.
+        Blocks until a request is pending or :meth:`close` is called
+        (``submit`` and ``close`` both notify), then takes up to
+        ``max_batch`` queued requests at once.
         """
         with self._has_work:
             while not self._queue and not self._closed:
-                self._has_work.wait(_IDLE_WAIT)
+                self._has_work.wait()
             if not self._queue:
                 return None  # closed and drained
-        if self.max_wait > 0:
-            cutoff = time.perf_counter() + self.max_wait
-            while time.perf_counter() < cutoff:
-                with self._lock:
-                    if len(self._queue) >= self.max_batch or self._closed:
-                        break
-                time.sleep(self.max_wait / 10)
-        with self._lock:
             batch = self._queue[: self.max_batch]
             del self._queue[: self.max_batch]
         return batch

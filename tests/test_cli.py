@@ -304,14 +304,17 @@ class TestNumericFlags:
             (["cluster", "--max-iter", "0"], "--max-iter"),
             (["serve", "reg", "--request-size", "0"], "--request-size"),
             (["serve", "reg", "--batch", "0"], "--batch"),
-            (["serve", "reg", "--max-wait", "-1"], "--max-wait"),
             (["serve", "reg", "--deadline", "0"], "--deadline"),
+            (["bench", "--ks", "x"], "--ks"),
+            (["tune", "--ks", "0"], "--ks"),
+            (["tune", "--ks", "5,x"], "--ks"),
         ),
         ids=(
             "bench-timeout", "bench-repeats", "bench-ks", "bench-n",
             "bench-max-workers-zero", "bench-max-workers-negative",
             "cluster-k", "cluster-max-iter", "serve-request-size",
-            "serve-batch", "serve-max-wait", "serve-deadline",
+            "serve-batch", "serve-deadline", "bench-ks-text", "tune-ks",
+            "tune-ks-text",
         ),
     )
     def test_out_of_range_exits_two(self, argv, flag, tmp_path, capsys):
@@ -320,4 +323,24 @@ class TestNumericFlags:
         assert _exit_code(argv) == 2
         err = capsys.readouterr().err
         assert flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["cluster", "--dataset", "Skin", "--n", "300", "--k", "500"],
+            ["compare", "--dataset", "Skin", "--n", "300", "--k", "500"],
+            ["registry", "save", "reg", "--dataset", "Skin", "--n", "300",
+             "--k", "500"],
+            ["bench", "--n", "300", "--ks", "4,500"],
+            ["tune", "--n", "300", "--ks", "500"],
+        ),
+        ids=("cluster", "compare", "registry-save", "bench", "tune"),
+    )
+    def test_k_above_point_count_exits_two(self, argv, tmp_path, capsys):
+        if argv[0] == "registry":
+            argv = ["registry", "save", str(tmp_path / "reg"), *argv[3:]]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "k=500 exceeds the 300 points" in err
         assert "Traceback" not in err

@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -365,30 +366,48 @@ def _make_predictor(tmp_path):
     return X, result, Predictor(ModelRegistry(tmp_path / "reg"), key)
 
 
+class _GatedPredict:
+    """Stands in for ``predictor.predict``: the first kernel call blocks
+    until ``release`` is set, so a test can queue requests behind a batch
+    that is known to be in the kernel.  ``calls`` holds the row count of
+    every kernel call."""
+
+    def __init__(self, predictor):
+        self._predict = predictor.predict
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.calls = []
+        predictor.predict = self
+
+    def __call__(self, points, counters=None):
+        self.calls.append(points.shape[0])
+        if len(self.calls) == 1:
+            self.entered.set()
+            assert self.release.wait(10)
+        return self._predict(points, counters)
+
+
 class TestMicroBatcher:
     def test_concurrent_submits_coalesce_and_stay_correct(self, tmp_path):
         X, result, predictor = _make_predictor(tmp_path)
-        outcomes = [None] * 40
-        with MicroBatcher(predictor, max_batch=64, max_wait=0.01) as batcher:
-            def client(i):
-                outcomes[i] = batcher.submit(X[i]).result(timeout=10)
-
-            threads = [threading.Thread(target=client, args=(i,))
-                       for i in range(40)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        gate = _GatedPredict(predictor)
+        with MicroBatcher(predictor, max_batch=64) as batcher:
+            tickets = [batcher.submit(X[0])]
+            assert gate.entered.wait(10)
+            # Queued while the first batch is in the kernel: served
+            # together as the next batch.
+            tickets += [batcher.submit(X[i]) for i in range(1, 11)]
+            gate.release.set()
+            outcomes = [ticket.result(timeout=10) for ticket in tickets]
+        assert batcher.stats["batches"] == 2
+        assert gate.calls == [1, 10]
         for i, outcome in enumerate(outcomes):
             assert isinstance(outcome, np.ndarray)
             assert outcome[0] == result.labels[i]
-        # Coalescing happened: far fewer kernel batches than requests.
-        assert batcher.stats["requests"] == 40
-        assert batcher.stats["batches"] < 40
 
     def test_multi_point_requests_split_correctly(self, tmp_path):
         X, result, predictor = _make_predictor(tmp_path)
-        with MicroBatcher(predictor, max_batch=8, max_wait=0.001) as batcher:
+        with MicroBatcher(predictor, max_batch=8) as batcher:
             tickets = [batcher.submit(X[i * 10:(i + 1) * 10])
                        for i in range(5)]
             for i, ticket in enumerate(tickets):
@@ -399,14 +418,19 @@ class TestMicroBatcher:
 
     def test_expired_deadline_degrades_to_failed_request(self, tmp_path):
         X, _, predictor = _make_predictor(tmp_path)
-        # A long max_wait guarantees the deadline passes while queued.
-        with MicroBatcher(predictor, max_batch=4, max_wait=0.3) as batcher:
-            ticket = batcher.submit(X[0], deadline=1e-4)
+        gate = _GatedPredict(predictor)
+        with MicroBatcher(predictor, max_batch=4) as batcher:
+            batcher.submit(X[0])
+            assert gate.entered.wait(10)
+            ticket = batcher.submit(X[1], deadline=1e-3)
+            time.sleep(0.01)  # the deadline passes while the request is queued
+            gate.release.set()
             outcome = ticket.result(timeout=10)
         assert isinstance(outcome, FailedRequest)
         assert outcome.error_type == "DeadlineExceededError"
         assert outcome.status == "failed"
         assert batcher.stats["failed"] == 1
+        assert gate.calls == [1]  # the expired request never reached the kernel
 
     def test_kernel_failure_degrades_batch_not_server(self, tmp_path):
         X, result, predictor = _make_predictor(tmp_path)
@@ -420,7 +444,7 @@ class TestMicroBatcher:
             return original(points, counters)
 
         predictor.predict = flaky
-        with MicroBatcher(predictor, max_batch=64, max_wait=0.01) as batcher:
+        with MicroBatcher(predictor, max_batch=64) as batcher:
             first = batcher.submit(X[0]).result(timeout=10)
             second = batcher.submit(X[1]).result(timeout=10)
         assert isinstance(first, FailedRequest)
@@ -439,13 +463,19 @@ class TestMicroBatcher:
 
     def test_close_drains_pending_requests(self, tmp_path):
         X, result, predictor = _make_predictor(tmp_path)
-        batcher = MicroBatcher(predictor, max_batch=16, max_wait=0.05)
-        tickets = [batcher.submit(X[i]) for i in range(10)]
-        batcher.close()
+        gate = _GatedPredict(predictor)
+        batcher = MicroBatcher(predictor, max_batch=16)
+        tickets = [batcher.submit(X[0])]
+        assert gate.entered.wait(10)
+        tickets += [batcher.submit(X[i]) for i in range(1, 10)]
+        batcher.close(timeout=0)  # closed with nine requests still queued
+        gate.release.set()
         for i, ticket in enumerate(tickets):
-            outcome = ticket.result(timeout=1)
+            outcome = ticket.result(timeout=10)
             assert isinstance(outcome, np.ndarray)
             assert outcome[0] == result.labels[i]
+        batcher._worker.join(10)
+        assert not batcher._worker.is_alive()
 
     def test_bad_arguments_rejected(self, tmp_path):
         X, _, predictor = _make_predictor(tmp_path)
