@@ -39,9 +39,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
-from repro.common.exceptions import ConfigurationError
+from repro.common.exceptions import ConfigurationError, DatasetError, ValidationError
 from repro.core import ALGORITHMS, BACKENDS, make_algorithm
 from repro.datasets import dataset_names, get_dataset_spec, load_dataset
 from repro.datasets.loaders import append_jsonl, load_points_csv
@@ -136,10 +136,21 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _loaded(load: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``load(*args, **kwargs)``, or None after one stderr line when the
+    data cannot be loaded (an unknown dataset, a missing, empty or
+    malformed CSV, non-finite values); the caller then exits 2."""
+    try:
+        return load(*args, **kwargs)
+    except (DatasetError, ValidationError) as exc:
+        print(f"cannot load data: {exc}", file=sys.stderr)
+        return None
+
+
 def _load(args: argparse.Namespace):
     if args.csv:
-        return load_points_csv(args.dataset)
-    return load_dataset(args.dataset, n=args.n, seed=args.seed)
+        return _loaded(load_points_csv, args.dataset)
+    return _loaded(load_dataset, args.dataset, n=args.n, seed=args.seed)
 
 
 def _k_exceeds_points(ks: Sequence[int], X, dataset: str) -> bool:
@@ -170,7 +181,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     X = _load(args)
-    if _k_exceeds_points([args.k], X, args.dataset):
+    if X is None or _k_exceeds_points([args.k], X, args.dataset):
         return 2
     algorithm = make_algorithm(
         args.algorithm, backend=args.backend, shards=args.shards
@@ -210,7 +221,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     X = _load(args)
-    if _k_exceeds_points([args.k], X, args.dataset):
+    if X is None or _k_exceeds_points([args.k], X, args.dataset):
         return 2
     records = compare_algorithms(
         names, X, args.k,
@@ -242,8 +253,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     )
     tasks = []
     for name in names:
-        X = load_dataset(name, n=args.n, seed=args.seed)
-        if _k_exceeds_points(args.ks, X, name):
+        X = _loaded(load_dataset, name, n=args.n, seed=args.seed)
+        if X is None or _k_exceeds_points(args.ks, X, name):
             return 2
         for k in args.ks:
             tasks.append((name, X, k))
@@ -297,12 +308,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if error:
         print(error, file=sys.stderr)
         return 2
-    datasets = {
-        name: load_dataset(name, n=args.n, seed=args.seed)
-        for name in (d.strip() for d in args.datasets.split(",")) if name
-    }
-    if any(_k_exceeds_points(args.ks, X, name) for name, X in datasets.items()):
-        return 2
+    datasets = {}
+    for name in (d.strip() for d in args.datasets.split(",")):
+        if not name:
+            continue
+        X = _loaded(load_dataset, name, n=args.n, seed=args.seed)
+        if X is None or _k_exceeds_points(args.ks, X, name):
+            return 2
+        datasets[name] = X
     log = EvaluationLog(args.log) if args.log else EvaluationLog()
     rows = []
     ok_count = failed_count = resumed_count = 0
@@ -379,7 +392,7 @@ def _cmd_registry(args: argparse.Namespace) -> int:
             print(error, file=sys.stderr)
             return 2
         X = _load(args)
-        if _k_exceeds_points([args.k], X, args.dataset):
+        if X is None or _k_exceeds_points([args.k], X, args.dataset):
             return 2
         algorithm = make_algorithm(
             args.algorithm, backend=args.backend, shards=args.shards
@@ -441,10 +454,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except RegistryError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.points:
-        X = load_points_csv(args.points)
-    else:
-        X = _load(args)
+    X = _loaded(load_points_csv, args.points) if args.points else _load(args)
+    if X is None:
+        return 2
     if X.shape[1] != predictor.d:
         print(f"query points have d={X.shape[1]}, model expects "
               f"d={predictor.d}", file=sys.stderr)

@@ -5,10 +5,11 @@ builds instances by name, and :class:`KMeans` is the user-facing facade.
 
 Two execution backends exist (see ``docs/backends.md``): ``"reference"``
 (the pointwise scalar implementations, ground truth for counter semantics)
-and ``"vectorized"`` (NumPy-batched replacements — Lloyd, Yinyang and
-k-means++ seeding — that reproduce the reference labels, centroids,
-iteration counts and counter totals exactly — enforced by
-``tests/test_backend_conformance.py``).
+and ``"vectorized"`` (NumPy-batched replacements for Lloyd and Yinyang
+that reproduce the reference labels, centroids, iteration counts and
+counter totals exactly — enforced by
+``tests/test_backend_conformance.py``).  Both backends seed k-means++
+through the same certified D² update (``repro.core.initialization``).
 Select with ``make_algorithm(name, backend="vectorized")`` or
 ``KMeans(..., backend="vectorized")``.
 """

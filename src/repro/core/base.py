@@ -222,12 +222,11 @@ class KMeansAlgorithm(abc.ABC):
     def _seed(self, init: str, rng: np.random.Generator) -> np.ndarray:
         """Initial ``(k, d)`` centroids drawn by method ``init`` from ``rng``.
 
-        Seeding runs on the algorithm's own backend; the vectorized
-        initializer is bit-identical under the same RNG stream
-        (docs/backends.md, "seeding parity"), so both backends still start
-        from the same centroids.
+        Every backend seeds through the same code (k-means++ through the
+        certified D² update, docs/backends.md, "seeding parity"), so both
+        backends start from the same centroids under the same RNG stream.
         """
-        return initialize_centroids(self.X, self.k, init, seed=rng, backend=self.backend)
+        return initialize_centroids(self.X, self.k, init, seed=rng)
 
     @abc.abstractmethod
     def _assign(self, iteration: int) -> None:

@@ -5,31 +5,27 @@ that the *relative* speedups of the accelerated methods are insensitive to
 the initialization choice; both options are provided so that experiment can
 be reproduced.
 
-Backends and seeding parity
----------------------------
-Like the clustering algorithms, k-means++ exists in both execution
-backends (``docs/backends.md``):
+One seeding for both backends
+-----------------------------
+k-means++ has a single D² update, :func:`_update_closest_sq_certified`,
+whatever ``backend`` the caller names.  One matrix-vector score per
+update picks the rows whose new distance could undercut their
+``closest_sq`` (a skipped row provably keeps its value), and one
+:func:`~repro.common.distance.paired_sq_distances` call evaluates just
+those rows exactly.  That kernel is bit-identical per row to
+:func:`~repro.common.distance.sq_euclidean`, so the ``closest_sq`` array —
+and therefore the sampling probability vector handed to the RNG — carries
+the exact same 64-bit floats as the pointwise scalar loop of the paper's
+pseudocode, and the RNG calls are the same (one ``integers`` for the first
+pick, one ``choice``/``integers`` per subsequent pick).  Under the same
+seed the picks are those of the scalar loop, which the tests keep as the
+parity oracle (``TestSeedingParity`` in
+``tests/test_backend_conformance.py``, plugged in through the
+``update_rows`` seam).
 
-``reference``
-    The pointwise scalar loop — one :func:`~repro.common.distance.sq_euclidean`
-    call per point per D² update, the ground truth for counter semantics.
-``vectorized``
-    One matrix-vector score per D² update picks the rows whose new distance
-    could undercut their ``closest_sq`` (:func:`_update_closest_sq_certified`;
-    a skipped row provably keeps its value), and one
-    :func:`~repro.common.distance.paired_sq_distances` call evaluates just
-    those rows exactly.  That kernel is bit-identical per row to
-    ``sq_euclidean``, so the ``closest_sq`` array — and therefore the
-    sampling probability vector handed to the RNG — carries the exact same
-    64-bit floats as the scalar path.  Both backends make the *same RNG
-    calls in the same order* (one ``integers`` for the first pick, one
-    ``choice``/``integers`` per subsequent pick), so under the same seed
-    they select identical centroid rows: the seeding-parity contract
-    enforced by ``tests/test_backend_conformance.py``.
-
-Counter totals are backend-independent (``n`` distances + ``n`` point
-accesses per D² update), per the backend doctrine that counters measure the
-paper's cost model, never BLAS calls.
+Counter totals are those of the scalar loop (``n`` distances + ``n`` point
+accesses per D² update), per the backend doctrine that counters measure
+the paper's cost model, never BLAS calls.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from repro.common.distance import (
     centroid_scores,
     certificate_margin,
     paired_sq_distances,
-    sq_euclidean,
     sq_norms,
 )
 from repro.common.exceptions import ConfigurationError
@@ -62,8 +57,8 @@ def init_random(
 ) -> np.ndarray:
     """Choose ``k`` distinct data points uniformly at random as centroids.
 
-    ``backend`` is accepted for dispatch uniformity; random seeding has no
-    distance computations to vectorize, so both backends share this code.
+    ``backend`` is validated but selects nothing: random seeding has no
+    distance computations, so both backends share this code.
     """
     _check_backend(backend)
     X = check_data_matrix(X)
@@ -87,14 +82,15 @@ def init_kmeans_plus_plus(
     """k-means++ seeding: each next centroid sampled ∝ squared distance.
 
     This is the exact (non-greedy) k-means++ of Arthur & Vassilvitskii.
-    ``backend="vectorized"`` scores each D² update with one matrix-vector
-    product and evaluates exactly only the rows the score cannot clear;
-    picks, centroids and counter totals are identical to the reference
-    under the same seed (see module docstring).
+    Each D² update scores every row with one matrix-vector product and
+    evaluates exactly only the rows the score cannot clear; picks,
+    centroids and counter totals are those of the pointwise scalar loop
+    under the same seed (see module docstring).  ``backend`` is validated
+    but selects nothing: both backends seed through the same update.
 
-    ``update_rows`` is an internal seam for the sharded engine
-    (``repro.exec.sharded``): it replaces the vectorized D² update over
-    the whole row range, with the signature of
+    ``update_rows`` is a seam for the sharded engine
+    (``repro.exec.sharded``) and for the tests' scalar oracle: it replaces
+    the D² update over the whole row range, with the signature of
     :func:`_update_closest_sq_certified`, and must leave ``closest_sq``
     as that kernel would.  The sampling stays here, on the caller's
     thread.  ``None`` (the default) runs the whole row range inline.
@@ -107,52 +103,49 @@ def init_kmeans_plus_plus(
     centroids = np.empty((k, X.shape[1]))
     first = int(rng.integers(0, n))
     centroids[0] = X[first]
-    update = _closest_sq_update(X, backend, update_rows)
+    update = _closest_sq_update(X, update_rows)
     closest_sq = np.full(n, np.inf)
     update(X, centroids[0], closest_sq, counters)
     for j in range(1, k):
-        total = float(closest_sq.sum())
-        if total <= 0.0:
-            # All remaining points coincide with chosen centroids; fall back
-            # to uniform choice among the rest.
-            pick = int(rng.integers(0, n))
-        else:
-            pick = int(rng.choice(n, p=closest_sq / total))
-        centroids[j] = X[pick]
+        centroids[j] = X[_draw_d2(rng, closest_sq)]
         update(X, centroids[j], closest_sq, counters)
     return centroids
 
 
-def _closest_sq_update(
-    X: np.ndarray, backend: str, certified: Optional[Callable[..., None]] = None
-) -> Callable[..., None]:
-    """The D² update of ``backend``: ``update(X, centroid, closest_sq, counters)``.
+def _draw_d2(rng: np.random.Generator, closest_sq: np.ndarray) -> int:
+    """One index drawn with probability ∝ ``closest_sq``, in one RNG call.
 
-    The vectorized backend runs ``certified`` (default
-    :func:`_update_closest_sq_certified`; the sharded engine passes a
-    fan-out of it over row ranges) with the per-row norm bound.
+    When the D² total overflows, the weights are divided by their maximum
+    first; if a row's own D² overflowed to ``inf``, the rows at ``inf``
+    share the mass equally (the limit of the finite rule).
     """
-    if backend == "reference":
-        return _update_closest_sq_reference
+    n = len(closest_sq)
+    with np.errstate(over="ignore"):
+        total = float(closest_sq.sum())
+    if total <= 0.0:
+        # All remaining points coincide with chosen centroids; fall back
+        # to uniform choice among the rest.
+        return int(rng.integers(0, n))
+    if np.isfinite(total):
+        return int(rng.choice(n, p=closest_sq / total))
+    top = float(closest_sq.max())
+    weights = (closest_sq == top) if np.isinf(top) else closest_sq / top
+    return int(rng.choice(n, p=weights / weights.sum()))
+
+
+def _closest_sq_update(
+    X: np.ndarray, update_rows: Optional[Callable[..., None]] = None
+) -> Callable[..., None]:
+    """The D² update ``update(X, centroid, closest_sq, counters)``.
+
+    It runs ``update_rows`` (default :func:`_update_closest_sq_certified`;
+    the sharded engine passes a fan-out of it over row ranges) with the
+    per-row norm bound ``x_lower``, computed once here.
+    """
     x_sq = sq_norms(X)
     with np.errstate(invalid="ignore"):  # an overflowed |x|² gives NaN
         x_lower = x_sq - certificate_margin(x_sq, 0.0, X.shape[1])
-    return partial(certified or _update_closest_sq_certified, x_lower=x_lower)
-
-
-def _update_closest_sq_reference(
-    X: np.ndarray,
-    centroid: np.ndarray,
-    closest_sq: np.ndarray,
-    counters: Optional[OpCounters],
-) -> None:
-    """Pointwise D² update: one scalar distance per point (``n`` charged)."""
-    if counters is not None:
-        counters.add_point_accesses(len(X))
-    for i in range(len(X)):
-        new_sq = sq_euclidean(X[i], centroid, counters)
-        if new_sq < closest_sq[i]:
-            closest_sq[i] = new_sq
+    return partial(update_rows or _update_closest_sq_certified, x_lower=x_lower)
 
 
 def _update_closest_sq_certified(
@@ -173,18 +166,18 @@ def _update_closest_sq_certified(
     ``|x|²`` minus its share of the margin, computed once per seeding;
     the centroid's share is subtracted here.  A row is skipped when its
     bound reaches ``closest_sq``: its exact ``|x − c|²`` is then not below
-    ``closest_sq``, and the reference's strict-``<`` rule keeps the old
+    ``closest_sq``, and the scalar loop's strict-``<`` rule keeps the old
     value.  A non-finite bound never skips: an overflowed ``|x|²`` or
     ``|c|²`` makes it NaN, and ``+inf`` is excluded explicitly, so the
     first update, against ``closest_sq = inf``, skips nothing.
 
     Skipped rows keep their bits; every other row is updated through the
-    row-subset-invariant ``paired_sq_distances`` with the reference's
-    strict-``<`` rule, so ``closest_sq`` stays bitwise equal to the scalar
-    path's — which is what makes the next RNG draw pick the same index.
+    row-subset-invariant ``paired_sq_distances`` with the same strict-``<``
+    rule, so ``closest_sq`` stays bitwise equal to the scalar loop's —
+    which is what makes the next RNG draw pick the same index.
     The scores are numerics of the skip, not the paper's cost model, so
     they are uncounted; the charge stays ``n`` distances and ``n`` point
-    accesses per update, as for the reference.
+    accesses per update, as for the scalar loop.
 
     The exact rows are evaluated in blocks of ``NEAREST_BLOCK_ROWS``, so
     the gathered rows and their differences stay two block-sized arrays
@@ -229,7 +222,10 @@ def initialize_centroids(
     counters: Optional[OpCounters] = None,
     backend: str = "reference",
 ) -> np.ndarray:
-    """Dispatch to an initialization method by name."""
+    """Dispatch to an initialization method by name.
+
+    ``backend`` is validated by the method and selects nothing.
+    """
     func = initialization_method(method)
     return func(X, k, seed=seed, counters=counters, backend=backend)
 

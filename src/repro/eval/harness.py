@@ -168,11 +168,11 @@ def run_algorithm(
     if initial_centroids is None:
         if repeats < 1:
             raise ValidationError(f"repeats must be >= 1, got {repeats}")
-        # Seeding runs on the selected backend too; the parity contract of
-        # repro.core.initialization makes the picks bit-identical either
-        # way, so cross-backend comparability is preserved.
+        # Seeding is one code path for every backend (the certified D²
+        # update of repro.core.initialization), so every backend and
+        # algorithm starts from the same centroids.
         initial_centroids = [
-            initialize_centroids(X, k, "k-means++", seed=seed + r, backend=backend)
+            initialize_centroids(X, k, "k-means++", seed=seed + r)
             for r in range(repeats)
         ]
     elif len(initial_centroids) < 1:
@@ -249,7 +249,7 @@ def compare_algorithms(
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
     initial_centroids = [
-        initialize_centroids(X, k, "k-means++", seed=seed + r, backend=backend)
+        initialize_centroids(X, k, "k-means++", seed=seed + r)
         for r in range(repeats)
     ]
     return [

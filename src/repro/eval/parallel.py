@@ -144,7 +144,7 @@ def parallel_compare(
     todo = [index for index in range(len(specs)) if results[index] is None]
     if todo:
         initial_centroids = [
-            initialize_centroids(X, k, "k-means++", seed=seed + r, backend=backend)
+            initialize_centroids(X, k, "k-means++", seed=seed + r)
             for r in range(repeats)
         ]
         items = [

@@ -225,8 +225,7 @@ class ShardedLloydKMeans(VectorizedLloydKMeans):
         if initialization_method(init) is not init_kmeans_plus_plus:
             return super()._seed(init, rng)
         return init_kmeans_plus_plus(
-            self.X, self.k, seed=rng, backend=self.backend,
-            update_rows=self._update_closest_sq,
+            self.X, self.k, seed=rng, update_rows=self._update_closest_sq,
         )
 
     def _update_closest_sq(

@@ -9,9 +9,14 @@ the ground truth for ``OpCounters`` semantics; a vectorized implementation
 that computes the right clustering but charges different counters is a
 conformance failure (it would silently change the paper's Table 3 metrics).
 
+k-means++ seeding has one implementation, the certified D² update, for
+both backends; :class:`TestSeedingParity` checks it bit for bit against
+the pointwise scalar loop kept here as the oracle (:func:`scalar_d2_update`).
+
 The perf test at the bottom enforces the point of the backend: on the
 20k x 16 synthetic workload the vectorized backend must beat the reference
-by at least 2x wall-clock, and the measurement is recorded to
+by at least 2x wall-clock (and the certified seeding the scalar oracle),
+and the measurement is recorded to
 ``BENCH_backends.json`` at the repo root (the CI perf-smoke artifact; the
 file is not tracked).
 """
@@ -27,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.common.distance import sq_euclidean
 from repro.common.exceptions import ConfigurationError
 from repro.core import (
     BACKENDS,
@@ -36,6 +42,7 @@ from repro.core import (
 )
 from repro.core.initialization import init_kmeans_plus_plus
 from repro.datasets import make_blobs, make_spatial, make_uniform
+from repro.instrumentation.counters import OpCounters
 
 from tests.trace_utils import golden_path, golden_task
 
@@ -54,6 +61,22 @@ def _read_report() -> dict:
     if BENCH_PATH.exists():
         return json.loads(BENCH_PATH.read_text())
     return {"algorithms": {}}
+
+
+def scalar_d2_update(X, centroid, closest_sq, counters, *, x_lower):
+    """The pointwise k-means++ D² update of the paper's pseudocode: one
+    ``sq_euclidean`` per row, ``n`` charged, strict ``<``.
+
+    The parity oracle for the certified update, plugged in through the
+    ``update_rows`` seam of ``init_kmeans_plus_plus``; ``x_lower`` (the
+    certified update's norm bound) is unused.
+    """
+    if counters is not None:
+        counters.add_point_accesses(len(X))
+    for i in range(len(X)):
+        new_sq = sq_euclidean(X[i], centroid, counters)
+        if new_sq < closest_sq[i]:
+            closest_sq[i] = new_sq
 
 
 def _dataset(name: str) -> np.ndarray:
@@ -170,65 +193,64 @@ class TestAlgorithmKnobs:
 
 
 class TestSeedingParity:
-    """k-means++ seeding: both backends draw identical picks (docs/backends.md).
+    """k-means++ seeding equals the scalar oracle bit for bit (docs/backends.md).
 
-    The vectorized D² update leaves every row with the scalar loop's bits
+    The certified D² update leaves every row with the scalar loop's bits
     (a skipped row untouched, the rest through the bit-identical paired
     kernel), so the probability vector handed to the RNG — and therefore
     every sampled centroid index — matches exactly under the same seed.
     """
 
+    @staticmethod
+    def _seed_both(X, k, seed):
+        """(oracle, certified) picks and counters under one seed."""
+        oracle_counters, counters = OpCounters(), OpCounters()
+        oracle = init_kmeans_plus_plus(
+            X, k, seed=seed, counters=oracle_counters, update_rows=scalar_d2_update
+        )
+        certified = init_kmeans_plus_plus(X, k, seed=seed, counters=counters)
+        return oracle, certified, oracle_counters, counters
+
     @pytest.mark.parametrize("dataset", sorted(_DATASETS))
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("k", [2, 9])
     def test_seeding_picks_identical(self, dataset, seed, k):
-        from repro.instrumentation.counters import OpCounters
-
         X = _DATASETS[dataset]
-        ref_counters, vec_counters = OpCounters(), OpCounters()
-        reference = init_kmeans_plus_plus(
-            X, k, seed=seed, counters=ref_counters, backend="reference"
-        )
-        vectorized = init_kmeans_plus_plus(
-            X, k, seed=seed, counters=vec_counters, backend="vectorized"
-        )
-        assert np.array_equal(reference, vectorized)
-        assert ref_counters.snapshot() == vec_counters.snapshot()
+        oracle, certified, oracle_counters, counters = self._seed_both(X, k, seed)
+        assert np.array_equal(oracle, certified)
+        assert oracle_counters.snapshot() == counters.snapshot()
+        self._assert_same_d2(X, oracle)
 
     @staticmethod
     def _assert_parity(X, k, seed):
-        """Identical picks, and both backends charge n per D² update."""
-        from repro.instrumentation.counters import OpCounters
-
-        ref_counters, vec_counters = OpCounters(), OpCounters()
-        reference = init_kmeans_plus_plus(
-            X, k, seed=seed, counters=ref_counters, backend="reference"
+        """Identical picks, and both charge n per D² update."""
+        oracle, certified, oracle_counters, counters = TestSeedingParity._seed_both(
+            X, k, seed
         )
-        vectorized = init_kmeans_plus_plus(
-            X, k, seed=seed, counters=vec_counters, backend="vectorized"
-        )
-        assert np.array_equal(reference, vectorized)
-        for counters in (ref_counters, vec_counters):
-            assert counters.distance_computations == k * len(X)
-            assert counters.point_accesses == k * len(X)
-        assert ref_counters.snapshot() == vec_counters.snapshot()
-        TestSeedingParity._assert_same_d2(X, reference)
-        return reference
+        assert np.array_equal(oracle, certified)
+        for charged in (oracle_counters, counters):
+            assert charged.distance_computations == k * len(X)
+            assert charged.point_accesses == k * len(X)
+        assert oracle_counters.snapshot() == counters.snapshot()
+        TestSeedingParity._assert_same_d2(X, oracle)
+        return oracle
 
     @staticmethod
     def _assert_same_d2(X, centroids):
-        """Both backends' D² arrays are bitwise equal after every update."""
+        """The oracle's and the certified D² arrays are bitwise equal after
+        every update."""
         from repro.core.initialization import _closest_sq_update
 
-        updates = [_closest_sq_update(X, backend) for backend in BACKENDS]
+        updates = [_closest_sq_update(X, scalar_d2_update), _closest_sq_update(X)]
         closest = [np.full(len(X), np.inf) for _ in updates]
         for step, centroid in enumerate(centroids):
             for update, closest_sq in zip(updates, closest):
-                update(X, centroid, closest_sq, None)
-            reference, vectorized = (c.view(np.int64) for c in closest)
-            assert np.array_equal(reference, vectorized), (
-                f"update {step}: {np.count_nonzero(reference != vectorized)} "
-                "D² entries differ between backends"
+                with np.errstate(over="ignore"):  # a D² may overflow to inf
+                    update(X, centroid, closest_sq, None)
+            oracle, certified = (c.view(np.int64) for c in closest)
+            assert np.array_equal(oracle, certified), (
+                f"update {step}: {np.count_nonzero(oracle != certified)} "
+                "D² entries differ from the scalar oracle"
             )
 
     def test_seeding_duplicate_rows(self):
@@ -346,7 +368,7 @@ class TestSeedingParity:
         X = np.array([[1.0, 0.1], [-0.95, 0.0]]) * 1e154
         closest_sq = np.full(2, np.inf)
         with np.errstate(over="ignore"):  # row 1's exact distance overflows
-            _closest_sq_update(X, "vectorized")(X, X[0], closest_sq, None)
+            _closest_sq_update(X)(X, X[0], closest_sq, None)
         assert evaluated == [2]
 
     def test_seeding_pruning_skips_rows(self, monkeypatch):
@@ -355,21 +377,39 @@ class TestSeedingParity:
         # kernel (0.27·n on average here).
         evaluated = self._spy_exact_rows(monkeypatch)
         X = _DATASETS["blobs"]
-        init_kmeans_plus_plus(X, 9, seed=0, backend="vectorized")
+        init_kmeans_plus_plus(X, 9, seed=0)
         # Update 0, against closest_sq = inf, computes every row.
         assert len(evaluated) == 9
         assert evaluated[0] == len(X)
         assert sum(evaluated) < 0.6 * 9 * len(X)
 
     def test_fit_threads_seeding_backend(self):
-        # fit() without initial_centroids seeds on the algorithm's backend;
-        # parity means the cross-backend trajectory still matches exactly.
+        # fit() without initial_centroids seeds through the one certified
+        # update on either backend, so the trajectories match exactly.
         X = _DATASETS["blobs"]
         reference = make_algorithm("lloyd").fit(X, 6, seed=42, max_iter=MAX_ITER)
         vectorized = make_algorithm("lloyd", backend="vectorized").fit(
             X, 6, seed=42, max_iter=MAX_ITER
         )
         _assert_identical(reference, vectorized)
+
+    def test_reference_fit_seeds_through_certified_update(self, monkeypatch):
+        # The mechanism: a fit on the reference backend (KMeans' default)
+        # seeds through the certified D² update, once per pick.
+        import repro.core.initialization as initialization
+
+        calls = []
+        certified = initialization._update_closest_sq_certified
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return certified(*args, **kwargs)
+
+        monkeypatch.setattr(initialization, "_update_closest_sq_certified", spy)
+        k = 7
+        model = KMeans(k=k, algorithm="unik", seed=3, max_iter=2)
+        assert model.fit(_DATASETS["blobs"]).extras["backend"] == "reference"
+        assert len(calls) == k
 
 
 class TestRefinementKernels:
@@ -490,13 +530,20 @@ class TestBackendPerformance:
                     best = min(best, time.perf_counter() - t0)
                 times[backend] = best
             self._record(report, failures, name, times)
-        # k-means++ seeding is a vectorized hot path too (no fit involved).
+        # k-means++ seeding (no fit involved): the certified D² update,
+        # which every backend seeds through, against the scalar oracle.
+        seeders = {
+            "reference": lambda: init_kmeans_plus_plus(
+                X, self.K, seed=0, update_rows=scalar_d2_update
+            ),
+            "vectorized": lambda: init_kmeans_plus_plus(X, self.K, seed=0),
+        }
         times = {}
-        for backend in BACKENDS:
+        for backend, seeder in seeders.items():
             best = float("inf")
             for _ in range(3):
                 t0 = time.perf_counter()
-                init_kmeans_plus_plus(X, self.K, seed=0, backend=backend)
+                seeder()
                 best = min(best, time.perf_counter() - t0)
             times[backend] = best
         self._record(report, failures, "kmeanspp_init", times)

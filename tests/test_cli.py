@@ -344,3 +344,62 @@ class TestNumericFlags:
         err = capsys.readouterr().err
         assert "k=500 exceeds the 300 points" in err
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def model_registry(tmp_path_factory):
+    """A registry holding one small saved model, for ``repro serve``."""
+    root = str(tmp_path_factory.mktemp("served") / "reg")
+    assert main(["registry", "save", root, "--dataset", "Skin", "--n", "100",
+                 "--k", "2", "--max-iter", "2"]) == 0
+    return root
+
+
+def _bad_input(kind, tmp_path):
+    """The ``--dataset`` (or CSV path) value of one kind of unloadable data."""
+    if kind == "unknown-name":
+        return "Nope"
+    path = tmp_path / "points.csv"
+    if kind == "empty-csv":
+        path.write_text("")
+    elif kind == "nan-csv":
+        path.write_text("1.0,2.0\nnan,3.0\n")
+    return str(path)
+
+
+#: every command that loads data, with the bad inputs it can be handed
+_LOAD_CASES = [
+    (command, kind)
+    for command in ("cluster", "compare", "registry-save", "serve")
+    for kind in ("unknown-name", "missing-csv", "empty-csv", "nan-csv")
+] + [("bench", "unknown-name"), ("tune", "unknown-name")]
+
+
+class TestBadInputData:
+    """Data that cannot be loaded exits 2 with one stderr line, never 1
+    (the code ``--strict`` gives a failed cell) or a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, kind", _LOAD_CASES, ids=[f"{c}-{k}" for c, k in _LOAD_CASES]
+    )
+    def test_unloadable_data_exits_two(self, command, kind, tmp_path, capsys,
+                                       request):
+        value = _bad_input(kind, tmp_path)
+        data = ["--dataset", value] + ([] if kind == "unknown-name" else ["--csv"])
+        if command == "serve":
+            flag = "--dataset" if kind == "unknown-name" else "--points"
+            argv = ["serve", request.getfixturevalue("model_registry"), flag, value]
+        else:
+            argv = {
+                "cluster": ["cluster", *data, "--k", "2"],
+                "compare": ["compare", *data, "--k", "2"],
+                "registry-save": ["registry", "save", str(tmp_path / "reg"),
+                                  *data, "--k", "2"],
+                "bench": ["bench", "--datasets", value, "--ks", "2"],
+                "tune": ["tune", "--datasets", value, "--ks", "2"],
+            }[command]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load data: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

@@ -72,6 +72,50 @@ class TestKMeansPlusPlus:
         assert counters.distance_computations == 4 * len(data)
 
 
+class TestOverflowedTotal:
+    """Finite data whose D² total overflows still seeds (one draw per pick)."""
+
+    def test_total_overflow_draws_from_max_scaled_weights(self):
+        # Every D² is finite but their sum is not; the weights are divided
+        # by their maximum.  Scaling X by a power of two scales every D² by
+        # its square exactly, so the picks are those of the data scaled
+        # down to a finite total.
+        X = np.random.default_rng(0).normal(size=(2000, 2))
+        big, small = X * 1e153, X * 1e153 * 2.0**-600
+        for seed in range(5):
+            centroids = init_kmeans_plus_plus(big, 4, seed=seed)
+            assert np.array_equal(
+                centroids, init_kmeans_plus_plus(small, 4, seed=seed) * 2.0**600
+            )
+            assert len(np.unique(centroids, axis=0)) == 4
+
+    def test_overflowed_rows_share_the_mass(self):
+        # Rows ±1e200 from the rest have a D² of inf: after a pick among
+        # the unit-scale rows, the next two picks are those two rows.
+        X = np.vstack([np.random.default_rng(1).normal(size=(40, 2)),
+                       [[1e200, 0.0], [-1e200, 0.0]]])
+        far = {1e200, -1e200}
+        seeded = 0
+        for seed in range(10):
+            with np.errstate(over="ignore"):  # the far rows' D² overflow
+                centroids = init_kmeans_plus_plus(X, 3, seed=seed)
+            if abs(centroids[0, 0]) < 1e100:
+                seeded += 1
+                assert set(centroids[1:, 0]) == far
+        assert seeded
+
+    def test_fit_seeds_on_overflowed_total(self):
+        from repro.core import KMeans
+
+        X = np.random.default_rng(0).normal(size=(2000, 2)) * 1e153
+        for backend in ("reference", "vectorized"):
+            model = KMeans(k=4, algorithm="lloyd", backend=backend, seed=0,
+                           max_iter=3)
+            with np.errstate(over="ignore"):  # the SSE itself overflows
+                result = model.fit(X)
+            assert np.isfinite(result.centroids).all()
+
+
 class TestDispatch:
     def test_known_methods(self, data):
         for method in ["random", "k-means++", "kmeans++", "K-MEANS++"]:
